@@ -10,9 +10,6 @@ Usage::
 Outputs are deterministic for a fixed seed: JSON is written with sorted
 keys and canonical float reprs, CSV with LF line endings.  Exit codes:
 0 success, 1 a verification check failed, 2 bad configuration.
-
-The tool is single-threaded; ODELAB_THREADS is honoured as an upper
-bound on worker pools (vacuously, since no pool exceeds one worker).
 """
 
 from __future__ import annotations
@@ -38,8 +35,9 @@ class ConfigError(Exception):
     pass
 
 
-# sensible demo smoothness constants per beta; generous enough that the
-# slope-capped chain-remainder amplitude certifies without bisection
+# sensible demo smoothness constants per beta; the slope-capped
+# chain-remainder amplitude does not certify into either class, so
+# stubble_det_pair runs its full amplitude bisection for both
 _DEMO_CLASSES = {
     1.5: {"L": (2.0, 300.0), "L_beta": 6500.0},
     2.5: {"L": (2.0, 300.0, 60000.0), "L_beta": 1.6e6},
@@ -114,11 +112,27 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
     return cfg[key]
 
 
+def _number(cfg: dict, key: str, default=None, required: bool = False) -> float:
+    value = _get(cfg, key, default, required)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"field '{key}' must be a number, got {value!r}")
+
+
 def _require_beta(cfg: dict) -> float:
-    beta = float(_get(cfg, "beta", required=True))
-    if beta <= 1.0:
+    beta = _number(cfg, "beta", required=True)
+    if not beta > 1.0:
         raise ConfigError(f"field 'beta' must be > 1, got {beta}")
     return beta
+
+
+def _radius(cfg: dict, family: hypotheses.HypothesisFamily) -> float:
+    """Perturbation radius from the config: default rho_plus/2, at most rho_plus."""
+    r = _number(cfg, "r", family.rho_plus / 2.0)
+    if not 0.0 < r <= family.rho_plus:
+        raise ConfigError(f"field 'r' must be in (0, {family.rho_plus}], got {r}")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +305,10 @@ def _suite_tube_cover(cfg: dict, seed: int) -> list:
     checks = [_check("identical-trajectories", worst_gap <= tol_agree,
                      measured=worst_gap, limit=tol_agree)]
     region = [(0.0, 1.0)] * d
-    rep = geometry.tube_cover_check(tubes, region, seed=seed)
+    rep = geometry.tube_cover_check(tubes, region)
     checks.append(_check("cover-at-delta", rep.passed,
                          measured=rep.worst_distance, limit=rep.threshold))
-    rep_half = geometry.tube_cover_check(tubes, region, radius=delta / 2.0, seed=seed)
+    rep_half = geometry.tube_cover_check(tubes, region, radius=delta / 2.0)
     checks.append(_check("no-cover-at-half-delta", not rep_half.passed,
                          measured=rep_half.worst_distance, limit=rep_half.threshold))
     return checks
@@ -324,7 +338,7 @@ def _suite_smoothness(cfg: dict, seed: int) -> list:
     L = tuple(_get(cfg, "L", L))
     L_beta = float(_get(cfg, "L_beta", L_beta))
     family = hypotheses.stubble_prob_family(beta, d, L, L_beta)
-    r = float(_get(cfg, "r", family.rho_plus / 2.0))
+    r = _radius(cfg, family)
     z = np.full(d, 0.5)
     alt = family.make_alternative(z, r)
     region = [(z[i] - r, z[i] + r) for i in range(d)]
@@ -343,7 +357,7 @@ def _suite_symmetry(cfg: dict, seed: int) -> list:
     d = int(_get(cfg, "d", 2))
     L, L_beta = _bump_class(beta)
     family = hypotheses.snake_prob_family(beta, d, L, L_beta)
-    r = float(_get(cfg, "r", family.rho_plus / 2.0))
+    r = _radius(cfg, family)
     z = np.full(d, 0.5)
     alt = family.make_alternative(z, r)
     x = np.full(d, 0.5)
@@ -371,7 +385,7 @@ def _suite_gronwall(cfg: dict, seed: int) -> list:
     d = int(_get(cfg, "d", 2))
     L, L_beta = _bump_class(beta)
     family = hypotheses.snake_prob_family(beta, d, L, L_beta)
-    r = float(_get(cfg, "r", family.rho_plus / 2.0))
+    r = _radius(cfg, family)
     z = np.full(d, 0.5)
     alt = family.make_alternative(z, r)
     rng = np.random.default_rng(seed)
@@ -397,9 +411,7 @@ def _suite_assumptions(cfg: dict, seed: int) -> list:
         float(_get(cfg, "delta_t", 0.1)), noise
     )
     declared = _get(cfg, "C_cvr")
-    cover = statmodel.check_cover(
-        scheme, None if declared is None else float(declared), seed=seed
-    )
+    cover = statmodel.check_cover(scheme, None if declared is None else float(declared))
     cover_time = statmodel.check_cover_time(scheme, float(_get(cfg, "C_cvrtm", 3.0)))
     checks = [
         _check("cover-constant", cover.passed, measured=cover.C_hat,
@@ -470,6 +482,8 @@ def _cmd_rates(cfg: dict, out: str) -> int:
     rows = []
     for n_float in ns:
         n = int(round(n_float))
+        if n < 2:
+            raise ConfigError(f"field 'n' values must be >= 2, got {n}")
         spec = statmodel.RateSpec(beta=beta, d=d, n=n, s=s)
         step = statmodel.rate_eval(spec, "stubble-balancing-step")
         spec_b = statmodel.RateSpec(beta=beta, d=d, n=n, step=step, s=s)
@@ -541,9 +555,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-
-    # serial implementation; clamp any future pool to the requested width
-    _ = os.environ.get("ODELAB_THREADS")
 
     try:
         cfg = _load_config(args.config)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import flow as flow_mod
 from .flow import Trajectory
@@ -25,6 +24,8 @@ __all__ = [
     "tube_cover_check",
     "packing_number",
     "varshamov_gilbert",
+    "halton",
+    "min_distance",
 ]
 
 
@@ -60,6 +61,43 @@ def _as_region(region) -> np.ndarray:
     if reg.ndim != 2 or reg.shape[1] != 2 or np.any(reg[:, 1] <= reg[:, 0]):
         raise ValueError("region must be [(lo, hi), ...] with hi > lo")
     return reg
+
+
+def halton(n: int, d: int) -> np.ndarray:
+    """First n points of the unscrambled d-dimensional Halton net in [0, 1)^d.
+
+    Column j is the radical inverse of 0, 1, ..., n-1 in the j-th prime
+    base, accumulated from the lowest digit up (the first point is 0).
+    """
+    bases = []
+    cand = 2
+    while len(bases) < d:
+        if all(cand % p for p in bases):
+            bases.append(cand)
+        cand += 1
+    out = np.zeros((n, d))
+    for j, base in enumerate(bases):
+        q = np.arange(n)
+        scale = 1.0 / base
+        while q.any():
+            out[:, j] += (q % base) * scale
+            scale /= base
+            q //= base
+    return out
+
+
+def min_distance(a, b=None) -> float:
+    """Smallest Euclidean distance from a row of ``a`` to a row of ``b``.
+
+    With ``b`` omitted, the smallest distance between two distinct rows of
+    ``a``; inf when there is no such pair.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    other = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
+    dist = np.sqrt(((a[:, None, :] - other[None, :, :]) ** 2).sum(axis=-1))
+    if b is None:
+        dist[np.diag_indices(len(a))] = math.inf
+    return float(dist.min()) if dist.size else math.inf
 
 
 def _dense_slices(tube: TubeSpec, dense: int):
@@ -146,7 +184,7 @@ def tube_distance(points, tubes: Sequence[TubeSpec], *, dense: int = 512) -> np.
 
 
 def tube_cover_check(tubes: Sequence[TubeSpec], region, *, radius: Optional[float] = None,
-                     samples: int = 2048, seed: int = 0, slack: float = 1e-6,
+                     samples: int = 2048, slack: float = 1e-6,
                      dense: int = 512) -> CoverReport:
     """Do the tubes cover the region?  Checked on a deterministic point cloud.
 
@@ -161,7 +199,7 @@ def tube_cover_check(tubes: Sequence[TubeSpec], region, *, radius: Optional[floa
     if radius is not None:
         tubes = [dataclasses.replace(t, radius=radius) for t in tubes]
     n = max(int(samples), 1000)
-    net = qmc.Halton(d=d, scramble=False, seed=seed).random(n)
+    net = halton(n, d)
     pts = reg[:, 0] + (reg[:, 1] - reg[:, 0]) * net
     if d <= 12:
         corners = np.array(list(itertools.product(*[(lo, hi) for lo, hi in reg])))

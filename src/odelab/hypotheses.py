@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import kernels, smoothness
+from . import geometry, kernels, smoothness
 from .flow import ModelFunction
 
 __all__ = [
@@ -149,14 +149,81 @@ def _check_radius(r: float, rho_plus: float):
         raise ValueError(f"radius {r} outside (0, {rho_plus}]")
 
 
-def _min_pairwise_distance(centers: np.ndarray) -> float:
-    c = np.atleast_2d(np.asarray(centers, dtype=float))
-    if len(c) < 2:
-        return math.inf
-    diff = c[:, None, :] - c[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    dist[np.diag_indices(len(c))] = math.inf
-    return float(dist.min())
+def _calibrated(beta: float, d: int, L, L_beta: float, shape: str):
+    """The d -> d class, the calibrated ``shape`` kernel and its certified radius cap."""
+    cls = smoothness.SmoothnessClass(beta, tuple(L), L_beta, d, d)
+    spec = kernels.KernelSpec(
+        beta=beta, alpha=kernels.calibrate_alpha(beta, d, shape), kind=shape, dim=d
+    )
+    return cls, spec, kernels.r_max(beta, tuple(L), L_beta, spec)
+
+
+def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: float,
+                     amplitude: float, axis: int, coef: float,
+                     metadata: dict) -> ModelFunction:
+    """drift + coef * sum_i ScaledField(z_i, r, amplitude) on output coordinate ``axis``."""
+    perts = [
+        kernels.ScaledField(kernel=spec, center=zi, radius=r, amplitude=amplitude)
+        for zi in centers
+    ]
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        out = np.broadcast_to(drift, x.shape).copy()
+        for p in perts:
+            out[..., axis] += coef * p(x)
+        return out
+
+    return ModelFunction(dim=spec.dim, eval=evaluate, metadata=metadata)
+
+
+def _prob_family(kind: str, cls: smoothness.SmoothnessClass, spec: kernels.KernelSpec,
+                 L, cap: float, rho_minus: Optional[float], drift: np.ndarray,
+                 axis: int, zeta: float, metadata: dict) -> HypothesisFamily:
+    """Null drift with L_beta r^beta-scaled kernel perturbations on one axis.
+
+    Radii are capped at min(1/2, cap); ``metadata`` is copied into the
+    family and into every field it builds.
+    """
+    if cap < 1e-3:
+        raise ClassTooTight(
+            f"certified {spec.kind} radius {cap:.3g} < 1e-3 for constants L={tuple(L)}, "
+            f"L_beta={cls.L_beta}"
+        )
+    rho_plus = min(0.5, cap)
+    beta, L_beta = cls.beta, cls.L_beta
+
+    def make_alternative(z, r):
+        _check_radius(r, rho_plus)
+        z = np.asarray(z, dtype=float)
+        return _perturbed_field(spec, drift, [z], r, L_beta, axis, 1.0, {
+            "construction": f"{kind}-{spec.kind}", "center": z, "radius": r,
+            "amplitude": L_beta, "beta": beta, "axis": axis, **metadata,
+        })
+
+    def combine(centers, r):
+        _check_radius(r, rho_plus)
+        c = np.atleast_2d(np.asarray(centers, dtype=float))
+        sep = geometry.min_distance(c)
+        if sep < 2.0 * r:
+            raise ValueError(f"centers only {sep:.3g} apart; need >= 2r = {2*r:.3g}")
+        return _perturbed_field(spec, drift, c, r, L_beta, axis, 1.0, {
+            "construction": f"{kind}-{spec.kind}s", "centers": c, "radius": r,
+            "amplitude": L_beta, "beta": beta, **metadata,
+        })
+
+    return HypothesisFamily(
+        kind=kind,
+        f0=_constant_field(cls.dim_in, drift, f"{kind}-null"),
+        make_alternative=make_alternative,
+        combine=combine,
+        rho_minus=rho_minus,
+        rho_plus=rho_plus,
+        zeta=zeta,
+        kernel=spec,
+        smoothness_class=cls,
+        metadata={**metadata, "r_cap": cap},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,88 +237,10 @@ def stubble_prob_family(beta: float, d: int, L: Sequence[float], L_beta: float,
     h is the calibrated radial bump, so each alternative (and any
     2r-separated sum) lies in the d -> d class with constants (L, L_beta).
     """
-    cls = smoothness.SmoothnessClass(beta, tuple(L), L_beta, d, d)
-    spec = kernels.KernelSpec(
-        beta=beta, alpha=kernels.calibrate_alpha(beta, d, "bump"), kind="bump", dim=d
-    )
-    cap = kernels.r_max(beta, tuple(L), L_beta, spec)
-    if cap < 1e-3:
-        raise ClassTooTight(
-            f"certified bump radius {cap:.3g} < 1e-3 for constants L={tuple(L)}, "
-            f"L_beta={L_beta}"
-        )
-    rho_plus = min(0.5, cap)
-    f0 = _constant_field(d, np.zeros(d), "stubble-null")
-
+    cls, spec, cap = _calibrated(beta, d, L, L_beta, "bump")
     h_sup = spec.alpha * math.exp(-1.0)  # bump peak: alpha*K(0)
-
-    def make_alternative(z, r):
-        _check_radius(r, rho_plus)
-        z = np.asarray(z, dtype=float)
-        pert = kernels.ScaledField(kernel=spec, center=z, radius=r, amplitude=L_beta)
-
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            out[..., 0] = pert(x)
-            return out
-
-        return ModelFunction(
-            dim=d,
-            eval=evaluate,
-            metadata={
-                "construction": "stubble-bump",
-                "center": z,
-                "radius": r,
-                "amplitude": L_beta,
-                "beta": beta,
-                "axis": 0,
-                "h_sup": h_sup,
-            },
-        )
-
-    def combine(centers, r):
-        _check_radius(r, rho_plus)
-        c = np.atleast_2d(np.asarray(centers, dtype=float))
-        sep = _min_pairwise_distance(c)
-        if sep < 2.0 * r:
-            raise ValueError(f"centers only {sep:.3g} apart; need >= 2r = {2*r:.3g}")
-        perts = [
-            kernels.ScaledField(kernel=spec, center=zi, radius=r, amplitude=L_beta)
-            for zi in c
-        ]
-
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for p in perts:
-                out[..., 0] += p(x)
-            return out
-
-        return ModelFunction(
-            dim=d,
-            eval=evaluate,
-            metadata={
-                "construction": "stubble-bumps",
-                "centers": c,
-                "radius": r,
-                "amplitude": L_beta,
-                "beta": beta,
-            },
-        )
-
-    return HypothesisFamily(
-        kind="stubble",
-        f0=f0,
-        make_alternative=make_alternative,
-        combine=combine,
-        rho_minus=rho_minus,
-        rho_plus=rho_plus,
-        zeta=beta,
-        kernel=spec,
-        smoothness_class=cls,
-        metadata={"h_sup": h_sup, "r_cap": cap},
-    )
+    return _prob_family("stubble", cls, spec, L, cap, rho_minus, np.zeros(d), 0, beta,
+                        {"h_sup": h_sup})
 
 
 def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
@@ -373,7 +362,7 @@ def _embed_first_coordinate(core: ModelFunction, d: int) -> ModelFunction:
     )
 
 
-def irrational_timestep_falsifier(pair: HypothesisPair, t1: float, t2: float,
+def irrational_timestep_falsifier(pair: HypothesisPair, t2: float,
                                   samples: int = 100) -> float:
     """Max flow mismatch of the pair at time t2 over a window of starts.
 
@@ -385,7 +374,6 @@ def irrational_timestep_falsifier(pair: HypothesisPair, t1: float, t2: float,
     x1 = np.linspace(pair.x0[0] - r, pair.x0[0] + r, samples)
     xs = np.tile(pair.x0, (samples, 1))
     xs[:, 0] = x1
-    del t1  # kept in the signature to document the grid/non-grid contrast
     u0 = pair.f0.closed_form_flow(xs, t2)
     u1 = pair.f1.closed_form_flow(xs, t2)
     return float(np.linalg.norm(u0 - u1, axis=-1).max())
@@ -405,102 +393,16 @@ def snake_prob_family(beta: float, d: int, L: Sequence[float], L_beta: float,
     """
     if d < 2:
         raise DimensionTooSmall("snake constructions need d >= 2")
-    cls = smoothness.SmoothnessClass(beta, tuple(L), L_beta, d, d)
-    spec = kernels.KernelSpec(
-        beta=beta, alpha=kernels.calibrate_alpha(beta, d, "pulse"), kind="pulse", dim=d
-    )
-    cap = kernels.r_max(beta, tuple(L), L_beta, spec)
-    if cap < 1e-3:
-        raise ClassTooTight(
-            f"certified pulse radius {cap:.3g} < 1e-3 for constants L={tuple(L)}, "
-            f"L_beta={L_beta}"
-        )
-    rho_plus = min(0.5, cap)
+    cls, spec, cap = _calibrated(beta, d, L, L_beta, "pulse")
     L0 = float(L[0])
-    drift = L0 * np.eye(d)[0]
-    f0 = _constant_field(d, drift, "snake-null")
-    pulse_sup = kernels.shape_deriv_supnorm(spec, 0)
-    pulse_grad_sup = kernels.shape_deriv_supnorm(spec, 1)
-
-    def make_alternative(z, r):
-        _check_radius(r, rho_plus)
-        z = np.asarray(z, dtype=float)
-        pert = kernels.ScaledField(kernel=spec, center=z, radius=r, amplitude=L_beta)
-
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            out = np.broadcast_to(drift, x.shape).copy()
-            out[..., 1] += pert(x)
-            return out
-
-        return ModelFunction(
-            dim=d,
-            eval=evaluate,
-            metadata={
-                "construction": "snake-pulse",
-                "center": z,
-                "radius": r,
-                "amplitude": L_beta,
-                "beta": beta,
-                "axis": 1,
-                "drift": L0,
-                "L_beta": L_beta,
-                "pulse_sup": pulse_sup,
-                "pulse_grad_sup": pulse_grad_sup,
-            },
-        )
-
-    def combine(centers, r):
-        _check_radius(r, rho_plus)
-        c = np.atleast_2d(np.asarray(centers, dtype=float))
-        sep = _min_pairwise_distance(c)
-        if sep < 2.0 * r:
-            raise ValueError(f"centers only {sep:.3g} apart; need >= 2r = {2*r:.3g}")
-        perts = [
-            kernels.ScaledField(kernel=spec, center=zi, radius=r, amplitude=L_beta)
-            for zi in c
-        ]
-
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            out = np.broadcast_to(drift, x.shape).copy()
-            for p in perts:
-                out[..., 1] += p(x)
-            return out
-
-        return ModelFunction(
-            dim=d,
-            eval=evaluate,
-            metadata={
-                "construction": "snake-pulses",
-                "centers": c,
-                "radius": r,
-                "amplitude": L_beta,
-                "beta": beta,
-                "drift": L0,
-                "L_beta": L_beta,
-                "pulse_sup": pulse_sup,
-                "pulse_grad_sup": pulse_grad_sup,
-            },
-        )
-
-    return HypothesisFamily(
-        kind="snake",
-        f0=f0,
-        make_alternative=make_alternative,
-        combine=combine,
-        rho_minus=rho_minus,
-        rho_plus=rho_plus,
-        zeta=beta + 1.0,
-        kernel=spec,
-        smoothness_class=cls,
-        metadata={
-            "drift": L0,
-            "pulse_sup": pulse_sup,
-            "pulse_grad_sup": pulse_grad_sup,
-            "r_cap": cap,
-        },
-    )
+    metadata = {
+        "drift": L0,
+        "L_beta": L_beta,
+        "pulse_sup": kernels.shape_deriv_supnorm(spec, 0),
+        "pulse_grad_sup": kernels.shape_deriv_supnorm(spec, 1),
+    }
+    return _prob_family("snake", cls, spec, L, cap, rho_minus, L0 * np.eye(d)[0], 1,
+                        beta + 1.0, metadata)
 
 
 def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
@@ -518,11 +420,7 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     if d < 2:
         raise DimensionTooSmall("snake constructions need d >= 2")
     L = tuple(float(v) for v in L)
-    cls = smoothness.SmoothnessClass(beta, L, L_beta, d, d)
-    spec = kernels.KernelSpec(
-        beta=beta, alpha=kernels.calibrate_alpha(beta, d, "bump"), kind="bump", dim=d
-    )
-    cap = kernels.r_max(beta, L, L_beta, spec)
+    cls, spec, cap = _calibrated(beta, d, L, L_beta, "bump")
     delta_max = min(math.sqrt(d) * cap, math.sqrt(d) / 2.0)
     if delta > delta_max:
         raise DeltaTooLarge(f"delta {delta} > certified maximum {delta_max:.6g}")
@@ -562,42 +460,27 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     for c, g in enumerate(cgrids):
         centers[:, c + 1] = g.reshape(-1)
 
-    clearance = _lattice_clearance(initials, centers)
+    # transverse distance between the trajectory lines and the bump centers
+    clearance = geometry.min_distance(initials[:, 1:], centers[:, 1:])
     if clearance < r * (1.0 - 1e-9):
         # fallback: shift the whole IC lattice half a pitch transversally
         initials[:, 1:] += r / 2.0
-        clearance = _lattice_clearance(initials, centers)
+        clearance = geometry.min_distance(initials[:, 1:], centers[:, 1:])
         if clearance < r * (1.0 - 1e-9):
             raise RuntimeError("initial-condition lattice clashes with bump lattice")
 
     drift = L0 * np.eye(d)[0]
     f0 = _constant_field(d, drift, "snake-det-null")
     amp = L_beta * r**beta
-    perts = [
-        kernels.ScaledField(kernel=spec, center=zi, radius=r, amplitude=1.0)
-        for zi in centers
-    ]
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(drift, x.shape).copy()
-        for p in perts:
-            # bumps subtract so the first-coordinate speed stays within L_0
-            out[..., 0] -= amp * np.asarray(p(x))
-        return out
-
-    f1 = ModelFunction(
-        dim=d,
-        eval=evaluate,
-        metadata={
-            "construction": "snake-det",
-            "centers": centers,
-            "radius": r,
-            "amplitude": -amp,
-            "beta": beta,
-            "drift": L0,
-        },
-    )
+    # bumps subtract so the first-coordinate speed stays within L_0
+    f1 = _perturbed_field(spec, drift, centers, r, 1.0, 0, -amp, {
+        "construction": "snake-det",
+        "centers": centers,
+        "radius": r,
+        "amplitude": -amp,
+        "beta": beta,
+        "drift": L0,
+    })
 
     h_sup = spec.alpha * math.exp(-1.0)
     pair = HypothesisPair(
@@ -622,14 +505,6 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
         },
     )
     return pair, initials, times
-
-
-def _lattice_clearance(initials: np.ndarray, centers: np.ndarray) -> float:
-    """Min transverse distance between trajectory lines and bump centers."""
-    a = initials[:, None, 1:]
-    b = centers[None, :, 1:]
-    dist = np.sqrt(((a - b) ** 2).sum(axis=-1))
-    return float(dist.min())
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow, kernels
+from .geometry import _as_region, halton
 
 __all__ = [
     "TooLarge",
@@ -147,15 +148,6 @@ def faa_di_bruno(f_derivs, g_derivs, k: int, x: float) -> float:
     return total
 
 
-def _as_region(region) -> np.ndarray:
-    reg = np.asarray(region, dtype=float)
-    if reg.ndim == 1:
-        reg = reg[None, :]
-    if reg.shape[1] != 2 or np.any(reg[:, 1] <= reg[:, 0]):
-        raise ValueError("region must be a box of (lo, hi) pairs with lo < hi")
-    return reg
-
-
 def _scalar_batch(f):
     """Adapt f to map (N, d) -> (N,) float."""
 
@@ -177,11 +169,7 @@ def _sample_box(reg: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         spacing = widths / (per_axis - 1)
     else:
-        from scipy.stats import qmc
-
-        halton = qmc.Halton(d, scramble=False)
-        unit = halton.random(budget)
-        pts = reg[:, 0] + unit * widths
+        pts = reg[:, 0] + halton(budget, d) * widths
         spacing = widths / budget ** (1.0 / d)
     return pts, spacing
 
@@ -198,7 +186,10 @@ def _direction_set(d: int, seed: int, extra: int = 8) -> np.ndarray:
 
 
 def _directional_fd(fb, pts, v, order: int, h: float) -> np.ndarray:
-    """Central stencil for the order-th derivative along v at each point."""
+    """Central stencil for the order-th derivative along v at each point.
+
+    ``v`` is one direction (d,) or one direction per point (N, d).
+    """
     if order == 0:
         return fb(pts)
     acc = np.zeros(pts.shape[0])
@@ -273,19 +264,8 @@ def holder_quotient(f, ell: int, beta: float, region, *, pairs: int = 10**5, see
         dirs = rng.normal(size=(pairs, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    if ell == 0:
-        dx, dy = fb(xs), fb(ys)
-    else:
-        dx = np.zeros(pairs)
-        dy = np.zeros(pairs)
-        for i in range(ell + 1):
-            coeff = (-1.0) ** i * math.comb(ell, i)
-            offset = (ell / 2.0 - i) * h
-            dx += coeff * fb(xs + offset * dirs)
-            dy += coeff * fb(ys + offset * dirs)
-        dx /= h**ell
-        dy /= h**ell
-
+    dx = _directional_fd(fb, xs, dirs, ell, h)
+    dy = _directional_fd(fb, ys, dirs, ell, h)
     sep = np.linalg.norm(xs - ys, axis=1)
     keep = sep > 1e-10 * diam
     quot = np.abs(dx[keep] - dy[keep]) / sep[keep] ** (beta - ell)

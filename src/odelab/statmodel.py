@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from . import flow as flow_mod
-from . import kernels
+from . import geometry, kernels
 from .hypotheses import HypothesisFamily
 
 __all__ = [
@@ -179,7 +178,7 @@ class CoverCheck:
 
 
 def check_cover(scheme: ObservationScheme, declared: Optional[float] = None,
-                *, extra_centers: int = 256, seed: int = 0) -> CoverCheck:
+                *, extra_centers: int = 256) -> CoverCheck:
     """Ball-counting regularity of the initial conditions.
 
     C_hat is the max over candidate centers z and radii r in [r_floor, 1]
@@ -193,7 +192,7 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None,
     if declared is None:
         declared = 4.0**d
     r_floor = (declared * m) ** (-1.0 / d)
-    net = qmc.Halton(d=d, scramble=False, seed=seed).random(extra_centers)
+    net = geometry.halton(extra_centers, d)
     centers = np.vstack([x, net, np.full((1, d), 0.5)])
     C_hat = 0.0
     where = {}
@@ -320,20 +319,19 @@ class PsiChi:
     detail: dict = field(default_factory=dict)
 
 
-def _default_centers(scheme: ObservationScheme, r: float, seed: int = 0) -> np.ndarray:
+def _default_centers(scheme: ObservationScheme, r: float) -> np.ndarray:
     d = scheme.dim
     mid = np.full(d, 0.5)
     x = scheme.initials
     nearest = x[np.linalg.norm(x - mid, axis=1).argmin()]
     cands = [mid, mid + r / 2.0 * np.eye(d)[0], nearest,
              nearest + r / 2.0 * np.ones(d) / math.sqrt(d)]
-    net = qmc.Halton(d=d, scramble=False, seed=seed).random(3)
+    net = geometry.halton(3, d)
     return np.vstack([cands, 0.25 + 0.5 * net])
 
 
 def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: float,
-                    *, z_candidates=None, tol: float = 1e-8,
-                    seed: int = 0) -> PsiChi:
+                    *, z_candidates=None, tol: float = 1e-8) -> PsiChi:
     """Measured per-observation discrepancy and hit count at radius r.
 
     psi_hat: max over candidate centers and observations of the flow
@@ -346,7 +344,7 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
     exactly and contribute zero deviation.
     """
     if z_candidates is None:
-        z_candidates = _default_centers(scheme, r, seed)
+        z_candidates = _default_centers(scheme, r)
     z_candidates = np.atleast_2d(np.asarray(z_candidates, float))
     x = scheme.initials
     psi_hat = 0.0
@@ -430,16 +428,6 @@ def master_instance_stubble(family: HypothesisFamily, scheme: ObservationScheme,
     )
 
 
-def _snake_pitch(initials: np.ndarray) -> float:
-    trans = initials[:, 1:]
-    if len(trans) < 2:
-        return math.inf
-    diff = trans[:, None, :] - trans[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    dist[np.diag_indices(len(trans))] = math.inf
-    return float(dist.min())
-
-
 def master_instance_snake(family: HypothesisFamily, scheme: ObservationScheme,
                           *, C_cvrtm: float = 3.0) -> MasterInstance:
     """KL budget from closed-form psi/chi envelopes, exponent 2(beta+1) + d.
@@ -457,7 +445,7 @@ def master_instance_snake(family: HypothesisFamily, scheme: ObservationScheme,
     alpha = family.kernel.alpha
     kt_sup = alpha * math.exp(-1.0)
     kt_grad = alpha * kernels.sup_abs_kernel_deriv(1)
-    pitch = _snake_pitch(scheme.initials)
+    pitch = geometry.min_distance(scheme.initials[:, 1:])
     gamma = 2.0 * (beta + 1.0) + d
     n, T_sum = scheme.n, scheme.T_sum
     rho_minus = 0.5 * L0 * T_sum / (C_cvrtm * n)
@@ -559,7 +547,7 @@ def lecam_two_point(kl: float) -> float:
 
 def gaussian_lrt_error(kl: float) -> float:
     """Exact balanced error of the LRT between shifted Gaussians at this KL."""
-    return float(norm.cdf(-math.sqrt(kl / 2.0)))
+    return 0.5 * math.erfc(math.sqrt(kl / 2.0) / math.sqrt(2.0))
 
 
 @dataclass

@@ -43,6 +43,20 @@ def test_missing_required_beta_is_config_error(tmp_path):
     assert _run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("rates", {"beta": 2.0, "n": [1]}),
+    ("verify", {"suite": "symmetry", "beta": 2.0, "r": 5.0}),
+    ("verify", {"suite": "gronwall", "beta": 2.0, "r": 5.0}),
+    ("construct", {"construction": "stubble-det", "beta": "abc"}),
+])
+def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
+    cfg = _cfg(tmp_path, payload)
+    assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "odelab: config error" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["transmogrify"])

@@ -1,10 +1,14 @@
 """Tube coverings, packings, and the greedy binary codebook."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import odelab
 from odelab import flow, geometry
 
 
@@ -47,12 +51,12 @@ def test_tube_cover_check_pass_and_fail():
         for y in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     region = ((0.0, 1.0), (0.0, 1.0))
-    rep = geometry.tube_cover_check(tubes, region, samples=512, seed=1)
+    rep = geometry.tube_cover_check(tubes, region, samples=512)
     assert rep.passed
     assert rep.n_samples >= 512
 
     # shrinking every radius to 0.1 opens gaps of depth 0.025
-    rep2 = geometry.tube_cover_check(tubes, region, radius=0.1, samples=512, seed=1)
+    rep2 = geometry.tube_cover_check(tubes, region, radius=0.1, samples=512)
     assert not rep2.passed
     assert rep2.worst_distance > rep2.threshold
     # the witness point really is far from every tube
@@ -113,3 +117,35 @@ def test_varshamov_gilbert_deterministic():
     a = geometry.varshamov_gilbert(24, seed=5)
     b = geometry.varshamov_gilbert(24, seed=5)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("j,base", enumerate((2, 3, 5, 7, 11)))
+def test_halton_column_is_a_net_at_prime_powers(j, base):
+    # n = base^k points put one point in each cell [m/n, (m+1)/n) of column j;
+    # odd bases reach m/n only up to the rounding of the digit sum
+    for k in (1, 2, 3):
+        n = base**k
+        col = np.sort(geometry.halton(n, j + 1)[:, j])
+        np.testing.assert_allclose(col, np.arange(n) / n, rtol=0,
+                                   atol=0.0 if base == 2 else 1e-15)
+
+
+def test_halton_first_rows_frozen():
+    net = geometry.halton(4, 2)
+    assert net[:, 0].tolist() == [0.0, 0.5, 0.25, 0.75]
+    assert net[:, 1].tolist() == [0.0, 1 / 3, 2 / 3, 1 / 9]
+
+
+def test_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(odelab.__file__)))
+    code = "import sys, odelab; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_min_distance_pairs_and_cross_sets():
+    pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+    assert geometry.min_distance(pts) == 1.0
+    assert geometry.min_distance(pts[:1]) == np.inf
+    assert geometry.min_distance(pts[:2], np.array([[3.0, 0.0]])) == 3.0

@@ -50,7 +50,7 @@ def test_stubble_det_separation_attained(det_pair):
 
 def test_irrational_timestep_breaks_coincidence(det_pair):
     # off the arithmetic grid the two flows must visibly differ
-    gap = hypotheses.irrational_timestep_falsifier(det_pair, 0.05 * np.sqrt(2.0), 0.05 * np.e)
+    gap = hypotheses.irrational_timestep_falsifier(det_pair, 0.05 * np.e)
     assert gap > 1e-4
 
 
