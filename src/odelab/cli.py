@@ -112,12 +112,23 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
     return cfg[key]
 
 
-def _number(cfg: dict, key: str, default=None, required: bool = False) -> float:
+def _numbers(cfg: dict, key: str, default=None, required: bool = False) -> np.ndarray:
+    """A config number or list of numbers as a float array; all must be finite."""
     value = _get(cfg, key, default, required)
     try:
-        return float(value)
+        numbers = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"field '{key}' must be a number, got {value!r}")
+        numbers = np.array(math.nan)
+    if not np.isfinite(numbers).all():
+        raise ConfigError(f"field '{key}' must be numeric and finite, got {value!r}")
+    return numbers
+
+
+def _number(cfg: dict, key: str, default=None, required: bool = False) -> float:
+    number = _numbers(cfg, key, default, required)
+    if number.ndim:
+        raise ConfigError(f"field '{key}' must be a number, got {_get(cfg, key)!r}")
+    return float(number)
 
 
 def _require_beta(cfg: dict) -> float:
@@ -142,7 +153,7 @@ def _radius(cfg: dict, family: hypotheses.HypothesisFamily) -> float:
 def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
     which = _get(cfg, "construction", "stubble-det")
     if which == "spiral":
-        K = int(_get(cfg, "K", 4))
+        K = int(_number(cfg, "K", 4))
         spec = hypotheses.spiral_build(K)
         desc = {
             "construction": "spiral",
@@ -165,12 +176,12 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
 
     beta = _require_beta(cfg)
     default = _demo_class(beta) if which == "stubble-det" else _bump_class(beta)
-    L = tuple(_get(cfg, "L", default[0]))
-    L_beta = float(_get(cfg, "L_beta", default[1]))
+    L = tuple(_numbers(cfg, "L", default[0]).tolist())
+    L_beta = _number(cfg, "L_beta", default[1])
     if which == "stubble-det":
-        d = int(_get(cfg, "d", 1))
-        delta_t = float(_get(cfg, "delta_t", 0.05))
-        x0 = np.asarray(_get(cfg, "x0", [0.5] * d), float)
+        d = int(_number(cfg, "d", 1))
+        delta_t = _number(cfg, "delta_t", 0.05)
+        x0 = _numbers(cfg, "x0", [0.5] * d)
         pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
         md = pair.metadata
         desc = {
@@ -199,9 +210,9 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
                    comment=f"stubble-det beta={beta} delta_t={delta_t}")
         return _EXIT_OK
     if which == "snake-det":
-        d = int(_get(cfg, "d", 2))
-        delta = float(_get(cfg, "delta", 0.1))
-        x0 = np.asarray(_get(cfg, "x0", [0.5] * d), float)
+        d = int(_number(cfg, "d", 2))
+        delta = _number(cfg, "delta", 0.1)
+        x0 = _numbers(cfg, "x0", [0.5] * d)
         pair, initials, times = hypotheses.snake_det_pair(beta, d, L, L_beta, delta, x0)
         desc = {
             "construction": "snake-det",
@@ -247,12 +258,12 @@ def _check(name: str, passed: bool, **extra) -> dict:
 
 def _suite_coincidence(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
-    d = int(_get(cfg, "d", 1))
-    delta_t = float(_get(cfg, "delta_t", 0.05))
-    tol = float(_get(cfg, "tol", 1e-9))
-    n_points = int(_get(cfg, "n_points", 50))
+    d = int(_number(cfg, "d", 1))
+    delta_t = _number(cfg, "delta_t", 0.05)
+    tol = _number(cfg, "tol", 1e-9)
+    n_points = int(_number(cfg, "n_points", 50))
     L, L_beta = _demo_class(beta)
-    x0 = np.asarray(_get(cfg, "x0", [0.5] * d), float)
+    x0 = _numbers(cfg, "x0", [0.5] * d)
     pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
     rng = np.random.default_rng(seed)
     xs = np.tile(x0, (n_points, 1))
@@ -283,23 +294,22 @@ def _suite_coincidence(cfg: dict, seed: int) -> list:
 
 def _suite_tube_cover(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
-    d = int(_get(cfg, "d", 2))
-    delta = float(_get(cfg, "delta", 0.1))
+    d = int(_number(cfg, "d", 2))
+    delta = _number(cfg, "delta", 0.1)
     L, L_beta = _bump_class(beta)
-    L = tuple(_get(cfg, "L", L))
-    L_beta = float(_get(cfg, "L_beta", L_beta))
-    x0 = np.asarray(_get(cfg, "x0", [0.5] * d), float)
+    L = tuple(_numbers(cfg, "L", L).tolist())
+    L_beta = _number(cfg, "L_beta", L_beta)
+    x0 = _numbers(cfg, "x0", [0.5] * d)
     pair, initials, horizons = hypotheses.snake_det_pair(beta, d, L, L_beta, delta, x0)
-    tol_agree = float(_get(cfg, "tol_agree", 1e-8))
+    tol_agree = _number(cfg, "tol_agree", 1e-8)
     tubes = []
     worst_gap = 0.0
     for x, T in zip(initials, horizons):
         t0 = flow_mod.integrate(pair.f0, x, float(T), 1e-10)
         t1 = flow_mod.integrate(pair.f1, x, float(T), 1e-10)
-        gap = max(
-            float(np.linalg.norm(flow_mod.flow_at(t1, s) - flow_mod.flow_at(t0, s)))
-            for s in np.linspace(0.0, float(T), 33)
-        )
+        s = np.linspace(0.0, float(T), 33)
+        gap = float(np.linalg.norm(flow_mod.flow_at(t1, s) - flow_mod.flow_at(t0, s),
+                                   axis=1).max())
         worst_gap = max(worst_gap, gap)
         tubes.append(geometry.TubeSpec(trajectory=t1, radius=delta))
     checks = [_check("identical-trajectories", worst_gap <= tol_agree,
@@ -315,7 +325,7 @@ def _suite_tube_cover(cfg: dict, seed: int) -> list:
 
 
 def _suite_spiral(cfg: dict, seed: int) -> list:
-    K = int(_get(cfg, "K", 4))
+    K = int(_number(cfg, "K", 4))
     spec = hypotheses.spiral_build(K)
     rep = hypotheses.spiral_verify(spec, seed=seed)
     t_exact = 1.0 + (2.0 + 3.0 * math.pi) * K
@@ -333,10 +343,10 @@ def _suite_spiral(cfg: dict, seed: int) -> list:
 
 def _suite_smoothness(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
-    d = int(_get(cfg, "d", 2))
+    d = int(_number(cfg, "d", 2))
     L, L_beta = _bump_class(beta)
-    L = tuple(_get(cfg, "L", L))
-    L_beta = float(_get(cfg, "L_beta", L_beta))
+    L = tuple(_numbers(cfg, "L", L).tolist())
+    L_beta = _number(cfg, "L_beta", L_beta)
     family = hypotheses.stubble_prob_family(beta, d, L, L_beta)
     r = _radius(cfg, family)
     z = np.full(d, 0.5)
@@ -354,7 +364,7 @@ def _suite_smoothness(cfg: dict, seed: int) -> list:
 
 def _suite_symmetry(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
-    d = int(_get(cfg, "d", 2))
+    d = int(_number(cfg, "d", 2))
     L, L_beta = _bump_class(beta)
     family = hypotheses.snake_prob_family(beta, d, L, L_beta)
     r = _radius(cfg, family)
@@ -369,7 +379,7 @@ def _suite_symmetry(cfg: dict, seed: int) -> list:
     during = float(np.abs(traj.states[:, 1] - x[1]).max())
     psi = 2.0 * family.kernel.alpha**2 * math.exp(-1.0) * kernels.sup_abs_kernel_deriv(1) \
         * L_beta * r ** (beta + 1.0) / L0
-    tol_net = float(_get(cfg, "tol_net", max(1e-9, 1e-4 * psi)))
+    tol_net = _number(cfg, "tol_net", max(1e-9, 1e-4 * psi))
     checks = [
         _check("zero-net-transverse", net <= tol_net, measured=net, limit=tol_net),
         _check("transverse-within-envelope", during <= psi * (1.0 + 1e-6),
@@ -382,7 +392,7 @@ def _suite_symmetry(cfg: dict, seed: int) -> list:
 
 def _suite_gronwall(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
-    d = int(_get(cfg, "d", 2))
+    d = int(_number(cfg, "d", 2))
     L, L_beta = _bump_class(beta)
     family = hypotheses.snake_prob_family(beta, d, L, L_beta)
     r = _radius(cfg, family)
@@ -390,7 +400,7 @@ def _suite_gronwall(cfg: dict, seed: int) -> list:
     alt = family.make_alternative(z, r)
     rng = np.random.default_rng(seed)
     checks = []
-    for trial in range(int(_get(cfg, "trials", 4))):
+    for trial in range(int(_number(cfg, "trials", 4))):
         x1 = np.full(d, 0.5)
         x1[0] = z[0] - 2.0 * r
         x1[1] += rng.uniform(-r / 2, r / 2)
@@ -404,15 +414,15 @@ def _suite_gronwall(cfg: dict, seed: int) -> list:
 
 
 def _suite_assumptions(cfg: dict, seed: int) -> list:
-    d = int(_get(cfg, "d", 2))
-    noise = statmodel.NoiseLaw(dim=d, covariance=float(_get(cfg, "sigma2", 1.0)))
+    d = int(_number(cfg, "d", 2))
+    noise = statmodel.NoiseLaw(dim=d, covariance=_number(cfg, "sigma2", 1.0))
     scheme = statmodel.build_stubble_scheme(
-        int(_get(cfg, "K_grid", 6)), int(_get(cfg, "n_per", 3)),
-        float(_get(cfg, "delta_t", 0.1)), noise
+        int(_number(cfg, "K_grid", 6)), int(_number(cfg, "n_per", 3)),
+        _number(cfg, "delta_t", 0.1), noise
     )
     declared = _get(cfg, "C_cvr")
-    cover = statmodel.check_cover(scheme, None if declared is None else float(declared))
-    cover_time = statmodel.check_cover_time(scheme, float(_get(cfg, "C_cvrtm", 3.0)))
+    cover = statmodel.check_cover(scheme, None if declared is None else _number(cfg, "C_cvr"))
+    cover_time = statmodel.check_cover_time(scheme, _number(cfg, "C_cvrtm", 3.0))
     checks = [
         _check("cover-constant", cover.passed, measured=cover.C_hat,
                limit=cover.declared),
@@ -457,15 +467,14 @@ def _cmd_verify(cfg: dict, out: str, seed: int) -> int:
 
 def _cmd_rates(cfg: dict, out: str) -> int:
     beta = _require_beta(cfg)
-    d = int(_get(cfg, "d", 2))
-    s = float(_get(cfg, "s", 0.0))
+    d = int(_number(cfg, "d", 2))
+    s = _number(cfg, "s", 0.0)
     grid_cfg = _get(cfg, "n", {"start": 1e3, "stop": 1e6, "num": 13})
     if isinstance(grid_cfg, dict):
-        ns = np.geomspace(float(grid_cfg.get("start", 1e3)),
-                          float(grid_cfg.get("stop", 1e6)),
-                          int(grid_cfg.get("num", 13)))
+        ns = np.geomspace(_number(grid_cfg, "start", 1e3), _number(grid_cfg, "stop", 1e6),
+                          int(_number(grid_cfg, "num", 13)))
     else:
-        ns = np.asarray(grid_cfg, dtype=float)
+        ns = _numbers(cfg, "n").reshape(-1)
     header = [
         "n",
         "stubble-onlyn",
@@ -514,10 +523,10 @@ def _cmd_rates(cfg: dict, out: str) -> int:
 
 
 def _cmd_experiment(cfg: dict, out: str, seed: int) -> int:
-    kl = float(_get(cfg, "kl", 0.5))
+    kl = _number(cfg, "kl", 0.5)
     if kl < 0:
         raise ConfigError(f"field 'kl' must be >= 0, got {kl}")
-    trials = int(_get(cfg, "trials", 100000))
+    trials = int(_number(cfg, "trials", 100000))
     mc = statmodel.monte_carlo_two_point(kl, trials, seed=seed)
     exact = statmodel.gaussian_lrt_error(kl)
     summary = {

@@ -150,21 +150,28 @@ def integrate(f: ModelFunction, x0, T: float, tol: float,
                       ts, ys, ds, tol)
 
 
-def flow_at(traj: Trajectory, t: float) -> np.ndarray:
-    """Cubic-Hermite dense output at time t (t within the span)."""
+def flow_at(traj: Trajectory, t) -> np.ndarray:
+    """Cubic-Hermite dense output at a time or at an array of times.
+
+    A scalar t gives the state, shape (dim,); an array gives
+    t.shape + (dim,), located on the nodes with one ``searchsorted``.
+    Raises OutOfSpan if any time lies outside the span (by more than
+    1e-12 of its length).
+    """
     ts = traj.ts
     lo, hi = ts[0], ts[-1]
     eps = 1e-12 * max(1.0, hi - lo)
-    if t < lo - eps or t > hi + eps:
-        raise OutOfSpan(f"t = {t} outside [{lo}, {hi}]")
-    t = min(max(t, lo), hi)
+    t = np.asarray(t, dtype=float)
+    outside = (t < lo - eps) | (t > hi + eps)
+    if outside.any():
+        raise OutOfSpan(f"t = {t[outside].flat[0]} outside [{lo}, {hi}]")
     if ts.shape[0] == 1:
-        return traj.states[0].copy()
-    i = int(np.searchsorted(ts, t, side="right")) - 1
-    i = min(max(i, 0), ts.shape[0] - 2)
-    t0, t1 = ts[i], ts[i + 1]
-    hstep = t1 - t0
-    th = (t - t0) / hstep
+        return np.broadcast_to(traj.states[0], t.shape + traj.states.shape[1:]).copy()
+    t = np.clip(t, lo, hi)
+    i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.shape[0] - 2)
+    t0 = ts[i]
+    hstep = (ts[i + 1] - t0)[..., None]
+    th = (t - t0)[..., None] / hstep
     h00 = 2 * th**3 - 3 * th**2 + 1
     h10 = th**3 - 2 * th**2 + th
     h01 = -2 * th**3 + 3 * th**2

@@ -100,92 +100,86 @@ def min_distance(a, b=None) -> float:
     return float(dist.min()) if dist.size else math.inf
 
 
-def _dense_slices(tube: TubeSpec, dense: int):
-    """(states, unit velocities, axial gap) on a refined time grid.
+_DENSE = 512   # evenly spaced slice times, merged with the trajectory's nodes
+_REFINE = 21   # slice times across the refinement window of point_tube_distance
 
-    The axial gap is the largest arc length between adjacent slices --
-    the resolution floor for any distance computed from the slices.
-    Stalled slices (speed below 1e-10 of the max) are skipped.
+
+def _slices(traj: Trajectory, times: Optional[np.ndarray] = None):
+    """(times, states, unit velocities, axial gap) of a trajectory's tube slices.
+
+    ``times`` defaults to the dense grid: the nodes merged with _DENSE
+    evenly spaced times.  States are the Hermite dense output; velocities
+    are linear interpolations of the node derivatives.  Stalled slices
+    (speed below 1e-10 of the max) are dropped.  The axial gap is the
+    largest arc length between adjacent requested times -- the resolution
+    floor for any distance computed from the slices.
     """
-    traj = tube.trajectory
-    ts = traj.ts
-    t_dense = np.union1d(ts, np.linspace(ts[0], ts[-1], dense))
-    states = np.array([flow_mod.flow_at(traj, float(t)) for t in t_dense])
-    # velocities: linear interpolation of the stored node derivatives
-    derivs = np.stack(
-        [np.interp(t_dense, ts, traj.derivs[:, j]) for j in range(states.shape[1])],
-        axis=1,
-    )
+    if times is None:
+        times = np.union1d(traj.ts, np.linspace(traj.ts[0], traj.ts[-1], _DENSE))
+    states = flow_mod.flow_at(traj, times)
+    derivs = np.stack([np.interp(times, traj.ts, col) for col in traj.derivs.T], axis=1)
     speeds = np.linalg.norm(derivs, axis=1)
     vmax = speeds.max()
     if vmax <= 0.0:
         raise EmptyTube("trajectory is stationary; tube slices undefined")
-    gap = float(np.diff(t_dense).max()) * float(vmax) if len(t_dense) > 1 else 0.0
+    gap = float(np.diff(times).max()) * float(vmax) if len(times) > 1 else 0.0
     keep = speeds > 1e-10 * vmax
-    return states[keep], derivs[keep] / speeds[keep, None], gap
+    return times[keep], states[keep], derivs[keep] / speeds[keep, None], gap
 
 
 def _slice_distances(points: np.ndarray, states: np.ndarray, units: np.ndarray,
                      radius: float) -> np.ndarray:
-    """min over slices of the per-slice distance, for each point (vectorized)."""
+    """Distance from each point to each slice, shape (points, slices).
+
+    A slice contributes ||w_par|| if the transverse part of w = point -
+    state is within the radius, else the Euclidean distance to its rim.
+    """
     w = points[:, None, :] - states[None, :, :]  # (P, S, d)
     par = np.einsum("psd,sd->ps", w, units)
     perp_sq = np.maximum((w**2).sum(axis=-1) - par**2, 0.0)
     perp = np.sqrt(perp_sq)
     outside = np.maximum(perp - radius, 0.0)
-    d = np.sqrt(par**2 + outside**2)
-    return d.min(axis=1)
+    return np.sqrt(par**2 + outside**2)
 
 
-def point_tube_distance(point, tube: TubeSpec, *, dense: int = 512) -> float:
+def point_tube_distance(point, tube: TubeSpec) -> float:
     """Distance from a point to the radius-r tube around a trajectory.
 
-    Each sampled slice contributes ||w_par|| if the transverse part is
-    within the radius, else the Euclidean distance to the slice's rim;
-    the minimum over a dense Hermite-refined grid is returned, with one
-    extra 10x refinement pass around the argmin.
+    The minimum of the slice distances over the dense grid, refined by
+    _REFINE slices spanning the times of the nearest slice's two
+    neighbours, so the refined spacing is at most a tenth of the largest
+    slice gap wherever the slices sit.
     """
     p = np.asarray(point, dtype=float)[None, :]
-    states, units, _ = _dense_slices(tube, dense)
-    d0 = _slice_distances(p, states, units, tube.radius)
-    # refinement: re-grid 10x around the winning slice
-    w = p[0, None, :] - states
-    par = np.einsum("sd,sd->s", w, units)
-    perp = np.sqrt(np.maximum((w**2).sum(axis=-1) - par**2, 0.0))
-    per_slice = np.sqrt(par**2 + np.maximum(perp - tube.radius, 0.0) ** 2)
-    i = int(per_slice.argmin())
     traj = tube.trajectory
-    span = traj.ts[-1] - traj.ts[0]
-    if span > 0:
-        t0 = traj.ts[0] + span * max(i - 1, 0) / max(len(states) - 1, 1)
-        t1 = traj.ts[0] + span * min(i + 1, len(states) - 1) / max(len(states) - 1, 1)
-        fine = np.linspace(t0, t1, 21)
-        fs = np.array([flow_mod.flow_at(traj, float(t)) for t in fine])
-        fd = np.stack(
-            [np.interp(fine, traj.ts, traj.derivs[:, j]) for j in range(fs.shape[1])],
-            axis=1,
-        )
-        spd = np.linalg.norm(fd, axis=1)
-        keep = spd > 0
-        if keep.any():
-            d1 = _slice_distances(p, fs[keep], fd[keep] / spd[keep, None], tube.radius)
-            return float(min(d0[0], d1[0]))
-    return float(d0[0])
+    times, states, units, _ = _slices(traj)
+    coarse = _slice_distances(p, states, units, tube.radius)[0]
+    i = int(coarse.argmin())
+    fine = np.linspace(times[max(i - 1, 0)], times[min(i + 1, len(times) - 1)], _REFINE)
+    _, states, units, _ = _slices(traj, fine)
+    refined = _slice_distances(p, states, units, tube.radius)[0]
+    return float(min(coarse[i], refined.min()))
 
 
-def tube_distance(points, tubes: Sequence[TubeSpec], *, dense: int = 512) -> np.ndarray:
-    """Per-point distance to the union of tubes (min over tubes)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    best = np.full(len(pts), np.inf)
+def _union_distance(points: np.ndarray, tubes: Sequence[TubeSpec]):
+    """Per-point distance to the union of tubes, and the largest axial gap."""
+    best = np.full(len(points), np.inf)
+    max_gap = 0.0
     for tube in tubes:
-        states, units, _ = _dense_slices(tube, dense)
-        best = np.minimum(best, _slice_distances(pts, states, units, tube.radius))
-    return best
+        _, states, units, gap = _slices(tube.trajectory)
+        max_gap = max(max_gap, gap)
+        dist = _slice_distances(points, states, units, tube.radius).min(axis=1)
+        best = np.minimum(best, dist)
+    return best, max_gap
+
+
+def tube_distance(points, tubes: Sequence[TubeSpec]) -> np.ndarray:
+    """Per-point distance to the union of tubes (min over tubes)."""
+    return _union_distance(np.atleast_2d(np.asarray(points, dtype=float)), tubes)[0]
 
 
 def tube_cover_check(tubes: Sequence[TubeSpec], region, *, radius: Optional[float] = None,
-                     samples: int = 2048, slack: float = 1e-6,
-                     dense: int = 512) -> CoverReport:
+                     samples: int = 2048, slack: float = 1e-6) -> CoverReport:
     """Do the tubes cover the region?  Checked on a deterministic point cloud.
 
     The cloud mixes a low-discrepancy net with the region's corners (the
@@ -204,13 +198,7 @@ def tube_cover_check(tubes: Sequence[TubeSpec], region, *, radius: Optional[floa
     if d <= 12:
         corners = np.array(list(itertools.product(*[(lo, hi) for lo, hi in reg])))
         pts = np.vstack([pts, corners])
-    best = np.full(len(pts), np.inf)
-    max_gap = 0.0
-    for tube in tubes:
-        states, units, gap = _dense_slices(tube, dense)
-        max_gap = max(max_gap, gap)
-        best = np.minimum(best, _slice_distances(pts, states, units, tube.radius))
-    dist = best
+    dist, max_gap = _union_distance(pts, tubes)
     worst = int(dist.argmax())
     width = float((reg[:, 1] - reg[:, 0]).max())
     threshold = slack * max(width, 1.0) + 0.75 * max_gap

@@ -473,7 +473,7 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     f0 = _constant_field(d, drift, "snake-det-null")
     amp = L_beta * r**beta
     # bumps subtract so the first-coordinate speed stays within L_0
-    f1 = _perturbed_field(spec, drift, centers, r, 1.0, 0, -amp, {
+    f1 = _perturbed_field(spec, drift, centers, r, L_beta, 0, -1.0, {
         "construction": "snake-det",
         "centers": centers,
         "radius": r,
@@ -596,19 +596,16 @@ def spiral_verify(spec: SpiralConstruction, tol: float = 1e-10,
         spec.field, np.zeros(2), spec.T, tol, max_step=spiral_max_step
     )
     tol_geo = 1e-6 * spec.T
-    errors = []
-    for k, sk in enumerate(spec.schedule):
-        start = flow_mod.flow_at(traj, float(sk))
-        end = flow_mod.flow_at(traj, float(sk) + 1.0)
-        target_start = np.array([0.0, k / spec.K])
-        target_end = np.array([1.0, k / spec.K])
-        errors.append(
-            {
-                "pass": k,
-                "start_error": float(np.linalg.norm(start - target_start)),
-                "end_error": float(np.linalg.norm(end - target_end)),
-            }
-        )
+    starts = flow_mod.flow_at(traj, spec.schedule)
+    ends = flow_mod.flow_at(traj, spec.schedule + 1.0)
+    errors = [
+        {
+            "pass": k,
+            "start_error": float(np.linalg.norm(starts[k] - np.array([0.0, k / spec.K]))),
+            "end_error": float(np.linalg.norm(ends[k] - np.array([1.0, k / spec.K]))),
+        }
+        for k in range(len(spec.schedule))
+    ]
     max_err = max(max(e["start_error"], e["end_error"]) for e in errors)
 
     rng = np.random.default_rng(seed)

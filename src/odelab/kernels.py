@@ -184,9 +184,10 @@ def kernel_shape_eval(spec: KernelSpec, x):
 
 @dataclass(frozen=True)
 class ScaledField:
-    """Scalar perturbation x -> L r^beta h((x - z)/r) + b on output ``axis``.
+    """Scalar perturbation x -> L r^beta h((x - z)/r) + b.
 
-    Vanishes (equals b) outside the closed ball B(z, r).
+    Vanishes (equals b) outside the closed ball B(z, r).  Which output
+    coordinate of a vector field it perturbs is the caller's choice.
     """
 
     kernel: KernelSpec
@@ -194,15 +195,12 @@ class ScaledField:
     radius: float
     amplitude: float
     offset: float = 0.0
-    axis: int = 1
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
         if self.amplitude <= 0:
             raise ValueError("amplitude must be > 0")
-        if not 1 <= self.axis <= self.kernel.dim:
-            raise ValueError("axis out of range")
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)

@@ -289,12 +289,9 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
     stacked = _stacked_field(f, m)
     T = float(times.max())
     traj = flow_mod.integrate(stacked, initials.reshape(-1), T, tol)
-    out = np.empty((m, times.shape[1], d))
-    for t in np.unique(times):
-        state = flow_mod.flow_at(traj, float(t)).reshape(m, d)
-        rows, cols = np.nonzero(times == t)
-        out[rows, cols, :] = state[rows]
-    return out
+    unique, inverse = np.unique(times, return_inverse=True)
+    states = flow_mod.flow_at(traj, unique).reshape(len(unique), m, d)
+    return states[inverse.reshape(times.shape), np.arange(m)[:, None]]
 
 
 def scheme_kl(scheme: ObservationScheme, f0: flow_mod.ModelFunction,

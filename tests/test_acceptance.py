@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+import odelab
 from odelab import (flow, geometry, hypotheses, kernels, smoothness, statmodel)
 
 PHI_MINUS_HALF = 0.3085375387259869  # Phi(-1/2), mpmath 22 digits
@@ -285,6 +287,8 @@ def test_criterion_10_smoothness_certification():
 
 def test_criterion_11_cli_determinism(tmp_path):
     """Every CLI suite, run twice with one seed, emits identical bytes."""
+    # the CLI processes import the same odelab as this test
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(odelab.__file__)))
     suites = ["coincidence", "tube-cover", "spiral", "smoothness", "symmetry",
               "gronwall", "assumptions"]
     for suite in suites:
@@ -296,7 +300,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             rc = subprocess.run(
                 [sys.executable, "-m", "odelab.cli", "verify",
                  "--config", str(cfg), "--out", str(out), "--seed", "12"],
-                capture_output=True,
+                env=env, capture_output=True,
             ).returncode
             assert rc == 0, f"suite {suite} exited {rc}"
             outputs.append((out / "report.json").read_bytes())
@@ -317,7 +321,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             rc = subprocess.run(
                 [sys.executable, "-m", "odelab.cli", cmd, "--config", str(cfg),
                  "--out", str(out), "--seed", "9"],
-                capture_output=True,
+                env=env, capture_output=True,
             ).returncode
             assert rc == 0
             blobs.append(b"".join((out / f).read_bytes() for f in files))

@@ -48,6 +48,11 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("verify", {"suite": "symmetry", "beta": 2.0, "r": 5.0}),
     ("verify", {"suite": "gronwall", "beta": 2.0, "r": 5.0}),
     ("construct", {"construction": "stubble-det", "beta": "abc"}),
+    ("verify", {"suite": "coincidence", "beta": 1.5, "delta_t": "abc"}),
+    ("rates", {"beta": 2.0, "n": ["x"]}),
+    ("construct", {"construction": "spiral", "K": "x"}),
+    ("verify", {"suite": "assumptions", "K_grid": float("nan")}),
+    ("experiment", {"kl": float("inf")}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odelab import flow, hypotheses
 
@@ -47,6 +48,38 @@ def test_flow_at_rejects_outside_span():
         flow.flow_at(traj, 1.5)
     with pytest.raises(flow.OutOfSpan):
         flow.flow_at(traj, -0.1)
+
+
+# T = 0 gives a single-node trajectory
+_ROTATIONS = {T: flow.integrate(_rotation_field(), np.array([1.0, 0.5]), T, 1e-8)
+              for T in (0.0, 3.0)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0.0, 3.0]),
+       st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
+       st.sampled_from([(12,), (3, 4), (2, 3, 2)]))
+def test_flow_at_array_matches_per_time_calls(T, fractions, shape):
+    traj = _ROTATIONS[T]
+    t = (T * np.asarray(fractions)).reshape(shape)
+    got = flow.flow_at(traj, t)
+    assert got.shape == shape + (2,)
+    each = np.array([flow.flow_at(traj, float(x)) for x in t.reshape(-1)])
+    assert each.shape == (12, 2)
+    assert np.array_equal(got.reshape(-1, 2), each)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([0.0, 3.0]),
+       st.lists(st.floats(0.0, 1.0), min_size=0, max_size=8),
+       st.sampled_from([-0.5, 1.5]),
+       st.integers(0, 8))
+def test_flow_at_array_rejects_any_time_outside_span(T, fractions, outside, where):
+    traj = _ROTATIONS[T]
+    t = T * np.asarray(fractions)
+    t = np.insert(t, min(where, len(t)), outside * max(T, 1.0))
+    with pytest.raises(flow.OutOfSpan):
+        flow.flow_at(traj, t)
 
 
 def test_trajectory_bookkeeping():

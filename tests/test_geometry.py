@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import odelab
-from odelab import flow, geometry
+from odelab import flow, geometry, hypotheses
 
 
 def _line_trajectory(y=0.0, T=1.0):
@@ -28,6 +28,37 @@ def test_point_tube_distance_straight_line():
     assert d == pytest.approx(0.15, abs=1e-6)
     # inside the tube only the axial slice residual remains
     assert geometry.point_tube_distance(np.array([0.5, 0.05]), tube) < 2e-3
+
+
+def test_point_tube_distance_refines_on_non_uniform_trajectory():
+    # drift + two pulses: the RK steps shrink inside the pulses, so the
+    # slices are far from evenly spaced in time
+    fam = hypotheses.snake_prob_family(2.0, 2, (2.0, 20.0), 100.0)
+    r = fam.rho_plus / 4.0
+    alt = fam.combine(np.array([[0.3, 0.5], [0.7, 0.5 + r / 2.0]]), r)
+    traj = flow.integrate(alt, np.array([0.0, 0.5]), 1.0 / fam.metadata["drift"], 1e-10)
+    ts = traj.ts
+    assert np.diff(ts).max() > 10.0 * np.diff(ts).min()
+    radius = 0.05
+    tube = geometry.TubeSpec(trajectory=traj, radius=radius)
+    pts = np.random.default_rng([0, 1]).uniform([-0.1, 0.3], [1.1, 0.7], size=(24, 2))
+    got = np.array([geometry.point_tube_distance(p, tube) for p in pts])
+
+    # brute force: the same slice distance over 200,001 evenly spaced slices
+    fine = np.linspace(ts[0], ts[-1], 200_001)
+    states = flow.flow_at(traj, fine)
+    vel = np.stack([np.interp(fine, ts, col) for col in traj.derivs.T], axis=1)
+    units = vel / np.linalg.norm(vel, axis=1)[:, None]
+    brute = np.empty(len(pts))
+    for k, p in enumerate(pts):
+        w = p - states
+        par = (w * units).sum(axis=1)
+        perp = np.sqrt(np.maximum((w**2).sum(axis=1) - par**2, 0.0))
+        brute[k] = np.sqrt(par**2 + np.maximum(perp - radius, 0.0) ** 2).min()
+    # one refined spacing: a tenth of the largest arc length between slices
+    dense = np.union1d(ts, np.linspace(ts[0], ts[-1], 512))
+    gap = np.diff(dense).max() * np.linalg.norm(traj.derivs, axis=1).max()
+    assert np.abs(got - brute).max() <= gap / 10.0
 
 
 def test_tube_distance_takes_min_over_tubes():

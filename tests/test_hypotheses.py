@@ -125,10 +125,20 @@ def test_snake_det_fields_differ_off_lattice():
     g = np.linspace(0.05, 0.95, 41)
     pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     dev = np.abs(pair.f1.eval(pts) - pair.f0.eval(pts)).max()
-    # bump height L_beta r^beta h(.) ~ 1e-4 at this delta
+    # bump height L_beta r^beta h(.) ~ 2e-2 at this delta
     assert dev > 5e-5
     assert pair.claimed_separation > 0
     assert pair.metadata["clearance"] >= pair.metadata["radius"] * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("d,delta", [(2, 0.1), (3, 0.2), (2, 0.05)])
+def test_snake_det_attains_claimed_separation(d, delta):
+    pair, _, _ = hypotheses.snake_det_pair(
+        SNAKE_CLASS["beta"], d, SNAKE_CLASS["L"], SNAKE_CLASS["L_beta"],
+        delta, np.full(d, 0.5),
+    )
+    gap = np.linalg.norm(pair.f1.eval(pair.x0) - pair.f0.eval(pair.x0))
+    assert gap >= pair.claimed_separation
 
 
 def test_snake_det_delta_guard():
