@@ -131,10 +131,22 @@ def _number(cfg: dict, key: str, default=None, required: bool = False) -> float:
     return float(number)
 
 
-def _require_beta(cfg: dict) -> float:
+def _count(cfg: dict, key: str, default: int) -> int:
+    """A config count: a whole number >= 1."""
+    value = _number(cfg, key, default)
+    if not (value >= 1 and value.is_integer()):
+        raise ConfigError(f"field '{key}' must be a whole number >= 1, got {value}")
+    return int(value)
+
+
+def _require_beta(cfg: dict, certified: bool = True) -> float:
+    """beta > 1; certifying needs strict_floor(beta) <= smoothness.MAX_SUPNORM_ORDER."""
     beta = _number(cfg, "beta", required=True)
     if not beta > 1.0:
         raise ConfigError(f"field 'beta' must be > 1, got {beta}")
+    top = smoothness.MAX_SUPNORM_ORDER + 1.0
+    if certified and beta > top:
+        raise ConfigError(f"field 'beta' must be <= {top} to be certified, got {beta}")
     return beta
 
 
@@ -153,7 +165,7 @@ def _radius(cfg: dict, family: hypotheses.HypothesisFamily) -> float:
 def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
     which = _get(cfg, "construction", "stubble-det")
     if which == "spiral":
-        K = int(_number(cfg, "K", 4))
+        K = _count(cfg, "K", 4)
         spec = hypotheses.spiral_build(K)
         desc = {
             "construction": "spiral",
@@ -179,7 +191,7 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
     L = tuple(_numbers(cfg, "L", default[0]).tolist())
     L_beta = _number(cfg, "L_beta", default[1])
     if which == "stubble-det":
-        d = int(_number(cfg, "d", 1))
+        d = _count(cfg, "d", 1)
         delta_t = _number(cfg, "delta_t", 0.05)
         x0 = _numbers(cfg, "x0", [0.5] * d)
         pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
@@ -210,7 +222,7 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
                    comment=f"stubble-det beta={beta} delta_t={delta_t}")
         return _EXIT_OK
     if which == "snake-det":
-        d = int(_number(cfg, "d", 2))
+        d = _count(cfg, "d", 2)
         delta = _number(cfg, "delta", 0.1)
         x0 = _numbers(cfg, "x0", [0.5] * d)
         pair, initials, times = hypotheses.snake_det_pair(beta, d, L, L_beta, delta, x0)
@@ -258,10 +270,10 @@ def _check(name: str, passed: bool, **extra) -> dict:
 
 def _suite_coincidence(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
-    d = int(_number(cfg, "d", 1))
+    d = _count(cfg, "d", 1)
     delta_t = _number(cfg, "delta_t", 0.05)
     tol = _number(cfg, "tol", 1e-9)
-    n_points = int(_number(cfg, "n_points", 50))
+    n_points = _count(cfg, "n_points", 50)
     L, L_beta = _demo_class(beta)
     x0 = _numbers(cfg, "x0", [0.5] * d)
     pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
@@ -294,7 +306,7 @@ def _suite_coincidence(cfg: dict, seed: int) -> list:
 
 def _suite_tube_cover(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
-    d = int(_number(cfg, "d", 2))
+    d = _count(cfg, "d", 2)
     delta = _number(cfg, "delta", 0.1)
     L, L_beta = _bump_class(beta)
     L = tuple(_numbers(cfg, "L", L).tolist())
@@ -325,7 +337,7 @@ def _suite_tube_cover(cfg: dict, seed: int) -> list:
 
 
 def _suite_spiral(cfg: dict, seed: int) -> list:
-    K = int(_number(cfg, "K", 4))
+    K = _count(cfg, "K", 4)
     spec = hypotheses.spiral_build(K)
     rep = hypotheses.spiral_verify(spec, seed=seed)
     t_exact = 1.0 + (2.0 + 3.0 * math.pi) * K
@@ -343,7 +355,7 @@ def _suite_spiral(cfg: dict, seed: int) -> list:
 
 def _suite_smoothness(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
-    d = int(_number(cfg, "d", 2))
+    d = _count(cfg, "d", 2)
     L, L_beta = _bump_class(beta)
     L = tuple(_numbers(cfg, "L", L).tolist())
     L_beta = _number(cfg, "L_beta", L_beta)
@@ -364,7 +376,7 @@ def _suite_smoothness(cfg: dict, seed: int) -> list:
 
 def _suite_symmetry(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
-    d = int(_number(cfg, "d", 2))
+    d = _count(cfg, "d", 2)
     L, L_beta = _bump_class(beta)
     family = hypotheses.snake_prob_family(beta, d, L, L_beta)
     r = _radius(cfg, family)
@@ -392,7 +404,7 @@ def _suite_symmetry(cfg: dict, seed: int) -> list:
 
 def _suite_gronwall(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
-    d = int(_number(cfg, "d", 2))
+    d = _count(cfg, "d", 2)
     L, L_beta = _bump_class(beta)
     family = hypotheses.snake_prob_family(beta, d, L, L_beta)
     r = _radius(cfg, family)
@@ -400,7 +412,7 @@ def _suite_gronwall(cfg: dict, seed: int) -> list:
     alt = family.make_alternative(z, r)
     rng = np.random.default_rng(seed)
     checks = []
-    for trial in range(int(_number(cfg, "trials", 4))):
+    for trial in range(_count(cfg, "trials", 4)):
         x1 = np.full(d, 0.5)
         x1[0] = z[0] - 2.0 * r
         x1[1] += rng.uniform(-r / 2, r / 2)
@@ -414,10 +426,10 @@ def _suite_gronwall(cfg: dict, seed: int) -> list:
 
 
 def _suite_assumptions(cfg: dict, seed: int) -> list:
-    d = int(_number(cfg, "d", 2))
+    d = _count(cfg, "d", 2)
     noise = statmodel.NoiseLaw(dim=d, covariance=_number(cfg, "sigma2", 1.0))
     scheme = statmodel.build_stubble_scheme(
-        int(_number(cfg, "K_grid", 6)), int(_number(cfg, "n_per", 3)),
+        _count(cfg, "K_grid", 6), _count(cfg, "n_per", 3),
         _number(cfg, "delta_t", 0.1), noise
     )
     declared = _get(cfg, "C_cvr")
@@ -466,13 +478,13 @@ def _cmd_verify(cfg: dict, out: str, seed: int) -> int:
 
 
 def _cmd_rates(cfg: dict, out: str) -> int:
-    beta = _require_beta(cfg)
-    d = int(_number(cfg, "d", 2))
+    beta = _require_beta(cfg, certified=False)
+    d = _count(cfg, "d", 2)
     s = _number(cfg, "s", 0.0)
     grid_cfg = _get(cfg, "n", {"start": 1e3, "stop": 1e6, "num": 13})
     if isinstance(grid_cfg, dict):
         ns = np.geomspace(_number(grid_cfg, "start", 1e3), _number(grid_cfg, "stop", 1e6),
-                          int(_number(grid_cfg, "num", 13)))
+                          _count(grid_cfg, "num", 13))
     else:
         ns = _numbers(cfg, "n").reshape(-1)
     header = [
@@ -526,7 +538,7 @@ def _cmd_experiment(cfg: dict, out: str, seed: int) -> int:
     kl = _number(cfg, "kl", 0.5)
     if kl < 0:
         raise ConfigError(f"field 'kl' must be >= 0, got {kl}")
-    trials = int(_number(cfg, "trials", 100000))
+    trials = _count(cfg, "trials", 100000)
     mc = statmodel.monte_carlo_two_point(kl, trials, seed=seed)
     exact = statmodel.gaussian_lrt_error(kl)
     summary = {

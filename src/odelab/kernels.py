@@ -69,13 +69,14 @@ class InvalidOffset(Exception):
 
 
 @functools.lru_cache(maxsize=None)
-def _deriv_poly(order: int) -> Polynomial:
+def _deriv_coef(order: int) -> tuple:
+    """Coefficients of P_order, lowest degree first."""
     w = Polynomial([0.0, 1.0])
     one_minus_w2 = Polynomial([1.0, 0.0, -1.0])
     p = Polynomial([1.0])
     for j in range(order):
         p = -2 * w * p + p.deriv() * one_minus_w2**2 + (4 * j) * w * one_minus_w2 * p
-    return p
+    return tuple(p.coef.tolist())
 
 
 def standard_kernel(w):
@@ -93,17 +94,25 @@ def standard_kernel_deriv(w, order: int):
     w = np.asarray(w, dtype=float)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
-    out = np.zeros_like(w)
     t = 1.0 - w * w
     # exp(-1/t) underflows to an exact 0 long before the rational factor
     # can blow up, but evaluate through the log to avoid 0*inf at the edge.
     inside = t > 1e-12
-    ti = t[inside]
-    log_mag = -1.0 / ti - (2 * order) * np.log(ti)
-    vals = np.exp(log_mag)
-    if order > 0:
-        vals = vals * _deriv_poly(order)(w[inside])
-    out[inside] = vals
+    everywhere = bool(inside.all())
+    ti, wi = (t, w) if everywhere else (t[inside], w[inside])
+    if order == 0:
+        vals = np.exp(-1.0 / ti)
+    else:
+        vals = np.exp(-1.0 / ti - (2 * order) * np.log(ti))
+        # Horner in numpy's polyval order: bitwise equal to Polynomial(P_j)(w)
+        coef = _deriv_coef(order)
+        poly = coef[-1]
+        for c in coef[-2::-1]:
+            poly = poly * wi + c
+        vals = vals * poly
+    out = vals if everywhere else np.zeros_like(w)
+    if not everywhere:
+        out[inside] = vals
     return float(out[0]) if scalar else out
 
 
@@ -116,7 +125,8 @@ def periodic_kernel_deriv(x, order: int):
     """Exact order-th derivative of the periodicized kernel."""
     x = np.asarray(x, dtype=float)
     u = x - np.floor(x)
-    return (2.0**order) * standard_kernel_deriv(2.0 * u - 1.0, order)
+    vals = standard_kernel_deriv(2.0 * u - 1.0, order)
+    return (2.0**order) * vals if order else vals
 
 
 @functools.lru_cache(maxsize=None)

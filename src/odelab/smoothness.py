@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 MAX_PARTITION_ORDER = 8
+MAX_SUPNORM_ORDER = 4
 MEMBERSHIP_SLACK = 0.05
 
 
@@ -207,8 +208,8 @@ def derivative_supnorm(f, order: int, region, *, budget: int = 4096, seed: int =
     times the region diameter) maximized over a deterministic point mesh,
     a fixed direction set, and one refinement pass around the argmax.
     """
-    if order > 4:
-        raise ValueError("derivative_supnorm supports orders 0..4")
+    if order > MAX_SUPNORM_ORDER:
+        raise ValueError(f"derivative_supnorm supports orders 0..{MAX_SUPNORM_ORDER}")
     reg = _as_region(region)
     fb = _scalar_batch(f)
     diam = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
@@ -347,9 +348,11 @@ def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: flo
     g(x) = x + amplitude * radius^(beta+1) * K_per((x - phase)/radius) is a
     smooth periodic perturbation of the identity; the slope condition
     amplitude * radius^beta * ||K_per'||_inf <= 1/2 pins g' into [1/2, 3/2]
-    so g is invertible and s well defined.  g^{-1} is computed by fixed-point
-    iteration (the perturbation is a contraction under the slope condition)
-    plus a Newton polish to machine-precision residual.
+    so g is invertible and s well defined.  g^{-1}(y) takes three fixed-point
+    steps x <- y - bump*K_per((x - phase)/radius) from x = y, which contract
+    at rate <= slope <= 1/2 and so cut the error from <= bump/e <= 0.12 radius
+    to <= 0.015 radius; there g' >= 1/2 and |g''| <= 9.7/radius put Newton in
+    its quadratic basin, and three Newton steps end at rounding level.
     """
     slope = amplitude * radius**beta * periodic_sup(1)
     if slope > 0.5:
@@ -372,11 +375,11 @@ def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: flo
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
         y = np.atleast_1d(y)
-        x = y.astype(float).copy()
+        x = y
         # x = y - bump*K_per((x-phase)/r) contracts at rate <= slope <= 1/2
-        for _ in range(16):
+        for _ in range(3):
             x = y - bump * kernels.periodic_kernel((x - phase) / radius)
-        for _ in range(4):  # Newton polish; g' >= 1/2 keeps it stable
+        for _ in range(3):  # Newton from inside its basin; g' >= 1/2
             x = x - (g(x) - y) / g_prime(x)
         return float(x[0]) if scalar else x
 

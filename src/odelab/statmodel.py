@@ -199,14 +199,13 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None,
     for z in centers:
         dist = np.sort(np.linalg.norm(x - z, axis=1))
         radii = np.concatenate([[r_floor], dist[(dist > r_floor) & (dist <= 1.0)]])
-        for r in radii:
-            count = int(np.searchsorted(dist, r * (1.0 + 1e-12), side="right"))
-            if count == 0:
-                continue
-            c = count / (m * r**d)
-            if c > C_hat:
-                C_hat = c
-                where = {"center": z.copy(), "radius": float(r), "count": count}
+        counts = np.searchsorted(dist, radii * (1.0 + 1e-12), side="right")
+        # scalar r**d: numpy's array power can round differently in the last bit
+        ratios = counts / (m * np.array([r**d for r in radii.tolist()]))
+        i = int(np.argmax(ratios))  # first maximum, as a strict > scan keeps
+        if ratios[i] > C_hat:
+            C_hat = ratios[i]
+            where = {"center": z.copy(), "radius": float(radii[i]), "count": int(counts[i])}
     return CoverCheck(
         passed=bool(C_hat <= declared * (1.0 + 1e-12)),
         C_hat=float(C_hat),

@@ -53,6 +53,15 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("construct", {"construction": "spiral", "K": "x"}),
     ("verify", {"suite": "assumptions", "K_grid": float("nan")}),
     ("experiment", {"kl": float("inf")}),
+    ("verify", {"suite": "smoothness", "beta": 5.5, "d": 1}),
+    ("verify", {"suite": "coincidence", "beta": 5.5}),
+    ("verify", {"suite": "smoothness", "beta": 2.0, "d": 0}),
+    ("verify", {"suite": "assumptions", "d": 0}),
+    ("verify", {"suite": "assumptions", "d": 2, "K_grid": 0}),
+    ("verify", {"suite": "assumptions", "d": 2, "n_per": 0}),
+    ("construct", {"construction": "spiral", "K": 0}),
+    ("experiment", {"trials": 0}),
+    ("verify", {"suite": "assumptions", "d": 2.5}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import Polynomial
 
 from odelab import kernels
 
@@ -51,6 +52,49 @@ def test_kernel_deriv_matches_finite_difference(order):
     fd = (4.0 * central(h / 2) - central(h)) / 3.0  # Richardson-extrapolated
     got = kernels.standard_kernel_deriv(w, order)
     assert np.allclose(got, fd, rtol=1e-6, atol=1e-8 * max(1.0, np.abs(got).max()))
+
+
+def _reference_kernel_deriv(w, order):
+    """K^(j) written with Polynomial: exp(-1/t) t^(-2j) P_j(w), zero off the support."""
+    x, q, p = Polynomial([0.0, 1.0]), Polynomial([1.0, 0.0, -1.0]), Polynomial([1.0])
+    for j in range(order):
+        p = -2 * x * p + p.deriv() * q**2 + (4 * j) * x * q * p
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    out = np.zeros_like(w)
+    t = 1.0 - w * w
+    inside = t > 1e-12
+    ti = t[inside]
+    vals = np.exp(-1.0 / ti - (2 * order) * np.log(ti))
+    if order > 0:
+        vals = vals * p(w[inside])
+    out[inside] = vals
+    return out
+
+
+EDGES = [1.0, -1.0, 1.0 - 1e-13, -(1.0 - 1e-13), 0.0, -0.0]
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_kernel_deriv_bitwise_equals_reference(order):
+    rng = np.random.default_rng(order)
+    inside = rng.uniform(-0.999, 0.999, 20000)  # the all-inside path
+    mixed = np.concatenate([rng.uniform(-1.2, 1.2, 20000), EDGES])
+    for w in (inside, mixed, mixed.reshape(-1, 2)):
+        got = kernels.standard_kernel_deriv(w, order)
+        assert got.shape == w.shape
+        assert got.tobytes() == _reference_kernel_deriv(w, order).reshape(w.shape).tobytes()
+        x = 3.7 * w + 0.3
+        u = x - np.floor(x)
+        want = 2.0**order * _reference_kernel_deriv(2.0 * u - 1.0, order)
+        assert kernels.periodic_kernel_deriv(x, order).tobytes() == want.reshape(x.shape).tobytes()
+    for w in EDGES + [0.3, -0.7]:
+        got = kernels.standard_kernel_deriv(w, order)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == _reference_kernel_deriv(w, order)[0].tobytes()
+        x = 0.5 * (w + 1.0)  # periodic argument with 2x - 1 = w
+        got = kernels.periodic_kernel_deriv(x, order)
+        want = 2.0**order * _reference_kernel_deriv(2.0 * (x - np.floor(x)) - 1.0, order)[0]
+        assert isinstance(got, float) and np.float64(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from odelab import kernels, smoothness
 
@@ -106,10 +106,20 @@ def test_chain_remainder_field_value_and_flow():
     assert direct[0] == pytest.approx(y[0], abs=1e-10)
 
 
-def test_chain_remainder_inverse_roundtrip():
-    fld = smoothness.chain_remainder_field(**TAME)
+@settings(max_examples=60, deadline=None)
+@given(slope=st.one_of(st.just(0.5), st.floats(1e-6, 0.5)),
+       radius=st.floats(1e-3, 2.0), phase=st.floats(-3.0, 3.0),
+       beta=st.sampled_from([1.5, 2.0, 2.5]))
+@example(slope=0.5, radius=2.0 / 3.0 * 2.0 * 0.05, phase=0.4393798133121563, beta=2.5)
+def test_chain_remainder_inverse_roundtrip(slope, radius, phase, beta):
+    # slope = amplitude * radius^beta * ||K_per'||, up to its cap 1/2
+    per_prime = smoothness.periodic_sup(1)
+    amp = slope / (radius**beta * per_prime)
+    while amp * radius**beta * per_prime > 0.5:  # rounding past the cap
+        amp = np.nextafter(amp, 0.0)
+    fld = smoothness.chain_remainder_field(amp, radius, phase, 2.0, beta)
     g, g_inv = fld.metadata["g"], fld.metadata["g_inv"]
-    y = np.linspace(-0.7, 1.9, 97)
+    y = phase + radius * np.linspace(-1.5, 1.5, 2001)
     assert np.max(np.abs(g(g_inv(y)) - y)) < 1e-13
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from odelab import hypotheses, statmodel
+from odelab import geometry, hypotheses, statmodel
 
 
 def _noise2(cov=1.0):
@@ -83,6 +83,38 @@ def test_check_cover_regular_grid_hits_4d():
     # the checked radius range starts at (C m)^(-1/d), so a mildly smaller
     # declaration can still be admissible; a strongly optimistic one is not
     assert not statmodel.check_cover(sch, declared=2.0).passed
+
+
+def _check_cover_loop(scheme, declared=None, extra_centers=256):
+    """Reference: the per-radius scan check_cover replaces, strict > keeps the first max."""
+    x = scheme.initials
+    m, d = x.shape
+    if declared is None:
+        declared = 4.0**d
+    r_floor = (declared * m) ** (-1.0 / d)
+    centers = np.vstack([x, geometry.halton(extra_centers, d), np.full((1, d), 0.5)])
+    C_hat, where = 0.0, {}
+    for z in centers:
+        dist = np.sort(np.linalg.norm(x - z, axis=1))
+        for r in np.concatenate([[r_floor], dist[(dist > r_floor) & (dist <= 1.0)]]):
+            count = int(np.searchsorted(dist, r * (1.0 + 1e-12), side="right"))
+            if count and count / (m * r**d) > C_hat:
+                C_hat = count / (m * r**d)
+                where = {"center": z.copy(), "radius": float(r), "count": count}
+    return float(C_hat), where
+
+
+@pytest.mark.parametrize("d,K_grid,declared", [
+    (2, 6, None), (2, 24, None), (3, 8, None), (2, 6, 2.0), (3, 8, 10.0),
+])
+def test_check_cover_equals_loop_reference(d, K_grid, declared):
+    sch = statmodel.build_stubble_scheme(K_grid, 3, 0.1, statmodel.NoiseLaw(dim=d, covariance=1.0))
+    rep = statmodel.check_cover(sch, declared)
+    C_hat, where = _check_cover_loop(sch, declared)
+    assert np.float64(rep.C_hat).tobytes() == np.float64(C_hat).tobytes()
+    assert rep.detail["center"].tobytes() == where["center"].tobytes()
+    assert (rep.detail["radius"], rep.detail["count"]) == (where["radius"], where["count"])
+    assert type(rep.detail["radius"]) is float and type(rep.detail["count"]) is int
 
 
 def test_check_cover_time_equidistant():
