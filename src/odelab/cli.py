@@ -150,6 +150,30 @@ def _require_beta(cfg: dict, certified: bool = True) -> float:
     return beta
 
 
+def _positive(cfg: dict, key: str, default: float) -> float:
+    value = _number(cfg, key, default)
+    if not value > 0.0:
+        raise ConfigError(f"field '{key}' must be > 0, got {value}")
+    return value
+
+
+def _start(cfg: dict, d: int) -> np.ndarray:
+    x0 = _numbers(cfg, "x0", [0.5] * d)
+    if x0.shape != (d,):
+        raise ConfigError(f"field 'x0' must list {d} numbers, got {_get(cfg, 'x0')!r}")
+    return x0
+
+
+def _class_constants(cfg: dict, beta: float, default: tuple) -> tuple:
+    """(L, L_beta) from the config: L_0..L_ell with ell = strict_floor(beta), all > 0."""
+    L, L_beta = _numbers(cfg, "L", default[0]), _number(cfg, "L_beta", default[1])
+    ell = smoothness.strict_floor(beta)
+    if L.shape != (ell + 1,) or not ((L > 0.0).all() and L_beta > 0.0):
+        raise ConfigError(f"fields 'L', 'L_beta' must be L_0..L_{ell} and L_beta for "
+                          f"beta={beta}, all > 0; got {L.tolist()}, {L_beta}")
+    return tuple(L.tolist()), L_beta
+
+
 def _radius(cfg: dict, family: hypotheses.HypothesisFamily) -> float:
     """Perturbation radius from the config: default rho_plus/2, at most rho_plus."""
     r = _number(cfg, "r", family.rho_plus / 2.0)
@@ -188,12 +212,11 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
 
     beta = _require_beta(cfg)
     default = _demo_class(beta) if which == "stubble-det" else _bump_class(beta)
-    L = tuple(_numbers(cfg, "L", default[0]).tolist())
-    L_beta = _number(cfg, "L_beta", default[1])
+    L, L_beta = _class_constants(cfg, beta, default)
     if which == "stubble-det":
         d = _count(cfg, "d", 1)
-        delta_t = _number(cfg, "delta_t", 0.05)
-        x0 = _numbers(cfg, "x0", [0.5] * d)
+        delta_t = _positive(cfg, "delta_t", 0.05)
+        x0 = _start(cfg, d)
         pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
         md = pair.metadata
         desc = {
@@ -223,8 +246,8 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
         return _EXIT_OK
     if which == "snake-det":
         d = _count(cfg, "d", 2)
-        delta = _number(cfg, "delta", 0.1)
-        x0 = _numbers(cfg, "x0", [0.5] * d)
+        delta = _positive(cfg, "delta", 0.1)
+        x0 = _start(cfg, d)
         pair, initials, times = hypotheses.snake_det_pair(beta, d, L, L_beta, delta, x0)
         desc = {
             "construction": "snake-det",
@@ -271,11 +294,11 @@ def _check(name: str, passed: bool, **extra) -> dict:
 def _suite_coincidence(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
     d = _count(cfg, "d", 1)
-    delta_t = _number(cfg, "delta_t", 0.05)
+    delta_t = _positive(cfg, "delta_t", 0.05)
     tol = _number(cfg, "tol", 1e-9)
     n_points = _count(cfg, "n_points", 50)
     L, L_beta = _demo_class(beta)
-    x0 = _numbers(cfg, "x0", [0.5] * d)
+    x0 = _start(cfg, d)
     pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
     rng = np.random.default_rng(seed)
     xs = np.tile(x0, (n_points, 1))
@@ -307,11 +330,9 @@ def _suite_coincidence(cfg: dict, seed: int) -> list:
 def _suite_tube_cover(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
     d = _count(cfg, "d", 2)
-    delta = _number(cfg, "delta", 0.1)
-    L, L_beta = _bump_class(beta)
-    L = tuple(_numbers(cfg, "L", L).tolist())
-    L_beta = _number(cfg, "L_beta", L_beta)
-    x0 = _numbers(cfg, "x0", [0.5] * d)
+    delta = _positive(cfg, "delta", 0.1)
+    L, L_beta = _class_constants(cfg, beta, _bump_class(beta))
+    x0 = _start(cfg, d)
     pair, initials, horizons = hypotheses.snake_det_pair(beta, d, L, L_beta, delta, x0)
     tol_agree = _number(cfg, "tol_agree", 1e-8)
     tubes = []
@@ -356,9 +377,7 @@ def _suite_spiral(cfg: dict, seed: int) -> list:
 def _suite_smoothness(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
     d = _count(cfg, "d", 2)
-    L, L_beta = _bump_class(beta)
-    L = tuple(_numbers(cfg, "L", L).tolist())
-    L_beta = _number(cfg, "L_beta", L_beta)
+    L, L_beta = _class_constants(cfg, beta, _bump_class(beta))
     family = hypotheses.stubble_prob_family(beta, d, L, L_beta)
     r = _radius(cfg, family)
     z = np.full(d, 0.5)

@@ -4,8 +4,9 @@ The integrator is an embedded Dormand-Prince 5(4) pair (FSAL) with the
 estimated local error kept below ``tol`` on every accepted step.  Accepted
 nodes store the state *and* its derivative, and queries between nodes use
 cubic Hermite interpolation — O(h^4), comfortably below every verification
-tolerance used downstream.  Fields that come with a closed-form flow keep
-it in :class:`ModelFunction` and the integrator is still available as an
+tolerance used downstream.  Kinks of piecewise-smooth fields are handled
+by step rejection.  Fields that come with a closed-form flow keep it in
+:class:`ModelFunction` and the integrator is still available as an
 independent cross-check.
 """
 
@@ -86,13 +87,12 @@ _ERR = _B5 - _B4
 _MAX_STEPS = 5_000_000
 
 
-def integrate(f: ModelFunction, x0, T: float, tol: float,
-              max_step: Optional[Callable] = None) -> Trajectory:
+def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
     """Flow from x0 over [0, T] (T < 0 integrates backwards).
 
     tol must lie in [1e-13, 1e-3] and bounds the estimated local error of
-    every accepted step.  ``max_step`` may be a callable state -> step cap,
-    used by constructions whose fields are only piecewise smooth.
+    every accepted step.  A step across a kink of a piecewise-smooth field
+    fails that error test and is retried shorter; there is no step cap.
     """
     if not 1e-13 <= tol <= 1e-3:
         raise ValueError(f"tol = {tol} outside [1e-13, 1e-3]")
@@ -117,10 +117,6 @@ def integrate(f: ModelFunction, x0, T: float, tol: float,
             raise RuntimeError("step budget exhausted; field badly scaled?")
         if abs(h) > abs(T - t):
             h = T - t
-        if max_step is not None:
-            cap = float(max_step(y))
-            if abs(h) > cap:
-                h = direction * cap
         if abs(h) < 1e-14 * max(1.0, abs(t)):
             raise StepsizeUnderflow(f"step {h:.3e} at t = {t:.6g}")
 

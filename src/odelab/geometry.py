@@ -162,15 +162,34 @@ def point_tube_distance(point, tube: TubeSpec) -> float:
 
 
 def _union_distance(points: np.ndarray, tubes: Sequence[TubeSpec]):
-    """Per-point distance to the union of tubes, and the largest axial gap."""
+    """Per-point distance to the union of tubes, and the largest axial gap.
+
+    Pruned exactly.  A slice distance is at least |p - state| - r (triangle
+    inequality on (par, perp)), hence at least b - r, where b is the
+    distance from p to the bounding box of the tube's slice states.  Each
+    point visits its tubes in increasing order of b - r and evaluates one
+    only while b - r < best + 1e-12 (b + r), best being its running
+    minimum.  The margin covers rounding, which moves the computed b and
+    slice distances by O(d) units of 2^-53 times |p - state| + r, so no
+    skipped slice could lower a computed minimum: the result is bitwise
+    the minimum over every slice of every tube.
+    """
+    slices = [_slices(tube.trajectory)[1:] for tube in tubes]
+    radii = np.array([tube.radius for tube in tubes])
+    box = np.array([np.linalg.norm(points - np.clip(points, states.min(axis=0),
+                                                    states.max(axis=0)), axis=1)
+                    for states, _, _ in slices]).reshape(len(tubes), len(points)).T
+    bound, margin = box - radii, 1e-12 * (box + radii)
     best = np.full(len(points), np.inf)
-    max_gap = 0.0
-    for tube in tubes:
-        _, states, units, gap = _slices(tube.trajectory)
-        max_gap = max(max_gap, gap)
-        dist = _slice_distances(points, states, units, tube.radius).min(axis=1)
-        best = np.minimum(best, dist)
-    return best, max_gap
+    rows = np.arange(len(points))
+    for tube_at in np.argsort(bound, axis=1).T:
+        live = bound[rows, tube_at] < best + margin[rows, tube_at]
+        for k in np.unique(tube_at[live]):
+            idx = np.flatnonzero(live & (tube_at == k))
+            states, units, _ = slices[k]
+            dist = _slice_distances(points[idx], states, units, radii[k]).min(axis=1)
+            best[idx] = np.minimum(best[idx], dist)
+    return best, max((gap for _, _, gap in slices), default=0.0)
 
 
 def tube_distance(points, tubes: Sequence[TubeSpec]) -> np.ndarray:

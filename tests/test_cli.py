@@ -62,6 +62,24 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("construct", {"construction": "spiral", "K": 0}),
     ("experiment", {"trials": 0}),
     ("verify", {"suite": "assumptions", "d": 2.5}),
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "delta": 0}),
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "delta": -0.1}),
+    ("construct", {"construction": "snake-det", "beta": 2.0, "delta": 0}),
+    ("construct", {"construction": "snake-det", "beta": 2.0, "delta": -0.1}),
+    ("verify", {"suite": "coincidence", "beta": 1.5, "delta_t": 0}),
+    ("construct", {"construction": "stubble-det", "beta": 1.5, "delta_t": -0.05}),
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "d": 2, "x0": [0.5]}),
+    ("construct", {"construction": "snake-det", "beta": 2.0, "x0": [0.5]}),
+    ("construct", {"construction": "stubble-det", "beta": 1.5, "x0": [0.5, 0.5]}),
+    ("verify", {"suite": "coincidence", "beta": 1.5, "x0": 0.5}),
+    ("construct", {"construction": "stubble-det", "beta": 2.0, "L": [1]}),
+    ("construct", {"construction": "snake-det", "beta": 2.0, "L": [1, 1, 1, 1, 1]}),
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "L": [1]}),
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "L": [1, 1, 1, 1, 1]}),
+    ("verify", {"suite": "smoothness", "beta": 2.0, "L": [1]}),
+    ("verify", {"suite": "smoothness", "beta": 2.0, "L": 2}),
+    ("verify", {"suite": "smoothness", "beta": 2.0, "L": [2, -20]}),
+    ("verify", {"suite": "smoothness", "beta": 2.0, "L_beta": 0}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)

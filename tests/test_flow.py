@@ -91,18 +91,6 @@ def test_trajectory_bookkeeping():
     assert np.array_equal(flow.final_state(traj), traj.states[-1])
 
 
-def test_max_step_callable_is_respected():
-    seen = []
-
-    def cap(state):
-        seen.append(float(state[0]))
-        return 0.01
-
-    traj = flow.integrate(_linear_field(), np.array([1.0]), 0.5, 1e-8, max_step=cap)
-    assert max(np.diff(traj.ts)) <= 0.01 + 1e-12
-    assert seen  # the cap was actually consulted
-
-
 def test_semigroup_property_small_error():
     err = flow.flow_semigroup_check(_rotation_field(), np.array([0.4, -0.2]),
                                     0.7, 1.1, 1e-10)

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import odelab
 from odelab import flow, geometry, hypotheses
@@ -30,13 +31,17 @@ def test_point_tube_distance_straight_line():
     assert geometry.point_tube_distance(np.array([0.5, 0.05]), tube) < 2e-3
 
 
-def test_point_tube_distance_refines_on_non_uniform_trajectory():
-    # drift + two pulses: the RK steps shrink inside the pulses, so the
-    # slices are far from evenly spaced in time
+def _pulse_trajectory():
+    """Drift + two pulses: the RK steps shrink inside the pulses, so the
+    slices are far from evenly spaced in time."""
     fam = hypotheses.snake_prob_family(2.0, 2, (2.0, 20.0), 100.0)
     r = fam.rho_plus / 4.0
     alt = fam.combine(np.array([[0.3, 0.5], [0.7, 0.5 + r / 2.0]]), r)
-    traj = flow.integrate(alt, np.array([0.0, 0.5]), 1.0 / fam.metadata["drift"], 1e-10)
+    return flow.integrate(alt, np.array([0.0, 0.5]), 1.0 / fam.metadata["drift"], 1e-10)
+
+
+def test_point_tube_distance_refines_on_non_uniform_trajectory():
+    traj = _pulse_trajectory()
     ts = traj.ts
     assert np.diff(ts).max() > 10.0 * np.diff(ts).min()
     radius = 0.05
@@ -73,6 +78,77 @@ def test_tube_distance_takes_min_over_tubes():
     assert d[0] == pytest.approx(0.1, abs=1e-4)
     assert d[1] == pytest.approx(0.1, abs=1e-4)
     assert d[2] == pytest.approx(0.4, abs=1e-4)
+
+
+def _unpruned_union_distance(points, tubes):
+    """Reference: every slice of every tube, no pruning."""
+    best = np.full(len(points), np.inf)
+    max_gap = 0.0
+    for tube in tubes:
+        _, states, units, gap = geometry._slices(tube.trajectory)
+        max_gap = max(max_gap, gap)
+        dist = geometry._slice_distances(points, states, units, tube.radius).min(axis=1)
+        best = np.minimum(best, dist)
+    return best, max_gap
+
+
+def _assert_pruning_exact(points, tubes):
+    got, gap = geometry._union_distance(points, tubes)
+    want, want_gap = _unpruned_union_distance(points, tubes)
+    assert np.array_equal(got, want)
+    assert gap == want_gap
+
+
+def _box_points(tubes, rng):
+    """Corners of each tube's slice-state bounding box, and points on its faces."""
+    out = []
+    for tube in tubes:
+        states = geometry._slices(tube.trajectory)[1]
+        lo, hi = states.min(axis=0), states.max(axis=0)
+        out.extend(itertools.product(*zip(lo, hi)))
+        face = rng.uniform(lo - 0.2, hi + 0.2, size=(8, len(lo)))
+        axis = rng.integers(len(lo), size=8)
+        face[np.arange(8), axis] = np.where(rng.random(8) < 0.5, lo[axis], hi[axis])
+        out.extend(face)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_union_distance_pruning_is_exact_on_snake_lattice(scale):
+    # the tube-cover suite's benchmark config: 16 sweeps, the 2,052-point cloud
+    delta = 0.05
+    pair, initials, horizons = hypotheses.snake_det_pair(2.0, 2, (2.0, 20.0), 100.0, delta,
+                                                         np.array([0.5, 0.5]))
+    tubes = [geometry.TubeSpec(flow.integrate(pair.f1, x, float(T), 1e-10), scale * delta)
+             for x, T in zip(initials, horizons)]
+    assert len(tubes) == 16
+    pts = np.vstack([geometry.halton(2048, 2), list(itertools.product((0.0, 1.0), repeat=2))])
+    _assert_pruning_exact(pts, tubes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tubes=st.integers(1, 5), d=st.sampled_from([2, 3]))
+def test_union_distance_pruning_is_exact_on_random_tubes(seed, n_tubes, d):
+    rng = np.random.default_rng(seed)
+    tubes = []
+    for _ in range(n_tubes):
+        n = int(rng.integers(2, 30))
+        ts = np.cumsum(rng.uniform(0.01, 0.2, size=n)) - 0.01
+        traj = flow.Trajectory(initial=np.zeros(d), t_span=(ts[0], ts[-1]), ts=ts,
+                               states=np.cumsum(rng.normal(scale=0.1, size=(n, d)), axis=0),
+                               derivs=rng.normal(size=(n, d)), tolerance=1e-10)
+        tubes.append(geometry.TubeSpec(traj, float(rng.uniform(1e-3, 0.3))))
+    pts = np.vstack([_box_points(tubes, rng), rng.uniform(-1.0, 1.0, size=(64, d)),
+                     geometry._slices(tubes[0].trajectory)[1][::50]])
+    _assert_pruning_exact(pts, tubes)
+
+
+def test_union_distance_pruning_is_exact_with_non_uniform_trajectory():
+    tubes = [geometry.TubeSpec(_pulse_trajectory(), 0.05)]
+    tubes += [geometry.TubeSpec(_line_trajectory(y), 0.05) for y in (0.4, 0.55, 0.8)]
+    rng = np.random.default_rng([0, 2])
+    pts = np.vstack([_box_points(tubes, rng), rng.uniform([-0.1, 0.2], [1.1, 0.9], size=(500, 2))])
+    _assert_pruning_exact(pts, tubes)
 
 
 def test_tube_cover_check_pass_and_fail():

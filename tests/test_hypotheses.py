@@ -166,6 +166,24 @@ def test_spiral_field_regional_values():
     assert np.linalg.norm(v2) == pytest.approx(np.sqrt(1.0 + 4.0 * 0.25**2), rel=1e-12)
 
 
+@pytest.mark.parametrize("K", range(1, 9))
+def test_spiral_schedule_tight_with_few_steps(K, monkeypatch):
+    # the uncapped orbit stays a tenth of tol_geo inside the schedule, and
+    # the accepted-step count (deterministic) catches a step cap creeping back
+    trajs = []
+    integrate = flow.integrate
+
+    def recording(*args, **kwargs):
+        trajs.append(integrate(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(flow, "integrate", recording)
+    rep = hypotheses.spiral_verify(hypotheses.spiral_build(K))
+    assert rep.max_schedule_error <= rep.tol_geo / 10.0
+    assert len(trajs) == 1
+    assert len(trajs[0].ts) - 1 <= 250 * K
+
+
 def test_spiral_build_rejects_nonpositive():
     with pytest.raises(ValueError):
         hypotheses.spiral_build(0)
