@@ -113,12 +113,20 @@ class SpiralReport:
     lipschitz_limit: float
 
     @property
+    def checks(self) -> list:
+        """(name, ok, measured, limit) of the schedule, sup-norm and Lipschitz tests."""
+        return [
+            ("schedule", self.max_schedule_error <= self.tol_geo,
+             self.max_schedule_error, self.tol_geo),
+            ("supnorm", abs(self.supnorm_measured - self.supnorm_expected) <= 1e-9,
+             self.supnorm_measured, self.supnorm_expected),
+            ("lipschitz", self.lipschitz_measured <= self.lipschitz_limit + 1e-9,
+             self.lipschitz_measured, self.lipschitz_limit),
+        ]
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.max_schedule_error <= self.tol_geo
-            and abs(self.supnorm_measured - self.supnorm_expected) <= 1e-9
-            and self.lipschitz_measured <= self.lipschitz_limit + 1e-9
-        )
+        return all(ok for _, ok, _, _ in self.checks)
 
 
 # ---------------------------------------------------------------------------

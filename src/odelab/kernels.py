@@ -14,6 +14,10 @@ on R^d are derived from it:
 
 where ``alpha`` is a calibration constant chosen so that the shape sits
 inside the unit smoothness ball of its class (:func:`calibrate_alpha`).
+Calibration certifies the alpha = 1 shape once per (beta, dim, kind) and
+scales its measurements by alpha (bump) or alpha^2 (pulse); for alpha =
+2^-k that is exact bit for bit, as a power of two commutes with IEEE
+rounding and no measured maximum is subnormal.
 
 Derivatives of K of any order have the closed form
 
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -223,29 +227,48 @@ class ScaledField:
 
 
 @functools.lru_cache(maxsize=None)
+def _unit_report(beta: float, dim: int, kind: str):
+    """Certification of the alpha = 1 shape against the unit class (cached)."""
+    from . import smoothness  # deferred: smoothness imports this module
+
+    ell = smoothness.strict_floor(beta)
+    cls = smoothness.SmoothnessClass(
+        beta=beta, L=(1.0,) * (ell + 1), L_beta=1.0, dim_in=dim, dim_out=1
+    )
+    spec = KernelSpec(beta=beta, alpha=1.0, kind=kind, dim=dim)
+    report = smoothness.certify_membership(
+        lambda pts: kernel_shape_eval(spec, pts), cls, [(-1.0, 1.0)] * dim
+    )
+    return report.components[0]
+
+
 def calibrate_alpha(beta: float, dim: int, kind: str) -> float:
     """Largest alpha in {2^-k} whose shape certifies into the unit class.
 
     The certification is the finite-difference membership check of
     :func:`odelab.smoothness.certify_membership` against
-    Sigma^{dim->1}(beta, 1, ..., 1); deterministic for fixed arguments.
+    Sigma^{dim->1}(beta, 1, ..., 1), run once on the alpha = 1 shape.  Every
+    measurement it makes is a sum, difference, quotient or maximum of shape
+    values, which at alpha = 2^-k are alpha K (bump) or (alpha K)(alpha K')
+    (pulse); a power of two commutes with IEEE rounding, so each measurement
+    at alpha is the unit one times alpha (bump) or alpha^2 (pulse), bit for
+    bit; the only exception is a subnormal value, and no maximum is one.
+    The first k whose scaled measurements pass gives the same alpha as
+    certifying each candidate directly.
     """
-    from . import smoothness  # deferred: smoothness imports this module
-
     if beta <= 1:
         raise ValueError("beta must be > 1")
-    ell = smoothness.strict_floor(beta)
-    cls = smoothness.SmoothnessClass(
-        beta=beta, L=(1.0,) * (ell + 1), L_beta=1.0, dim_in=dim, dim_out=1
-    )
-    region = [(-1.0, 1.0)] * dim
+    unit = _unit_report(beta, dim, kind)
+    power = 2 if kind == "pulse" else 1
     for k in range(0, 40):
-        spec = KernelSpec(beta=beta, alpha=2.0**-k, kind=kind, dim=dim)
-        report = smoothness.certify_membership(
-            lambda pts: kernel_shape_eval(spec, pts), cls, region
+        scale = 2.0 ** (-k * power)
+        scaled = replace(
+            unit,
+            sup_measured=[scale * m for m in unit.sup_measured],
+            holder_measured=scale * unit.holder_measured,
         )
-        if report.passed:
-            return spec.alpha
+        if scaled.passed:
+            return 2.0**-k
     raise CalibrationFailed(f"no alpha in 2^-0..2^-39 certifies ({beta=}, {dim=}, {kind=})")
 
 

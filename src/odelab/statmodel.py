@@ -277,13 +277,14 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
     m, d = initials.shape
     if f.closed_form_flow is not None:
         out = np.empty((m,) + times.shape[1:] + (d,))
+        shared = (times == times[0]).all(axis=0)
         for i in range(times.shape[1]):
             col = times[:, i]
-            if np.allclose(col, col[0], rtol=0, atol=0):
+            if shared[i]:
                 out[:, i, :] = f.closed_form_flow(initials, float(col[0]))
             else:
                 for j in range(m):
-                    out[j, i, :] = f.closed_form_flow(initials[j], float(col[j, i]))
+                    out[j, i, :] = f.closed_form_flow(initials[j], float(col[j]))
         return out
     stacked = _stacked_field(f, m)
     T = float(times.max())

@@ -80,6 +80,9 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("verify", {"suite": "smoothness", "beta": 2.0, "L": 2}),
     ("verify", {"suite": "smoothness", "beta": 2.0, "L": [2, -20]}),
     ("verify", {"suite": "smoothness", "beta": 2.0, "L_beta": 0}),
+    ("verify", {"suite": "assumptions", "delta_t": -0.1}),
+    ("verify", {"suite": "assumptions", "sigma2": 0}),
+    ("verify", {"suite": "assumptions", "sigma2": -1}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)

@@ -1,11 +1,13 @@
 """Kernel shapes: values, supports, derivative sup-norms, calibration."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
-from odelab import kernels
+from odelab import kernels, smoothness
 
 # Reference suprema of |K^(j)| on (-1, 1) for K(w) = exp(-1/(1-w^2)),
 # computed with mpmath at 50 digits (golden-section polish of a 4000-point
@@ -131,9 +133,74 @@ def test_periodic_deriv_periodicity_property(x, order):
 
 
 def test_calibrated_alphas_frozen():
-    assert kernels.calibrate_alpha(1.5, 1, "bump") == pytest.approx(0.5, rel=1e-12)
-    assert kernels.calibrate_alpha(2.0, 2, "bump") == pytest.approx(0.125, rel=1e-12)
-    assert kernels.calibrate_alpha(2.0, 2, "pulse") == pytest.approx(0.25, rel=1e-12)
+    assert kernels.calibrate_alpha(1.5, 1, "bump") == 0.5
+    assert kernels.calibrate_alpha(2.0, 2, "bump") == 0.125
+    assert kernels.calibrate_alpha(2.0, 2, "pulse") == 0.25
+
+
+# every (beta, d, kind) the CLI and the benchmark calibrate
+CALIBRATION_GRID = [
+    (1.5, 1, "bump"), (2.5, 1, "bump"), (2.0, 2, "bump"), (3.5, 3, "bump"),
+    (2.0, 2, "pulse"), (2.0, 3, "bump"), (2.0, 3, "pulse"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_report(beta, d, kind, k):
+    """certify_membership of the shape at alpha = 2^-k against the unit class."""
+    ell = smoothness.strict_floor(beta)
+    cls = smoothness.SmoothnessClass(
+        beta=beta, L=(1.0,) * (ell + 1), L_beta=1.0, dim_in=d, dim_out=1
+    )
+    spec = kernels.KernelSpec(beta=beta, alpha=2.0**-k, kind=kind, dim=d)
+    report = smoothness.certify_membership(
+        lambda pts: kernels.kernel_shape_eval(spec, pts), cls, [(-1.0, 1.0)] * d
+    )
+    return report.components[0]
+
+
+def _reference_calibrate_k(beta, d, kind):
+    """The certify-each-alpha loop: first k whose direct certification passes."""
+    for k in range(40):
+        if _direct_report(beta, d, kind, k).passed:
+            return k
+    raise kernels.CalibrationFailed
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("beta,d,kind", CALIBRATION_GRID)
+def test_calibrate_alpha_equals_certify_each_alpha(beta, d, kind):
+    assert kernels.calibrate_alpha(beta, d, kind) == 2.0 ** -_reference_calibrate_k(beta, d, kind)
+
+
+@pytest.mark.parametrize("beta,d,kind", CALIBRATION_GRID)
+def test_unit_measurements_scale_exactly(beta, d, kind):
+    unit = kernels._unit_report(beta, d, kind)
+    power = 2 if kind == "pulse" else 1
+    for k in range(_reference_calibrate_k(beta, d, kind) + 2):
+        direct = _direct_report(beta, d, kind, k)
+        scale = 2.0 ** (-k * power)
+        assert _bits(direct.sup_measured) == _bits([scale * m for m in unit.sup_measured])
+        assert _bits(direct.holder_measured) == _bits(scale * unit.holder_measured)
+        assert direct.sup_limits == unit.sup_limits
+        assert direct.holder_limit == unit.holder_limit
+
+
+def test_calibrate_alpha_certifies_once(monkeypatch):
+    kernels._unit_report.cache_clear()
+    calls = []
+    certify = smoothness.certify_membership
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(smoothness, "certify_membership", counting)
+    assert kernels.calibrate_alpha(3.5, 3, "bump") == 2.0**-5
+    assert len(calls) == 1
 
 
 def test_calibrate_alpha_rejects_bad_kind():
