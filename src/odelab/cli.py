@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import flow as flow_mod
-from . import geometry, hypotheses, kernels, smoothness, statmodel
+from . import hypotheses, kernels, smoothness, statmodel
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -287,10 +287,6 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
 # verify
 
 
-def _check(name: str, passed: bool, **extra) -> dict:
-    return {"name": name, "passed": bool(passed), **extra}
-
-
 def _suite_coincidence(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
     d = _count(cfg, "d", 1)
@@ -303,28 +299,7 @@ def _suite_coincidence(cfg: dict, seed: int) -> list:
     rng = np.random.default_rng(seed)
     xs = np.tile(x0, (n_points, 1))
     xs[:, 0] = x0[0] + rng.uniform(-1.0, 1.0, size=n_points)
-    worst = 0.0
-    for i in range(-5, 6):
-        t = i * delta_t
-        gap = np.linalg.norm(
-            pair.f0.closed_form_flow(xs, t) - pair.f1.closed_form_flow(xs, t), axis=-1
-        ).max()
-        worst = max(worst, float(gap))
-    checks = [_check("grid-coincidence", worst <= tol, measured=worst, limit=tol)]
-    c_beta = (2.0 / 3.0) ** (beta + 1.0) * kernels.sup_abs_kernel_deriv(1)
-    floor = c_beta * pair.metadata["amplitude"] * L[0] ** (beta + 1.0) * delta_t**beta
-    checks.append(
-        _check("separation-floor", pair.claimed_separation >= floor,
-               measured=pair.claimed_separation, limit=floor)
-    )
-    v0 = pair.f0(pair.x0)
-    v1 = pair.f1(pair.x0)
-    att = float(np.linalg.norm(v1 - v0))
-    checks.append(
-        _check("separation-attained", att >= pair.claimed_separation,
-               measured=att, limit=pair.claimed_separation)
-    )
-    return checks
+    return hypotheses.stubble_det_checks(pair, xs, tol)
 
 
 def _suite_tube_cover(cfg: dict, seed: int) -> list:
@@ -334,27 +309,8 @@ def _suite_tube_cover(cfg: dict, seed: int) -> list:
     L, L_beta = _class_constants(cfg, beta, _bump_class(beta))
     x0 = _start(cfg, d)
     pair, initials, horizons = hypotheses.snake_det_pair(beta, d, L, L_beta, delta, x0)
-    tol_agree = _number(cfg, "tol_agree", 1e-8)
-    tubes = []
-    worst_gap = 0.0
-    for x, T in zip(initials, horizons):
-        t0 = flow_mod.integrate(pair.f0, x, float(T), 1e-10)
-        t1 = flow_mod.integrate(pair.f1, x, float(T), 1e-10)
-        s = np.linspace(0.0, float(T), 33)
-        gap = float(np.linalg.norm(flow_mod.flow_at(t1, s) - flow_mod.flow_at(t0, s),
-                                   axis=1).max())
-        worst_gap = max(worst_gap, gap)
-        tubes.append(geometry.TubeSpec(trajectory=t1, radius=delta))
-    checks = [_check("identical-trajectories", worst_gap <= tol_agree,
-                     measured=worst_gap, limit=tol_agree)]
-    region = [(0.0, 1.0)] * d
-    rep = geometry.tube_cover_check(tubes, region)
-    checks.append(_check("cover-at-delta", rep.passed,
-                         measured=rep.worst_distance, limit=rep.threshold))
-    rep_half = geometry.tube_cover_check(tubes, region, radius=delta / 2.0)
-    checks.append(_check("no-cover-at-half-delta", not rep_half.passed,
-                         measured=rep_half.worst_distance, limit=rep_half.threshold))
-    return checks
+    return hypotheses.snake_det_checks(pair, initials, horizons,
+                                       _number(cfg, "tol_agree", 1e-8))
 
 
 def _suite_spiral(cfg: dict, seed: int) -> list:
@@ -362,10 +318,8 @@ def _suite_spiral(cfg: dict, seed: int) -> list:
     spec = hypotheses.spiral_build(K)
     rep = hypotheses.spiral_verify(spec, seed=seed)
     t_exact = 1.0 + (2.0 + 3.0 * math.pi) * K
-    schedule, *rest = [_check(name, ok, measured=measured, limit=limit)
-                       for name, ok, measured, limit in rep.checks]
-    horizon = _check("horizon", abs(spec.T - t_exact) <= 1e-12, measured=spec.T,
-                     limit=t_exact)
+    schedule, *rest = rep.checks
+    horizon = ("horizon", abs(spec.T - t_exact) <= 1e-12, spec.T, t_exact)
     return [schedule, horizon, *rest]
 
 
@@ -379,13 +333,13 @@ def _suite_smoothness(cfg: dict, seed: int) -> list:
     alt = family.make_alternative(z, r)
     region = [(z[i] - r, z[i] + r) for i in range(d)]
     rep = smoothness.certify_membership(alt, family.smoothness_class, region)
-    checks = [_check("bump-membership", rep.passed)]
     try:
         family.make_alternative(z, 4.0 * family.rho_plus)
-        checks.append(_check("oversized-radius-rejected", False))
+        rejected = False
     except ValueError:
-        checks.append(_check("oversized-radius-rejected", True))
-    return checks
+        rejected = True
+    return [("bump-membership", rep.passed, None, None),
+            ("oversized-radius-rejected", rejected, None, None)]
 
 
 def _suite_symmetry(cfg: dict, seed: int) -> list:
@@ -398,22 +352,18 @@ def _suite_symmetry(cfg: dict, seed: int) -> list:
     alt = family.make_alternative(z, r)
     x = np.full(d, 0.5)
     x[0] = z[0] - 2.0 * r
-    L0 = family.metadata["drift"]
-    T = 4.0 * r / L0
+    T = 4.0 * r / family.metadata["drift"]
     traj = flow_mod.integrate(alt, x, T, 1e-11)
     net = float(abs(flow_mod.final_state(traj)[1] - x[1]))
     during = float(np.abs(traj.states[:, 1] - x[1]).max())
-    psi = 2.0 * family.kernel.alpha**2 * math.exp(-1.0) * kernels.sup_abs_kernel_deriv(1) \
-        * L_beta * r ** (beta + 1.0) / L0
+    psi = hypotheses.snake_transverse_envelope(family, r)
     tol_net = _number(cfg, "tol_net", max(1e-9, 1e-4 * psi))
-    checks = [
-        _check("zero-net-transverse", net <= tol_net, measured=net, limit=tol_net),
-        _check("transverse-within-envelope", during <= psi * (1.0 + 1e-6),
-               measured=during, limit=psi),
-    ]
     sg = flow_mod.flow_semigroup_check(alt, x, T / 3.0, T / 2.0, 1e-11)
-    checks.append(_check("semigroup", sg <= 1e-8, measured=float(sg), limit=1e-8))
-    return checks
+    return [
+        ("zero-net-transverse", net <= tol_net, net, tol_net),
+        ("transverse-within-envelope", during <= psi * (1.0 + 1e-6), during, psi),
+        ("semigroup", sg <= 1e-8, sg, 1e-8),
+    ]
 
 
 def _suite_gronwall(cfg: dict, seed: int) -> list:
@@ -434,8 +384,7 @@ def _suite_gronwall(cfg: dict, seed: int) -> list:
         T = 4.0 * r / family.metadata["drift"]
         measured, bound_a, bound_b = flow_mod.gronwall_pair_bound(alt, x1, x2, T)
         ok = measured <= bound_a + 1e-12 and measured <= bound_b + 1e-12
-        checks.append(_check(f"pair-{trial}", ok, measured=measured,
-                             limit=min(bound_a, bound_b)))
+        checks.append((f"pair-{trial}", ok, measured, min(bound_a, bound_b)))
     return checks
 
 
@@ -449,14 +398,11 @@ def _suite_assumptions(cfg: dict, seed: int) -> list:
     declared = _get(cfg, "C_cvr")
     cover = statmodel.check_cover(scheme, None if declared is None else _number(cfg, "C_cvr"))
     cover_time = statmodel.check_cover_time(scheme, _number(cfg, "C_cvrtm", 3.0))
-    checks = [
-        _check("cover-constant", cover.passed, measured=cover.C_hat,
-               limit=cover.declared),
-        _check("cover-time-constant", cover_time.passed, measured=cover_time.C_hat,
-               limit=cover_time.declared),
-        _check("noise-positive", noise.C_noise > 0, measured=noise.C_noise, limit=0.0),
+    return [
+        ("cover-constant", cover.passed, cover.C_hat, cover.declared),
+        ("cover-time-constant", cover_time.passed, cover_time.C_hat, cover_time.declared),
+        ("noise-positive", noise.C_noise > 0, noise.C_noise, 0.0),
     ]
-    return checks
 
 
 _SUITES = {
@@ -474,7 +420,10 @@ def _cmd_verify(cfg: dict, out: str, seed: int) -> int:
     suite = _get(cfg, "suite", required=True)
     if suite not in _SUITES:
         raise ConfigError(f"unknown suite '{suite}' (use {'|'.join(sorted(_SUITES))})")
-    checks = _SUITES[suite](cfg, seed)
+    checks = []  # a record's None measured value or limit is left out of the report
+    for name, ok, measured, limit in _SUITES[suite](cfg, seed):
+        check = {"name": name, "passed": bool(ok), "measured": measured, "limit": limit}
+        checks.append({k: v for k, v in check.items() if v is not None})
     passed = all(c["passed"] for c in checks)
     report = {
         "suite": suite,

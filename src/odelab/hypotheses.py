@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import flow as flow_mod
 from . import geometry, kernels, smoothness
 from .flow import ModelFunction
 
@@ -34,9 +35,12 @@ __all__ = [
     "SpiralReport",
     "stubble_prob_family",
     "stubble_det_pair",
+    "stubble_det_checks",
     "irrational_timestep_falsifier",
     "snake_prob_family",
+    "snake_transverse_envelope",
     "snake_det_pair",
+    "snake_det_checks",
     "spiral_build",
     "spiral_verify",
 ]
@@ -382,9 +386,37 @@ def irrational_timestep_falsifier(pair: HypothesisPair, t2: float,
     x1 = np.linspace(pair.x0[0] - r, pair.x0[0] + r, samples)
     xs = np.tile(pair.x0, (samples, 1))
     xs[:, 0] = x1
-    u0 = pair.f0.closed_form_flow(xs, t2)
-    u1 = pair.f1.closed_form_flow(xs, t2)
+    return _flow_gap(pair, xs, t2)
+
+
+def _flow_gap(pair: HypothesisPair, xs: np.ndarray, t: float) -> float:
+    """Largest norm of the f0 - f1 closed-form flow difference over the starts xs (n, d)."""
+    u0 = pair.f0.closed_form_flow(xs, t)
+    u1 = pair.f1.closed_form_flow(xs, t)
     return float(np.linalg.norm(u0 - u1, axis=-1).max())
+
+
+def stubble_det_checks(pair: HypothesisPair, xs: np.ndarray, tol: float = 1e-9) -> list:
+    """(name, ok, measured, limit) records of the stubble-det pair's claims.
+
+    * ``grid-coincidence``: the flows from the starts xs (n, d) agree to
+      ``tol`` at t = i delta_t, |i| <= 5;
+    * ``separation-floor``: the claimed separation reaches
+      (2/3)^(beta+1) sup|K'| * amplitude * L_0^(beta+1) delta_t^beta;
+    * ``separation-attained``: |f1(x0) - f0(x0)| reaches the claimed separation.
+    """
+    md = pair.metadata
+    beta, delta_t = md["beta"], md["delta_t"]
+    worst = max(_flow_gap(pair, xs, i * delta_t) for i in range(-5, 6))
+    c_beta = (2.0 / 3.0) ** (beta + 1.0) * kernels.sup_abs_kernel_deriv(1)
+    floor = c_beta * md["amplitude"] * md["L0"] ** (beta + 1.0) * delta_t**beta
+    claimed = pair.claimed_separation
+    attained = float(np.linalg.norm(pair.f1(pair.x0) - pair.f0(pair.x0)))
+    return [
+        ("grid-coincidence", worst <= tol, worst, tol),
+        ("separation-floor", claimed >= floor, claimed, floor),
+        ("separation-attained", attained >= claimed, attained, claimed),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +443,17 @@ def snake_prob_family(beta: float, d: int, L: Sequence[float], L_beta: float,
     }
     return _prob_family("snake", cls, spec, L, cap, rho_minus, L0 * np.eye(d)[0], 1,
                         beta + 1.0, metadata)
+
+
+def snake_transverse_envelope(family: HypothesisFamily, r: float) -> float:
+    """psi(r) = 2 ||Kt|| ||Kt'|| L_beta r^(beta+1) / L_0 for a snake pulse family.
+
+    It bounds the transverse deviation of one pass through a radius-r pulse:
+    crossing time 2r/L_0 at transverse speed <= L_beta r^beta ||Kt|| ||Kt'||.
+    """
+    alpha, cls = family.kernel.alpha, family.smoothness_class
+    kt_sup, kt_grad = alpha * math.exp(-1.0), alpha * kernels.sup_abs_kernel_deriv(1)
+    return 2.0 * kt_sup * kt_grad * cls.L_beta * r ** (cls.beta + 1.0) / family.metadata["drift"]
 
 
 def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
@@ -515,6 +558,34 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     return pair, initials, times
 
 
+def snake_det_checks(pair: HypothesisPair, initials: np.ndarray, horizons: np.ndarray,
+                     tol_agree: float = 1e-8) -> list:
+    """(name, ok, measured, limit) records of the snake-det pair's claims.
+
+    * ``identical-trajectories``: from every initial condition the f0 and
+      f1 flows (tol 1e-10) agree to ``tol_agree`` at 33 times in [0, T];
+    * ``cover-at-delta``: the delta-tubes around the f1 trajectories cover
+      the unit cube, delta from the pair's metadata;
+    * ``no-cover-at-half-delta``: the delta/2-tubes do not.
+    """
+    delta = pair.metadata["delta"]
+    tubes, worst = [], 0.0
+    for x, T in zip(initials, horizons):
+        t0, t1 = (flow_mod.integrate(f, x, float(T), 1e-10) for f in (pair.f0, pair.f1))
+        s = np.linspace(0.0, float(T), 33)
+        gap = np.linalg.norm(flow_mod.flow_at(t1, s) - flow_mod.flow_at(t0, s), axis=1)
+        worst = max(worst, float(gap.max()))
+        tubes.append(geometry.TubeSpec(trajectory=t1, radius=delta))
+    region = [(0.0, 1.0)] * pair.f0.dim
+    cover = geometry.tube_cover_check(tubes, region)
+    half = geometry.tube_cover_check(tubes, region, radius=delta / 2.0)
+    return [
+        ("identical-trajectories", worst <= tol_agree, worst, tol_agree),
+        ("cover-at-delta", cover.passed, cover.worst_distance, cover.threshold),
+        ("no-cover-at-half-delta", not half.passed, half.worst_distance, half.threshold),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # spiral
 
@@ -597,8 +668,6 @@ def spiral_verify(spec: SpiralConstruction, tol: float = 1e-10,
     Over K = 1..8 the schedule error stays at least 19x inside ``tol_geo``
     (1.8e-6 against 3.5e-5 at K = 3) after 171..1,141 accepted steps.
     """
-    from . import flow as flow_mod
-
     traj = flow_mod.integrate(spec.field, np.zeros(2), spec.T, tol)
     tol_geo = 1e-6 * spec.T
     starts = flow_mod.flow_at(traj, spec.schedule)

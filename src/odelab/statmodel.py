@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import flow as flow_mod
-from . import geometry, kernels
-from .hypotheses import HypothesisFamily
+from . import geometry
+from .hypotheses import HypothesisFamily, snake_transverse_envelope
 
 __all__ = [
     "SingularCovariance",
@@ -268,13 +268,16 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
                 *, tol: float = 1e-10) -> np.ndarray:
     """States of every trajectory at its observation times, shape (m, n, d).
 
-    Closed-form flows are evaluated directly; otherwise all trajectories
-    are integrated as one stacked system and read out at the union of the
-    requested times.
+    ``times`` needs one row per initial state.  Closed-form flows are
+    evaluated directly; otherwise all trajectories are integrated as one
+    stacked system up to the largest finite time and read out at the union
+    of the requested times.  A NaN time gives a NaN state on both paths.
     """
     initials = np.atleast_2d(np.asarray(initials, float))
     times = np.atleast_2d(np.asarray(times, float))
     m, d = initials.shape
+    if times.shape[0] != m:
+        raise ValueError(f"{times.shape[0]} rows of times for {m} initial states")
     if f.closed_form_flow is not None:
         out = np.empty((m,) + times.shape[1:] + (d,))
         shared = (times == times[0]).all(axis=0)
@@ -287,11 +290,14 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
                     out[j, i, :] = f.closed_form_flow(initials[j], float(col[j]))
         return out
     stacked = _stacked_field(f, m)
-    T = float(times.max())
+    finite = times[np.isfinite(times)]
+    T = float(finite.max()) if finite.size else 0.0
     traj = flow_mod.integrate(stacked, initials.reshape(-1), T, tol)
     unique, inverse = np.unique(times, return_inverse=True)
     states = flow_mod.flow_at(traj, unique).reshape(len(unique), m, d)
-    return states[inverse.reshape(times.shape), np.arange(m)[:, None]]
+    out = states[inverse.reshape(times.shape), np.arange(m)[:, None]]
+    out[np.isnan(times)] = np.nan
+    return out
 
 
 def scheme_kl(scheme: ObservationScheme, f0: flow_mod.ModelFunction,
@@ -437,11 +443,7 @@ def master_instance_snake(family: HypothesisFamily, scheme: ObservationScheme,
     """
     d = scheme.dim
     beta = family.smoothness_class.beta
-    L_beta = family.smoothness_class.L_beta
     L0 = family.metadata["drift"]
-    alpha = family.kernel.alpha
-    kt_sup = alpha * math.exp(-1.0)
-    kt_grad = alpha * kernels.sup_abs_kernel_deriv(1)
     pitch = geometry.min_distance(scheme.initials[:, 1:])
     gamma = 2.0 * (beta + 1.0) + d
     n, T_sum = scheme.n, scheme.T_sum
@@ -449,7 +451,7 @@ def master_instance_snake(family: HypothesisFamily, scheme: ObservationScheme,
     rho_plus = family.rho_plus
 
     def psi_cl(r):
-        return 2.0 * kt_sup * kt_grad * L_beta * r ** (beta + 1.0) / L0
+        return snake_transverse_envelope(family, r)
 
     def chi_cl(r):
         lines = (2.0 * r / pitch + 1.0) ** (d - 1)

@@ -14,11 +14,12 @@ import subprocess
 import sys
 import time
 
+import jsonschema
 import numpy as np
 import pytest
 
 import odelab
-from odelab import (flow, geometry, hypotheses, kernels, smoothness, statmodel)
+from odelab import hypotheses, kernels, smoothness, statmodel
 
 PHI_MINUS_HALF = 0.3085375387259869  # Phi(-1/2), mpmath 22 digits
 BELL = [1, 2, 5, 15, 52, 203]
@@ -39,45 +40,21 @@ def test_criterion_01_periodic_coincidence():
         pair = hypotheses.stubble_det_pair(beta, 1, cls["L"], cls["L_beta"],
                                            delta_t, np.array([0.5]))
         xs = (0.5 + rng.uniform(-1.0, 1.0, size=50))[:, None]
-        worst = 0.0
-        for i in range(-5, 6):
-            t = i * delta_t
-            gap = np.abs(pair.f0.closed_form_flow(xs, t)
-                         - pair.f1.closed_form_flow(xs, t)).max()
-            worst = max(worst, float(gap))
-        assert worst <= 1e-9, f"beta={beta}: grid coincidence off by {worst}"
-
-        c_beta = (2.0 / 3.0) ** (beta + 1.0) * kernels.sup_abs_kernel_deriv(1)
-        floor = (c_beta * pair.metadata["amplitude"]
-                 * cls["L"][0] ** (beta + 1.0) * delta_t**beta)
-        att = float(np.abs(pair.f1(pair.x0) - pair.f0(pair.x0))[0])
-        assert pair.claimed_separation >= floor
-        assert att >= pair.claimed_separation
+        failed = [c for c in hypotheses.stubble_det_checks(pair, xs, tol=1e-9) if not c[1]]
+        assert not failed, f"beta={beta}: {failed}"
     assert time.perf_counter() - start < 5.0
 
 
 def test_criterion_02_snake_identical_trajectories():
     """All m=9 snake trajectories coincide; tube cover at delta, not delta/2."""
     start = time.perf_counter()
-    delta = 0.1
     pair, initials, horizons = hypotheses.snake_det_pair(
-        2.0, 2, BUMP_CLASS["L"], BUMP_CLASS["L_beta"], delta, np.array([0.5, 0.5])
+        2.0, 2, BUMP_CLASS["L"], BUMP_CLASS["L_beta"], 0.1, np.array([0.5, 0.5])
     )
     assert initials.shape[0] == 9
-    tubes = []
-    worst = 0.0
-    for x, T in zip(initials, horizons):
-        t0 = flow.integrate(pair.f0, x, float(T), 1e-10)
-        t1 = flow.integrate(pair.f1, x, float(T), 1e-10)
-        for s in np.linspace(0.0, float(T), 33):
-            worst = max(worst, float(np.linalg.norm(
-                flow.flow_at(t1, s) - flow.flow_at(t0, s))))
-        tubes.append(geometry.TubeSpec(trajectory=t1, radius=delta))
-    assert worst <= 1e-8, f"trajectory gap {worst}"
-
-    region = ((0.0, 1.0), (0.0, 1.0))
-    assert geometry.tube_cover_check(tubes, region).passed
-    assert not geometry.tube_cover_check(tubes, region, radius=delta / 2.0).passed
+    failed = [c for c in hypotheses.snake_det_checks(pair, initials, horizons, tol_agree=1e-8)
+              if not c[1]]
+    assert not failed, failed
     assert time.perf_counter() - start < 30.0
 
 
@@ -87,11 +64,11 @@ def test_criterion_03_spiral_schedule():
     spec = hypotheses.spiral_build(4)
     assert spec.T == 1.0 + (2.0 + 3.0 * math.pi) * 4.0  # exact equality
     rep = hypotheses.spiral_verify(spec)
-    assert rep.max_schedule_error <= 1e-6 * spec.T
-    assert rep.supnorm_measured == pytest.approx(math.sqrt(1.0 + 4.0 * 0.25**2),
-                                                 abs=1e-9)
-    assert rep.lipschitz_measured <= math.sqrt(1.0 + 20.0 * 0.25**2) + 1e-9
-    assert rep.passed
+    assert rep.passed, rep.checks
+    limits = {name: limit for name, _, _, limit in rep.checks}
+    assert limits == {"schedule": 1e-6 * spec.T,
+                      "supnorm": math.sqrt(1.0 + 4.0 * 0.25**2),
+                      "lipschitz": math.sqrt(1.0 + 20.0 * 0.25**2)}
     assert time.perf_counter() - start < 20.0
 
 
@@ -286,9 +263,11 @@ def test_criterion_10_smoothness_certification():
 
 
 def test_criterion_11_cli_determinism(tmp_path):
-    """Every CLI suite, run twice with one seed, emits identical bytes."""
+    """Every CLI suite, run twice with one seed, emits identical, schema-valid bytes."""
     # the CLI processes import the same odelab as this test
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(odelab.__file__)))
+    with open(os.path.join(os.path.dirname(odelab.__file__), "report_schema.json")) as fh:
+        schema = json.load(fh)
     suites = ["coincidence", "tube-cover", "spiral", "smoothness", "symmetry",
               "gronwall", "assumptions"]
     for suite in suites:
@@ -305,6 +284,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             assert rc == 0, f"suite {suite} exited {rc}"
             outputs.append((out / "report.json").read_bytes())
         assert outputs[0] == outputs[1], f"suite {suite} not deterministic"
+        jsonschema.validate(json.loads(outputs[0]), schema)
 
     # rates and experiment tables as well
     for cmd, payload, files in (

@@ -4,9 +4,10 @@ import json
 import os
 
 import jsonschema
+import numpy as np
 import pytest
 
-from odelab import cli
+from odelab import cli, hypotheses
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(cli.__file__),
                                      "report_schema.json")))
@@ -120,6 +121,46 @@ def test_verify_failing_declaration_exits_one(tmp_path):
     assert report["passed"] is False
     failed = [c for c in report["checks"] if not c["passed"]]
     assert any(c["name"] == "cover-constant" for c in failed)
+
+
+def test_failing_check_names_itself(tmp_path):
+    # at tol 1e-17 the grid coincidence (off by one ulp) fails on its own
+    cfg = _cfg(tmp_path, {"suite": "coincidence", "beta": 2.0, "tol": 1e-17})
+    out = tmp_path / "out"
+    assert _run(["verify", "--config", cfg, "--out", out, "--seed", 12]) == 1
+    report = json.loads((out / "report.json").read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert report["passed"] is False
+    verdicts = {c["name"]: c["passed"] for c in report["checks"]}
+    assert verdicts == {"grid-coincidence": False, "separation-floor": True,
+                        "separation-attained": True}
+    assert report["checks"][0]["measured"] == 2.220446049250313e-16
+
+
+def _report_checks(tmp_path, payload, seed):
+    out = tmp_path / payload["suite"]
+    assert _run(["verify", "--config", _cfg(tmp_path, payload), "--out", out,
+                 "--seed", seed]) == 0
+    return json.loads((out / "report.json").read_text())["checks"]
+
+
+def _as_dicts(records):
+    return [{"name": name, "passed": bool(ok), "measured": measured, "limit": limit}
+            for name, ok, measured, limit in records]
+
+
+def test_verify_reports_the_library_records(tmp_path):
+    beta, x0 = 1.5, np.array([0.5])
+    pair = hypotheses.stubble_det_pair(beta, 1, *cli._demo_class(beta), 0.05, x0)
+    xs = (x0[0] + np.random.default_rng(7).uniform(-1.0, 1.0, size=50))[:, None]
+    assert _report_checks(tmp_path, {"suite": "coincidence", "beta": beta}, 7) == \
+        _as_dicts(hypotheses.stubble_det_checks(pair, xs))
+
+    beta, x0 = 2.0, np.array([0.5, 0.5])
+    pair, initials, horizons = hypotheses.snake_det_pair(
+        beta, 2, *cli._bump_class(beta), 0.1, x0)
+    assert _report_checks(tmp_path, {"suite": "tube-cover", "beta": beta}, 7) == \
+        _as_dicts(hypotheses.snake_det_checks(pair, initials, horizons))
 
 
 def test_construct_stubble_det_outputs(tmp_path):

@@ -166,6 +166,20 @@ def test_flow_states_closed_form_per_trajectory_times():
     assert np.isnan(states[:, 0]).all() and np.isfinite(states[:, 1]).all()
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_flow_states_paths_agree_on_bad_times(closed):
+    f = _rotation(closed=closed)
+    initials = np.array([[1.0, 0.0], [0.5, -0.25]])
+    with pytest.raises(ValueError):
+        statmodel.flow_states(f, initials, np.tile([0.1, 0.2], (3, 1)))
+    # NaN times give NaN states, also when no time is finite
+    states = statmodel.flow_states(f, initials, np.array([[np.nan, 0.2], [0.1, np.nan]]))
+    assert states.shape == (2, 2, 2)
+    assert np.isnan(states[[0, 1], [0, 1]]).all()
+    assert np.isfinite(states[[0, 1], [1, 0]]).all()
+    assert np.isnan(statmodel.flow_states(f, initials, np.full((2, 2), np.nan))).all()
+
+
 def test_psi_chi_measure_stubble_quick():
     fam = hypotheses.stubble_prob_family(2.0, 2, (2.0, 20.0), 100.0)
     sch = statmodel.build_stubble_scheme(6, 2, 0.1, _noise2())
