@@ -446,7 +446,7 @@ def _cmd_rates(cfg: dict, out: str) -> int:
     s = _number(cfg, "s", 0.0)
     grid_cfg = _get(cfg, "n", {"start": 1e3, "stop": 1e6, "num": 13})
     if isinstance(grid_cfg, dict):
-        ns = np.geomspace(_number(grid_cfg, "start", 1e3), _number(grid_cfg, "stop", 1e6),
+        ns = np.geomspace(_positive(grid_cfg, "start", 1e3), _positive(grid_cfg, "stop", 1e6),
                           _count(grid_cfg, "num", 13))
     else:
         ns = _numbers(cfg, "n").reshape(-1)
@@ -501,6 +501,8 @@ def _cmd_experiment(cfg: dict, out: str, seed: int) -> int:
     kl = _number(cfg, "kl", 0.5)
     if kl < 0:
         raise ConfigError(f"field 'kl' must be >= 0, got {kl}")
+    if not math.isfinite(math.sqrt(2.0 * kl)):
+        raise ConfigError(f"field 'kl' = {kl} is too large: its mean shift sqrt(2 kl) overflows")
     trials = _count(cfg, "trials", 100000)
     mc = statmodel.monte_carlo_two_point(kl, trials, seed=seed)
     exact = statmodel.gaussian_lrt_error(kl)

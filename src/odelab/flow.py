@@ -1,11 +1,15 @@
 """Flows of autonomous vector fields, u' = f(u), with dense output.
 
 The integrator is an embedded Dormand-Prince 5(4) pair (FSAL) with the
-estimated local error kept below ``tol`` on every accepted step.  Accepted
-nodes store the state *and* its derivative, and queries between nodes use
-cubic Hermite interpolation — O(h^4), comfortably below every verification
-tolerance used downstream.  Kinks of piecewise-smooth fields are handled
-by step rejection.  Fields that come with a closed-form flow keep it in
+estimated local error kept below ``tol`` on every accepted step.  It takes
+one start (dim,) or m starts (m, dim) through the same code: the state is
+(m, dim), every row's L2 local error must stay below ``tol``, and the
+stage sums are elementwise over the stage axis, so a row's arithmetic does
+not depend on how many rows ride along.  Accepted nodes store the state
+*and* its derivative, and queries between nodes use cubic Hermite
+interpolation — O(h^4), comfortably below every verification tolerance
+used downstream.  Kinks of piecewise-smooth fields are handled by step
+rejection.  Fields that come with a closed-form flow keep it in
 :class:`ModelFunction` and the integrator is still available as an
 independent cross-check.
 """
@@ -60,97 +64,123 @@ class ModelFunction:
 
 @dataclass
 class Trajectory:
+    """Accepted RK nodes of one trajectory, or of m trajectories in step.
+
+    ``states`` and ``derivs`` are (n, dim) for a (dim,) start and
+    (n, m, dim) for an (m, dim) start.  The counters are exact work counts:
+    ``nfev`` = 1 + 6 (``n_accepted`` + ``n_rejected``) field evaluations,
+    each on the whole (m, dim) batch.
+    """
+
     initial: np.ndarray
     t_span: tuple
     ts: np.ndarray          # strictly increasing
-    states: np.ndarray      # (n, dim)
-    derivs: np.ndarray      # (n, dim), exactly eval(state) at each node
+    states: np.ndarray      # (n, dim) or (n, m, dim)
+    derivs: np.ndarray      # same shape, exactly eval(state) at each node
     tolerance: float
+    n_accepted: int = 0
+    n_rejected: int = 0
+    nfev: int = 0
 
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+# Dormand-Prince 5(4) tableau, shaped to weight a (7, m, dim) stack of stages;
+# row i of _A holds the weights of stages 0..i-1
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+])[:, :, None, None]
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
+                0.0])[:, None, None]
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
+                187 / 2100, 1 / 40])[:, None, None]
 _ERR = _B5 - _B4
 
 _MAX_STEPS = 5_000_000
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of an (m, dim) array (bitwise ``norm(x, axis=-1)``)."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
     """Flow from x0 over [0, T] (T < 0 integrates backwards).
 
-    tol must lie in [1e-13, 1e-3] and bounds the estimated local error of
-    every accepted step.  A step across a kink of a piecewise-smooth field
-    fails that error test and is retried shorter; there is no step cap.
+    x0 is one start (dim,) or m starts (m, dim), integrated in step as an
+    (m, dim) state; the nodes are (n, dim) or (n, m, dim) accordingly.
+    tol must lie in [1e-13, 1e-3] and bounds the estimated L2 local error
+    of every row on every accepted step.  The stage sums run elementwise
+    over the stage axis and the initial step is the smallest of the rows'
+    own, so each row of a batch of identical starts is bit for bit the lone
+    trajectory, whatever m is.  A step across a kink of a piecewise-smooth
+    field fails the error test and is retried shorter; there is no step cap.
     """
     if not 1e-13 <= tol <= 1e-3:
         raise ValueError(f"tol = {tol} outside [1e-13, 1e-3]")
-    y = np.array(x0, dtype=float).reshape(-1)
-    if y.shape[0] != f.dim:
-        raise ValueError(f"x0 has dim {y.shape[0]}, field has dim {f.dim}")
-    k1 = np.asarray(f.eval(y), dtype=float).reshape(-1)
-    if T == 0:
-        one = y[None, :]
-        return Trajectory(y.copy(), (0.0, 0.0), np.zeros(1), one.copy(),
-                          k1[None, :].copy(), tol)
+    x0 = np.array(x0, dtype=float)
+    if x0.ndim > 2:
+        raise ValueError(f"x0 has shape {x0.shape}; need (dim,) or (m, dim)")
+    single = x0.ndim < 2
+    y = x0.reshape(1, -1) if single else x0
+    if y.shape[1] != f.dim:
+        raise ValueError(f"x0 has dim {y.shape[1]}, field has dim {f.dim}")
+    K = np.empty((7,) + y.shape)
+    K[0] = np.asarray(f.eval(y), dtype=float).reshape(y.shape)
+    n_accepted = n_rejected = 0
+    ts, ys, ds = [0.0], [y.copy()], [K[0].copy()]
+    if T != 0:
+        direction = 1.0 if T > 0 else -1.0
+        t = 0.0
+        h = direction * min(abs(T), max(1e-8, float(np.min(
+            0.01 * (1.0 + _row_norms(y)) / (_row_norms(K[0]) + 1e-12)))))
+        while (T - t) * direction > 0:
+            if n_accepted + n_rejected >= _MAX_STEPS:
+                raise RuntimeError("step budget exhausted; field badly scaled?")
+            if abs(h) > abs(T - t):
+                h = T - t
+            if abs(h) < 1e-14 * max(1.0, abs(t)):
+                raise StepsizeUnderflow(f"step {h:.3e} at t = {t:.6g}")
 
-    direction = 1.0 if T > 0 else -1.0
-    ts, ys, ds = [0.0], [y.copy()], [k1.copy()]
-    t = 0.0
-    h = direction * min(abs(T), max(1e-8, 0.01 * (1.0 + np.linalg.norm(y))
-                                    / (np.linalg.norm(k1) + 1e-12)))
-    steps = 0
-    while (T - t) * direction > 0:
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise RuntimeError("step budget exhausted; field badly scaled?")
-        if abs(h) > abs(T - t):
-            h = T - t
-        if abs(h) < 1e-14 * max(1.0, abs(t)):
-            raise StepsizeUnderflow(f"step {h:.3e} at t = {t:.6g}")
+            for i in range(1, 7):
+                yi = y + h * (_A[i, :i] * K[:i]).sum(axis=0)
+                K[i] = np.asarray(f.eval(yi), dtype=float).reshape(y.shape)
+            y_new = y + h * (_B5 * K).sum(axis=0)
+            err = abs(h) * float(np.max(_row_norms((_ERR * K).sum(axis=0))))
 
-        k = [k1]
-        for i in range(1, 7):
-            yi = y + h * sum(a * kk for a, kk in zip(_A[i], k))
-            k.append(np.asarray(f.eval(yi), dtype=float).reshape(-1))
-        y_new = y + h * sum(b * kk for b, kk in zip(_B5, k))
-        err = abs(h) * np.linalg.norm(sum(e * kk for e, kk in zip(_ERR, k)))
-
-        if err <= tol:
-            t += h
-            y = y_new
-            k1 = k[6]  # FSAL: stage 7 is f at the accepted state
-            ts.append(t)
-            ys.append(y.copy())
-            ds.append(k1.copy())
-        factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-        h *= factor
+            if err <= tol:
+                n_accepted += 1
+                t += h
+                y = y_new
+                K[0] = K[6]  # FSAL: stage 7 is f at the accepted state
+                ts.append(t)
+                ys.append(y)
+                ds.append(K[0].copy())
+            else:
+                n_rejected += 1
+            factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+            h *= factor
 
     ts = np.asarray(ts)
     ys = np.asarray(ys)
     ds = np.asarray(ds)
-    if direction < 0:
+    if single:
+        ys, ds = ys[:, 0], ds[:, 0]
+    if T < 0:
         ts, ys, ds = ts[::-1].copy(), ys[::-1].copy(), ds[::-1].copy()
-    return Trajectory(np.array(x0, dtype=float).reshape(-1), (0.0, float(T)),
-                      ts, ys, ds, tol)
+    return Trajectory(x0.reshape(-1) if single else x0, (0.0, float(T)), ts, ys, ds,
+                      tol, n_accepted, n_rejected, 1 + 6 * (n_accepted + n_rejected))
 
 
 def flow_at(traj: Trajectory, t) -> np.ndarray:
     """Cubic-Hermite dense output at a time or at an array of times.
 
-    A scalar t gives the state, shape (dim,); an array gives
-    t.shape + (dim,), located on the nodes with one ``searchsorted``.
+    A scalar t gives the state, shape (dim,) or (m, dim); an array gives
+    t.shape + that, located on the nodes with one ``searchsorted``.
     Raises OutOfSpan if any time lies outside the span (by more than
     1e-12 of its length).
     """
@@ -166,8 +196,9 @@ def flow_at(traj: Trajectory, t) -> np.ndarray:
     t = np.clip(t, lo, hi)
     i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.shape[0] - 2)
     t0 = ts[i]
-    hstep = (ts[i + 1] - t0)[..., None]
-    th = (t - t0)[..., None] / hstep
+    trailing = (...,) + (None,) * (traj.states.ndim - 1)
+    hstep = (ts[i + 1] - t0)[trailing]
+    th = (t - t0)[trailing] / hstep
     h00 = 2 * th**3 - 3 * th**2 + 1
     h10 = th**3 - 2 * th**2 + th
     h01 = -2 * th**3 + 3 * th**2

@@ -181,7 +181,8 @@ def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: fl
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(drift, x.shape).copy()
+        out = np.empty_like(x)
+        out[...] = drift
         for p in perts:
             out[..., axis] += coef * p(x)
         return out

@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 MAX_DERIV_ORDER = 6
+# K and its derivatives are taken as exactly 0 where 1 - w^2 <= _EDGE.
+_EDGE = 1e-12
 
 
 class CalibrationFailed(Exception):
@@ -101,7 +103,9 @@ def standard_kernel_deriv(w, order: int):
     t = 1.0 - w * w
     # exp(-1/t) underflows to an exact 0 long before the rational factor
     # can blow up, but evaluate through the log to avoid 0*inf at the edge.
-    inside = t > 1e-12
+    inside = t > _EDGE
+    if not inside.any():  # no point inside: nothing to evaluate
+        return 0.0 if scalar else np.zeros_like(w)
     everywhere = bool(inside.all())
     ti, wi = (t, w) if everywhere else (t[inside], w[inside])
     if order == 0:
@@ -183,11 +187,13 @@ def pulse_eval(spec: KernelSpec, x):
         raise ValueError("pulse_eval needs a pulse KernelSpec")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     nrm = np.linalg.norm(x, axis=-1)
-    first = x[..., 0]
-    val = np.asarray(
-        (spec.alpha * standard_kernel(nrm))
-        * (spec.alpha * standard_kernel_deriv(first, 1))
-    )
+    # Both factors are evaluated only where K(||x||) can be non-zero;
+    # elsewhere the product is an unsigned 0.
+    live = 1.0 - nrm * nrm > _EDGE
+    val = np.zeros_like(nrm)
+    if live.any():
+        val[live] = ((spec.alpha * standard_kernel(nrm[live]))
+                     * (spec.alpha * standard_kernel_deriv(x[..., 0][live], 1)))
     return float(val) if val.ndim == 0 else val
 
 

@@ -220,18 +220,18 @@ def check_cover_time(scheme: ObservationScheme, declared: float = 3.0) -> CoverC
     C_hat is the max over trajectories and time windows [t_i, t_j] of
     (#observations in window) * T_sum / (n * window length).
     """
-    n = scheme.n
-    T_sum = scheme.T_sum
-    C_hat = 0.0
-    where = {}
-    for j, row in enumerate(scheme.times):
-        for a in range(len(row) - 1):
-            for b in range(a + 1, len(row)):
-                length = row[b] - row[a]
-                c = (b - a + 1) * T_sum / (n * length)
-                if c > C_hat:
-                    C_hat = c
-                    where = {"trajectory": j, "window": (float(row[a]), float(row[b]))}
+    n, T_sum, times = scheme.n, scheme.T_sum, scheme.times
+    a, b = np.triu_indices(times.shape[1], 1)  # windows in (a, b) loop order
+    c = (b - a + 1) * T_sum / (n * (times[:, b] - times[:, a]))
+    c[np.isnan(c)] = -np.inf  # a NaN ratio never beats the running maximum
+    C_hat, where = 0.0, {}
+    if c.size:  # one time per trajectory: no window
+        # first maximum in (j, a, b) order, as a strict > scan keeps
+        j, i = np.unravel_index(int(np.argmax(c)), c.shape)
+        if c[j, i] > C_hat:
+            C_hat = float(c[j, i])
+            window = (float(times[j, a[i]]), float(times[j, b[i]]))
+            where = {"trajectory": int(j), "window": window}
     return CoverCheck(
         passed=bool(C_hat <= declared * (1.0 + 1e-12)),
         C_hat=float(C_hat),
@@ -253,25 +253,15 @@ def gaussian_kl(shift, cov) -> float:
     return 0.5 * float(shift @ sol)
 
 
-def _stacked_field(f: flow_mod.ModelFunction, m: int) -> flow_mod.ModelFunction:
-    """m independent copies of f as one flattened system (shared step control)."""
-    d = f.dim
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(f(x.reshape(m, d)), dtype=float).reshape(x.shape)
-
-    return flow_mod.ModelFunction(dim=m * d, eval=evaluate, metadata={"stacked": m})
-
-
 def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarray,
                 *, tol: float = 1e-10) -> np.ndarray:
     """States of every trajectory at its observation times, shape (m, n, d).
 
     ``times`` needs one row per initial state.  Closed-form flows are
-    evaluated directly; otherwise all trajectories are integrated as one
-    stacked system up to the largest finite time and read out at the union
-    of the requested times.  A NaN time gives a NaN state on both paths.
+    evaluated directly; otherwise all trajectories are integrated in step,
+    each under its own error test, up to the largest finite time and read
+    out at the union of the requested times.  A NaN time gives a NaN state
+    on both paths.
     """
     initials = np.atleast_2d(np.asarray(initials, float))
     times = np.atleast_2d(np.asarray(times, float))
@@ -289,12 +279,11 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
                 for j in range(m):
                     out[j, i, :] = f.closed_form_flow(initials[j], float(col[j]))
         return out
-    stacked = _stacked_field(f, m)
     finite = times[np.isfinite(times)]
     T = float(finite.max()) if finite.size else 0.0
-    traj = flow_mod.integrate(stacked, initials.reshape(-1), T, tol)
+    traj = flow_mod.integrate(f, initials, T, tol)
     unique, inverse = np.unique(times, return_inverse=True)
-    states = flow_mod.flow_at(traj, unique).reshape(len(unique), m, d)
+    states = flow_mod.flow_at(traj, unique)
     out = states[inverse.reshape(times.shape), np.arange(m)[:, None]]
     out[np.isnan(times)] = np.nan
     return out
@@ -343,8 +332,8 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
     reference point lands in B(z, r) -- initial conditions for the
     stubble design, observed states for the snake design.
     Only trajectories that can interact with the perturbation are
-    integrated (stacked into one system); the rest follow the null flow
-    exactly and contribute zero deviation.
+    integrated (in step, each under its own error test); the rest follow
+    the null flow exactly and contribute zero deviation.
     """
     if z_candidates is None:
         z_candidates = _default_centers(scheme, r)

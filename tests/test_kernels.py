@@ -81,7 +81,8 @@ def test_kernel_deriv_bitwise_equals_reference(order):
     rng = np.random.default_rng(order)
     inside = rng.uniform(-0.999, 0.999, 20000)  # the all-inside path
     mixed = np.concatenate([rng.uniform(-1.2, 1.2, 20000), EDGES])
-    for w in (inside, mixed, mixed.reshape(-1, 2)):
+    outside = np.concatenate([rng.uniform(1.0, 2.0, 50), -rng.uniform(1.0, 2.0, 50)])
+    for w in (inside, mixed, mixed.reshape(-1, 2), outside):  # outside: the early return
         got = kernels.standard_kernel_deriv(w, order)
         assert got.shape == w.shape
         assert got.tobytes() == _reference_kernel_deriv(w, order).reshape(w.shape).tobytes()
@@ -269,3 +270,62 @@ def test_shape_deriv_supnorm_positive_and_decaying_support():
     assert s0 == pytest.approx(0.125 * np.exp(-1.0), rel=1e-5)
     assert s0 <= 0.125 * np.exp(-1.0) + 1e-15
     assert s1 > s0 > 0.0
+
+
+def _straddling_points(rng, n: int, d: int, center, radius):
+    """n points at ||x - z|| / r near 1 first (some within 1e-12 of it), then anywhere."""
+    u = rng.standard_normal((n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    rho = np.concatenate([
+        1.0 + np.array([-6e-13, -5e-13, -4e-13, -1e-12, 1e-13, -1e-13, 0.0, 1e-12]),
+        [0.0, 0.3, 0.9, 0.999999, 1.000001, 1.5, 3.0],
+        rng.uniform(0.0, 2.0, n),
+    ])[:n]
+    return np.asarray(center) + radius * rng.permutation(rho)[:, None] * u
+
+
+def _every_point_shape(spec, w):
+    """The shape with K'(w_1) evaluated at every point: no cull to the unit ball."""
+    w = np.atleast_1d(w)
+    val = spec.alpha * kernels.standard_kernel(np.linalg.norm(w, axis=-1))
+    if spec.kind == "pulse":
+        val = val * (spec.alpha * kernels.standard_kernel_deriv(w[..., 0], 1))
+    return val
+
+
+@pytest.mark.parametrize("kind", ["bump", "pulse"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_culled_shape_is_bitwise_the_full_evaluation(kind, d, offset):
+    spec = kernels.KernelSpec(beta=2.5, alpha=0.25, kind=kind, dim=d)
+    center = tuple(np.linspace(0.2, 0.6, d))
+    field = kernels.ScaledField(kernel=spec, center=center, radius=0.07,
+                                amplitude=40.0, offset=offset)
+
+    def unit(x):
+        return (x - np.asarray(center)) / field.radius
+
+    def every_point(x):
+        scale = field.amplitude * field.radius**spec.beta
+        return scale * _every_point_shape(spec, unit(x)) + offset
+
+    def same_shape(x):  # a culled point is an unsigned 0, the full product may be -0
+        got, ref = kernels.kernel_shape_eval(spec, unit(x)), _every_point_shape(spec, unit(x))
+        return (np.asarray(got) + 0.0).tobytes() == (np.asarray(ref) + 0.0).tobytes()
+
+    rng = np.random.default_rng([d, len(kind)])
+    for n in (1, 5, 1000):
+        x = _straddling_points(rng, n, d, center, field.radius)
+        t = 1.0 - np.linalg.norm(unit(x), axis=-1) ** 2
+        if n > 1:  # points just inside and just outside the test 1 - ||w||^2 > 1e-12
+            assert ((t > 1e-12) & (t < 2e-12)).any() and ((t <= 1e-12) & (t > -2e-12)).any()
+        got = field(x)
+        assert got.shape == (n,)
+        assert got.tobytes() == every_point(x).tobytes()
+        assert same_shape(x)
+    x = _straddling_points(rng, 20, d, center, field.radius).reshape(4, 5, d)
+    assert field(x).tobytes() == every_point(x).tobytes() and same_shape(x)
+    far = np.asarray(center) + np.full((3, d), 1.0)  # no point inside: early return
+    assert field(far).tobytes() == every_point(far).tobytes() and same_shape(far)
+    for p in x[0]:  # single (d,) points
+        assert field(p) == every_point(p) and same_shape(p)

@@ -125,6 +125,42 @@ def test_check_cover_time_equidistant():
     assert not statmodel.check_cover_time(sch, declared=1.5).passed
 
 
+def _check_cover_time_loop(scheme):
+    """The triple loop check_cover_time replaced: strict > in (j, a, b) order."""
+    n, T_sum = scheme.n, scheme.T_sum
+    C_hat, where = 0.0, {}
+    for j, row in enumerate(scheme.times):
+        for a in range(len(row) - 1):
+            for b in range(a + 1, len(row)):
+                c = (b - a + 1) * T_sum / (n * (row[b] - row[a]))
+                if c > C_hat:
+                    C_hat = c
+                    where = {"trajectory": j, "window": (float(row[a]), float(row[b]))}
+    return C_hat, where
+
+
+def _times_scheme(times):
+    times = np.asarray(times, dtype=float)
+    return statmodel.ObservationScheme("snake", np.zeros((len(times), 2)), times, _noise2())
+
+
+@pytest.mark.parametrize("scheme", [
+    statmodel.build_stubble_scheme(6, 5, 0.1, _noise2()),  # every unit window ties
+    statmodel.build_snake_scheme([[0.0, 0.2], [0.0, 0.6]], [1.0, 3.0], 9, _noise2()),
+    _times_scheme(np.sort(np.random.default_rng(4).uniform(0.0, 2.0, (7, 12)), axis=1)),
+    _times_scheme([[0.1, 0.2, 0.4, 0.5], [0.3, 0.4, 0.6, 0.7], [0.2, 0.3, 0.5, 0.6]]),
+    _times_scheme([[0.1, np.nan, 0.5], [0.2, 0.3, 0.4]]),
+    _times_scheme([[0.5], [0.7]]),
+])
+def test_check_cover_time_equals_loop_reference(scheme):
+    rep = statmodel.check_cover_time(scheme)
+    C_hat, where = _check_cover_time_loop(scheme)
+    assert np.float64(rep.C_hat).tobytes() == np.float64(C_hat).tobytes()
+    assert rep.detail == where
+    if where:
+        assert type(rep.detail["trajectory"]) is int
+
+
 def test_scheme_kl_zero_for_identical_fields():
     fam = hypotheses.stubble_prob_family(2.0, 2, (2.0, 20.0), 100.0)
     sch = statmodel.build_stubble_scheme(6, 2, 0.1, _noise2())
