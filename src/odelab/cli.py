@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import flow as flow_mod
-from . import hypotheses, kernels, smoothness, statmodel
+from . import hypotheses, smoothness, statmodel
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -186,6 +186,14 @@ def _radius(cfg: dict, family: hypotheses.HypothesisFamily) -> float:
 # construct
 
 
+def _grid_points(first, second, d: int) -> np.ndarray:
+    """Points of R^d on the product grid first x second in (x_1, x_2), in row order; x_3.. = 0."""
+    pts = np.zeros((len(first) * len(second), d))
+    pts[:, 0] = np.repeat(first, len(second))
+    pts[:, 1] = np.tile(second, len(first))
+    return pts
+
+
 def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
     which = _get(cfg, "construction", "stubble-det")
     if which == "spiral":
@@ -200,12 +208,8 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
             "supnorm": spec.field.metadata["supnorm"],
         }
         _write_json(os.path.join(out, "construction.json"), desc)
-        grid = np.linspace(-2.0, 3.0, 41)
-        rows = []
-        for a in grid:
-            for b in np.linspace(-3.5, 1.5, 41):
-                v = spec.field(np.array([a, b]))
-                rows.append([float(a), float(b), float(v[0]), float(v[1])])
+        pts = _grid_points(np.linspace(-2.0, 3.0, 41), np.linspace(-3.5, 1.5, 41), 2)
+        rows = np.hstack([pts, spec.field(pts)]).tolist()
         _write_csv(os.path.join(out, "field_grid.csv"),
                    ["x1", "x2", "f1", "f2"], rows, comment=f"spiral K={K}")
         return _EXIT_OK
@@ -266,14 +270,8 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
         }
         _write_json(os.path.join(out, "construction.json"), desc)
         grid = np.linspace(0.0, 1.0, 41)
-        rows = []
-        for a in grid:
-            for b in grid:
-                p = np.zeros(d)
-                p[0], p[1] = a, b
-                v0 = pair.f0(p)
-                v1 = pair.f1(p)
-                rows.append([float(a), float(b), float(v0[0]), float(v1[0])])
+        pts = _grid_points(grid, grid, d)
+        rows = np.column_stack([pts[:, :2], pair.f0(pts)[:, 0], pair.f1(pts)[:, 0]]).tolist()
         _write_csv(os.path.join(out, "field_grid.csv"),
                    ["x1", "x2", "f0_1", "f1_1"], rows,
                    comment=f"snake-det beta={beta} delta={delta}")
@@ -561,7 +559,6 @@ def main(argv=None) -> int:
         hypotheses.DeltaTooLarge,
         smoothness.SlopeOutOfRange,
         statmodel.RadiusOutOfRange,
-        kernels.InvalidOffset,
     ) as exc:
         print(f"odelab: construction error: {exc}", file=sys.stderr)
         return _EXIT_BAD_CONFIG

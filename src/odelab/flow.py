@@ -54,7 +54,6 @@ class ModelFunction:
 
     dim: int
     eval: Callable
-    lipschitz_hint: Optional[float] = None
     closed_form_flow: Optional[Callable] = None
     metadata: dict = field(default_factory=dict)
 
@@ -72,12 +71,10 @@ class Trajectory:
     each on the whole (m, dim) batch.
     """
 
-    initial: np.ndarray
     t_span: tuple
     ts: np.ndarray          # strictly increasing
     states: np.ndarray      # (n, dim) or (n, m, dim)
     derivs: np.ndarray      # same shape, exactly eval(state) at each node
-    tolerance: float
     n_accepted: int = 0
     n_rejected: int = 0
     nfev: int = 0
@@ -172,8 +169,8 @@ def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
         ys, ds = ys[:, 0], ds[:, 0]
     if T < 0:
         ts, ys, ds = ts[::-1].copy(), ys[::-1].copy(), ds[::-1].copy()
-    return Trajectory(x0.reshape(-1) if single else x0, (0.0, float(T)), ts, ys, ds,
-                      tol, n_accepted, n_rejected, 1 + 6 * (n_accepted + n_rejected))
+    return Trajectory((0.0, float(T)), ts, ys, ds,
+                      n_accepted, n_rejected, 1 + 6 * (n_accepted + n_rejected))
 
 
 def flow_at(traj: Trajectory, t) -> np.ndarray:

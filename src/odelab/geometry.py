@@ -198,14 +198,15 @@ def tube_distance(points, tubes: Sequence[TubeSpec]) -> np.ndarray:
 
 
 def tube_cover_check(tubes: Sequence[TubeSpec], region, *, radius: Optional[float] = None,
-                     samples: int = 2048, slack: float = 1e-6) -> CoverReport:
+                     samples: int = 2048) -> CoverReport:
     """Do the tubes cover the region?  Checked on a deterministic point cloud.
 
     The cloud mixes a low-discrepancy net with the region's corners (the
     usual worst case for box coverings).  ``radius`` overrides every
     tube's radius for sensitivity sweeps.  The pass threshold absorbs the
     slice-sampling resolution (half the largest axial gap, with a safety
-    factor) so a genuinely covered region is not failed for discreteness.
+    factor, plus 1e-6 of the region's widest side, at least 1e-6) so a
+    genuinely covered region is not failed for discreteness.
     """
     reg = _as_region(region)
     d = len(reg)
@@ -220,7 +221,7 @@ def tube_cover_check(tubes: Sequence[TubeSpec], region, *, radius: Optional[floa
     dist, max_gap = _union_distance(pts, tubes)
     worst = int(dist.argmax())
     width = float((reg[:, 1] - reg[:, 0]).max())
-    threshold = slack * max(width, 1.0) + 0.75 * max_gap
+    threshold = 1e-6 * max(width, 1.0) + 0.75 * max_gap
     return CoverReport(
         passed=bool(dist[worst] <= threshold),
         worst_point=pts[worst],

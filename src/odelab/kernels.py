@@ -45,7 +45,6 @@ from numpy.polynomial import Polynomial
 
 __all__ = [
     "CalibrationFailed",
-    "InvalidOffset",
     "KernelSpec",
     "ScaledField",
     "standard_kernel",
@@ -68,10 +67,6 @@ _EDGE = 1e-12
 
 class CalibrationFailed(Exception):
     """No alpha on the search grid passed smoothness certification."""
-
-
-class InvalidOffset(Exception):
-    """|b| >= L_0 leaves no sup-norm headroom for the perturbation."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,9 +199,9 @@ def kernel_shape_eval(spec: KernelSpec, x):
 
 @dataclass(frozen=True)
 class ScaledField:
-    """Scalar perturbation x -> L r^beta h((x - z)/r) + b.
+    """Scalar perturbation x -> L r^beta h((x - z)/r).
 
-    Vanishes (equals b) outside the closed ball B(z, r).  Which output
+    Vanishes outside the closed ball B(z, r).  Which output
     coordinate of a vector field it perturbs is the caller's choice.
     """
 
@@ -214,7 +209,6 @@ class ScaledField:
     center: tuple
     radius: float
     amplitude: float
-    offset: float = 0.0
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -227,7 +221,7 @@ class ScaledField:
         z = np.asarray(self.center, dtype=float)
         w = (x - z) / self.radius
         scale = self.amplitude * self.radius**self.kernel.beta
-        return scale * kernel_shape_eval(self.kernel, w) + self.offset
+        return scale * kernel_shape_eval(self.kernel, w)
 
     __call__ = evaluate
 
@@ -278,29 +272,27 @@ def calibrate_alpha(beta: float, dim: int, kind: str) -> float:
     raise CalibrationFailed(f"no alpha in 2^-0..2^-39 certifies ({beta=}, {dim=}, {kind=})")
 
 
-@functools.lru_cache(maxsize=None)
 def shape_deriv_supnorm(spec: KernelSpec, order: int) -> float:
-    """Measured sup of |D^order h| for the unit shape (batch FD machinery)."""
-    from . import smoothness
+    """Measured sup of |D^order h| for the unit shape, order <= strict_floor(beta).
 
-    region = [(-1.0, 1.0)] * spec.dim
-    return smoothness.derivative_supnorm(
-        lambda pts: kernel_shape_eval(spec, pts), order, region
-    )
+    The cached alpha = 1 certification's measurement times alpha (bump) or
+    alpha^2 (pulse): the same finite-difference sup-norm as measuring the
+    shape directly, bit for bit when alpha is a power of two, as every
+    :func:`calibrate_alpha` result is.
+    """
+    unit = _unit_report(spec.beta, spec.dim, spec.kind)
+    scale = spec.alpha**2 if spec.kind == "pulse" else spec.alpha
+    return scale * unit.sup_measured[order]
 
 
-def r_max(beta: float, L, L_beta: float, kernel: KernelSpec, b: float = 0.0) -> float:
-    """Largest admissible scaling radius for the perturbation x -> L_beta r^beta h((x-z)/r) + b.
+def r_max(beta: float, L, L_beta: float, kernel: KernelSpec) -> float:
+    """Largest admissible scaling radius for the perturbation x -> L_beta r^beta h((x-z)/r).
 
-    min over k = 0..ell of ((L_k - |b|*[k==0]) / (L_beta ||D^k h||_inf))^(1/(beta-k)),
+    min over k = 0..ell of (L_k / (L_beta ||D^k h||_inf))^(1/(beta-k)),
     with the derivative sup-norms measured by finite differences.
     """
-    L = tuple(float(v) for v in L)
-    if abs(b) >= L[0]:
-        raise InvalidOffset(f"|b| = {abs(b)} >= L_0 = {L[0]}")
     terms = []
-    for k in range(len(L)):
-        head = L[k] - (abs(b) if k == 0 else 0.0)
+    for k, head in enumerate(float(v) for v in L):
         sup = shape_deriv_supnorm(kernel, k)
         if sup <= 0:
             continue  # derivative vanishes identically: no constraint

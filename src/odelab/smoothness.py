@@ -176,13 +176,14 @@ def _sample_box(reg: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, spacing
 
 
-def _direction_set(d: int, seed: int, extra: int = 8) -> np.ndarray:
+def _direction_set(d: int) -> np.ndarray:
+    """The axes, the diagonal and 8 random unit directions (seed 0)."""
     if d == 1:
         return np.ones((1, 1))
     dirs = [np.eye(d)[i] for i in range(d)]
     dirs.append(np.ones(d) / math.sqrt(d))
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(extra, d))
+    rng = np.random.default_rng(0)
+    raw = rng.normal(size=(8, d))
     dirs.extend(raw / np.linalg.norm(raw, axis=1, keepdims=True))
     return np.asarray(dirs)
 
@@ -202,7 +203,7 @@ def _directional_fd(fb, pts, v, order: int, h: float) -> np.ndarray:
     return acc / h**order
 
 
-def derivative_supnorm(f, order: int, region, *, budget: int = 4096, seed: int = 0) -> float:
+def derivative_supnorm(f, order: int, region, *, budget: int = 4096) -> float:
     """Estimated sup over the region of the order-th derivative's norm.
 
     Directional finite differences (central stencils, step 10^{-3/order}
@@ -215,7 +216,7 @@ def derivative_supnorm(f, order: int, region, *, budget: int = 4096, seed: int =
     fb = _scalar_batch(f)
     diam = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
     h = 10.0 ** (-3.0 / order) * diam if order else 0.0
-    dirs = _direction_set(reg.shape[0], seed)
+    dirs = _direction_set(reg.shape[0])
 
     def scan(pts):
         if order == 0:
@@ -237,18 +238,19 @@ def derivative_supnorm(f, order: int, region, *, budget: int = 4096, seed: int =
     return float(max(vals[i], scan(pts2).max()))
 
 
-def holder_quotient(f, ell: int, beta: float, region, *, pairs: int = 10**5, seed: int = 0) -> float:
+def holder_quotient(f, ell: int, beta: float, region, *, pairs: int = 10**5) -> float:
     """sup |D^ell f(x) - D^ell f(y)| / ||x-y||^(beta-ell) over sampled pairs.
 
     Half the pairs are global, half are short-range perturbations (the sup
     frequently sits at moderate separations; both regimes are covered).
+    The pairs and directions are drawn with seed 0.
     """
     reg = _as_region(region)
     d = reg.shape[0]
     fb = _scalar_batch(f)
     diam = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
     h = 10.0 ** (-3.0 / ell) * diam if ell else 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     widths = reg[:, 1] - reg[:, 0]
 
     half = pairs // 2
@@ -290,7 +292,6 @@ class ComponentReport:
 @dataclass
 class CertificationReport:
     cls: SmoothnessClass
-    slack: float
     components: list = field(default_factory=list)
 
     @property
@@ -317,7 +318,7 @@ def certify_membership(f, cls: SmoothnessClass, region, *, budget: int = 4096,
 
         return fj
 
-    report = CertificationReport(cls=cls, slack=MEMBERSHIP_SLACK)
+    report = CertificationReport(cls=cls)
     for j in range(cls.dim_out):
         fj = component(j)
         sups = [derivative_supnorm(fj, k, reg, budget=budget) for k in range(cls.ell + 1)]
@@ -417,15 +418,13 @@ def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: flo
 
 
 def chain_remainder_jet(amplitude: float, radius: float, phase: float, L0: float,
-                        beta: float, max_order: int = 4):
+                        beta: float):
     """Derivative callables (outer, inner) for Faà di Bruno on s = F o g^{-1}.
 
     outer[j] is the j-th derivative of F(u) = (2/3) L0 g'(u); inner[j] the
-    j-th derivative of g^{-1} (closed-form inverse-function derivatives,
-    supported to order 4).
+    j-th derivative of g^{-1} (closed-form inverse-function derivatives),
+    j = 0..4.
     """
-    if max_order > 4:
-        raise ValueError("inverse-derivative formulas supplied up to order 4")
     fld = chain_remainder_field(amplitude, radius, phase, L0, beta)
     g_inv = fld.metadata["g_inv"]
     speed = 2.0 / 3.0 * L0
@@ -440,12 +439,12 @@ def chain_remainder_jet(amplitude: float, radius: float, phase: float, L0: float
 
         return d
 
-    gd = [None] + [g_deriv(j) for j in range(1, max_order + 2)]
+    gd = [None] + [g_deriv(j) for j in range(1, 6)]
 
     def outer(j):
         return lambda u: speed * gd[j + 1](u)
 
-    outer_derivs = [outer(j) for j in range(0, max_order + 1)]
+    outer_derivs = [outer(j) for j in range(5)]
 
     def inner(j):
         def d(y):
@@ -466,5 +465,5 @@ def chain_remainder_jet(amplitude: float, radius: float, phase: float, L0: float
 
         return d
 
-    inner_derivs = [inner(j) for j in range(0, max_order + 1)]
+    inner_derivs = [inner(j) for j in range(5)]
     return outer_derivs, inner_derivs

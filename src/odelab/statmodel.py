@@ -103,19 +103,23 @@ class NoiseLaw:
 
 @dataclass(frozen=True, eq=False)
 class ObservationScheme:
-    """Initial conditions (m, d) and per-trajectory observation times (m, n)."""
+    """Initial conditions (m, d) and per-trajectory observation times (m, n).
+
+    Times must be finite, positive and strictly increasing along each row.
+    """
 
     kind: str
     initials: np.ndarray
     times: np.ndarray
     noise: NoiseLaw
-    delta_t: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "initials", np.atleast_2d(np.asarray(self.initials, float)))
         object.__setattr__(self, "times", np.atleast_2d(np.asarray(self.times, float)))
         if len(self.times) != len(self.initials):
             raise ValueError("one row of times per initial condition")
+        if not np.isfinite(self.times).all():
+            raise ValueError("times must be finite")
         if np.any(self.times <= 0) or np.any(np.diff(self.times, axis=1) <= 0):
             raise ValueError("times must be positive and strictly increasing")
 
@@ -153,7 +157,7 @@ def build_stubble_scheme(K_grid: int, n_per: int, delta_t: float,
     initials = np.stack([g.reshape(-1) for g in grids], axis=-1)
     row = delta_t * np.arange(1, n_per + 1)
     times = np.tile(row, (len(initials), 1))
-    return ObservationScheme("stubble", initials, times, noise, delta_t=delta_t)
+    return ObservationScheme("stubble", initials, times, noise)
 
 
 def build_snake_scheme(initials, horizons, n_per: int,
@@ -223,15 +227,13 @@ def check_cover_time(scheme: ObservationScheme, declared: float = 3.0) -> CoverC
     n, T_sum, times = scheme.n, scheme.T_sum, scheme.times
     a, b = np.triu_indices(times.shape[1], 1)  # windows in (a, b) loop order
     c = (b - a + 1) * T_sum / (n * (times[:, b] - times[:, a]))
-    c[np.isnan(c)] = -np.inf  # a NaN ratio never beats the running maximum
     C_hat, where = 0.0, {}
     if c.size:  # one time per trajectory: no window
-        # first maximum in (j, a, b) order, as a strict > scan keeps
+        # first maximum in (j, a, b) order, as a strict > scan keeps; every
+        # ratio is positive, as the times are finite and increasing
         j, i = np.unravel_index(int(np.argmax(c)), c.shape)
-        if c[j, i] > C_hat:
-            C_hat = float(c[j, i])
-            window = (float(times[j, a[i]]), float(times[j, b[i]]))
-            where = {"trajectory": int(j), "window": window}
+        C_hat = float(c[j, i])
+        where = {"trajectory": int(j), "window": (float(times[j, a[i]]), float(times[j, b[i]]))}
     return CoverCheck(
         passed=bool(C_hat <= declared * (1.0 + 1e-12)),
         C_hat=float(C_hat),
@@ -323,7 +325,7 @@ def _default_centers(scheme: ObservationScheme, r: float) -> np.ndarray:
 
 
 def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: float,
-                    *, z_candidates=None, tol: float = 1e-8) -> PsiChi:
+                    *, tol: float = 1e-8) -> PsiChi:
     """Measured per-observation discrepancy and hit count at radius r.
 
     psi_hat: max over candidate centers and observations of the flow
@@ -331,18 +333,18 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
     chi_hat: max over candidates of the number of observations whose
     reference point lands in B(z, r) -- initial conditions for the
     stubble design, observed states for the snake design.
+    The candidate centers are the cube's midpoint, the start nearest to
+    it, a shift of each by r/2, and three Halton points in [1/4, 3/4]^d.
     Only trajectories that can interact with the perturbation are
     integrated (in step, each under its own error test); the rest follow
     the null flow exactly and contribute zero deviation.
     """
-    if z_candidates is None:
-        z_candidates = _default_centers(scheme, r)
-    z_candidates = np.atleast_2d(np.asarray(z_candidates, float))
+    centers = _default_centers(scheme, r)
     x = scheme.initials
     psi_hat = 0.0
     chi_hat = 0
     detail = {}
-    for z in z_candidates:
+    for z in centers:
         alt = family.make_alternative(z, r)
         if family.kind == "stubble":
             active = np.linalg.norm(x - z, axis=1) <= r * (1.0 + 1e-9)
@@ -370,7 +372,7 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
             chi_hat = chi
             detail["chi_center"] = z.copy()
     return PsiChi(psi_hat=psi_hat, chi_hat=chi_hat,
-                  n_candidates=len(z_candidates), detail=detail)
+                  n_candidates=len(centers), detail=detail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,7 +383,6 @@ class MasterInstance:
     family: HypothesisFamily
     scheme: ObservationScheme
     gamma: float
-    zeta: float
     a_n: float
     C_noise: float
     d_q: int
@@ -410,7 +411,6 @@ def master_instance_stubble(family: HypothesisFamily, scheme: ObservationScheme,
         family=family,
         scheme=scheme,
         gamma=2.0 * beta + d,
-        zeta=beta,
         a_n=a_n,
         C_noise=scheme.noise.C_noise,
         d_q=d,
@@ -454,7 +454,6 @@ def master_instance_snake(family: HypothesisFamily, scheme: ObservationScheme,
         family=family,
         scheme=scheme,
         gamma=gamma,
-        zeta=beta + 1.0,
         a_n=a_n,
         C_noise=scheme.noise.C_noise,
         d_q=d,
@@ -611,7 +610,6 @@ def expectation_reduction(prob_bound: float, separation: float,
 class RateSpec:
     beta: float
     d: int
-    L: Optional[float] = None
     n: Optional[int] = None
     m: Optional[int] = None
     n_max: Optional[int] = None

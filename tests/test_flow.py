@@ -17,7 +17,7 @@ def _rotation_field():
     def ev(x):
         return np.asarray(x, dtype=float) @ M.T
 
-    return flow.ModelFunction(dim=2, eval=ev, lipschitz_hint=1.0)
+    return flow.ModelFunction(dim=2, eval=ev)
 
 
 def test_integrate_linear_matches_exponential():

@@ -134,9 +134,9 @@ def test_union_distance_pruning_is_exact_on_random_tubes(seed, n_tubes, d):
     for _ in range(n_tubes):
         n = int(rng.integers(2, 30))
         ts = np.cumsum(rng.uniform(0.01, 0.2, size=n)) - 0.01
-        traj = flow.Trajectory(initial=np.zeros(d), t_span=(ts[0], ts[-1]), ts=ts,
+        traj = flow.Trajectory(t_span=(ts[0], ts[-1]), ts=ts,
                                states=np.cumsum(rng.normal(scale=0.1, size=(n, d)), axis=0),
-                               derivs=rng.normal(size=(n, d)), tolerance=1e-10)
+                               derivs=rng.normal(size=(n, d)))
         tubes.append(geometry.TubeSpec(traj, float(rng.uniform(1e-3, 0.3))))
     pts = np.vstack([_box_points(tubes, rng), rng.uniform(-1.0, 1.0, size=(64, d)),
                      geometry._slices(tubes[0].trajectory)[1][::50]])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from odelab import flow, hypotheses
+from odelab import flow, geometry, hypotheses
 
 STUBBLE_CLASS = dict(beta=1.5, L=(2.0, 300.0), L_beta=6500.0)
 SNAKE_CLASS = dict(beta=2.0, L=(2.0, 20.0), L_beta=100.0)
@@ -42,6 +42,19 @@ def test_stubble_det_separation_attained(det_pair):
     md = det_pair.metadata
     floor = md["separation_constant"] * md["L0"] ** (STUBBLE_CLASS["beta"] + 1.0) * 0.05 ** STUBBLE_CLASS["beta"]
     assert det_pair.claimed_separation >= floor * (1.0 - 1e-9)
+
+
+def test_separation_floor_fails_below_unit_amplitude():
+    # at L_beta = 200 the certified amplitude is about 0.80, so the claim
+    # falls short of the amplitude-free floor (the claim at amplitude 1)
+    beta, dt = STUBBLE_CLASS["beta"], 0.05
+    pair = hypotheses.stubble_det_pair(beta, 1, STUBBLE_CLASS["L"], 200.0, dt, np.array([0.5]))
+    md = pair.metadata
+    assert md["amplitude"] < 1.0
+    checks = {name: rec for name, *rec in hypotheses.stubble_det_checks(pair, np.array([[0.4]]))}
+    floor = md["separation_constant"] * md["L0"] ** (beta + 1.0) * dt**beta
+    assert checks["separation-floor"] == [False, pair.claimed_separation, floor]
+    assert checks["grid-coincidence"][0] and checks["separation-attained"][0]
 
 
 def test_irrational_timestep_breaks_coincidence(det_pair):
@@ -133,6 +146,21 @@ def test_snake_det_attains_claimed_separation(d, delta):
     )
     gap = np.linalg.norm(pair.f1.eval(pair.x0) - pair.f0.eval(pair.x0))
     assert gap >= pair.claimed_separation
+
+
+@pytest.mark.parametrize("d,delta,x0", [
+    (2, 0.1, [0.5, 0.5]), (3, 0.2, [0.5] * 3), (2, 0.05, [0.5, 0.5]), (3, 0.1, [0.5] * 3),
+    (2, 0.1, [0.31, 0.77]), (3, 0.15, [0.2, 0.64, 0.45]), (4, 0.3, [0.5, 0.13, 0.58, 0.91]),
+])
+def test_snake_det_clearance_is_min_distance(d, delta, x0):
+    # the per-axis clearance against the full pairwise minimum it replaced
+    pair, initials, _ = hypotheses.snake_det_pair(
+        SNAKE_CLASS["beta"], d, SNAKE_CLASS["L"], SNAKE_CLASS["L_beta"], delta, np.array(x0))
+    centers = pair.f1.metadata["centers"]
+    clearance = pair.metadata["clearance"]
+    assert clearance == geometry.min_distance(initials[:, 1:], centers[:, 1:])
+    # every transverse offset is an odd multiple of r
+    assert clearance == pytest.approx(pair.metadata["radius"] * np.sqrt(d - 1), rel=1e-12)
 
 
 def test_snake_det_delta_guard():

@@ -52,7 +52,6 @@ def test_stubble_scheme_frozen_shape():
     assert sch.n_max == 3
     assert sch.T_max == pytest.approx(0.3, rel=1e-12)
     assert sch.T_sum == pytest.approx(120.0, rel=1e-12)
-    assert sch.delta_t == 0.1
     # cell-centered grid stays off the boundary
     assert sch.initials.min() > 0.0 and sch.initials.max() < 1.0
 
@@ -149,7 +148,6 @@ def _times_scheme(times):
     statmodel.build_snake_scheme([[0.0, 0.2], [0.0, 0.6]], [1.0, 3.0], 9, _noise2()),
     _times_scheme(np.sort(np.random.default_rng(4).uniform(0.0, 2.0, (7, 12)), axis=1)),
     _times_scheme([[0.1, 0.2, 0.4, 0.5], [0.3, 0.4, 0.6, 0.7], [0.2, 0.3, 0.5, 0.6]]),
-    _times_scheme([[0.1, np.nan, 0.5], [0.2, 0.3, 0.4]]),
     _times_scheme([[0.5], [0.7]]),
 ])
 def test_check_cover_time_equals_loop_reference(scheme):
@@ -159,6 +157,14 @@ def test_check_cover_time_equals_loop_reference(scheme):
     assert rep.detail == where
     if where:
         assert type(rep.detail["trajectory"]) is int
+
+
+@pytest.mark.parametrize("row", [[0.1, np.nan, 0.5], [0.1, 0.3, np.inf]])
+def test_scheme_rejects_non_finite_times(row):
+    # a NaN time made every window ratio NaN, and check_cover_time passed
+    # with C_hat 0.0 however small the declared constant
+    with pytest.raises(ValueError, match="finite"):
+        _times_scheme([row, [0.2, 0.3, 0.4]])
 
 
 def test_scheme_kl_zero_for_identical_fields():
@@ -329,7 +335,7 @@ def test_expectation_reduction():
 
 # --- rate algebra ---------------------------------------------------------
 
-FULL_SPEC = statmodel.RateSpec(beta=2.0, d=2, L=1.0, n=4096, m=400, n_max=3,
+FULL_SPEC = statmodel.RateSpec(beta=2.0, d=2, n=4096, m=400, n_max=3,
                                T_max=0.3, T_sum=120.0, step=0.1, delta=0.1)
 
 RATE_FROZEN = {
