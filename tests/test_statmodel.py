@@ -148,6 +148,7 @@ def _times_scheme(times):
     statmodel.build_snake_scheme([[0.0, 0.2], [0.0, 0.6]], [1.0, 3.0], 9, _noise2()),
     _times_scheme(np.sort(np.random.default_rng(4).uniform(0.0, 2.0, (7, 12)), axis=1)),
     _times_scheme([[0.1, 0.2, 0.4, 0.5], [0.3, 0.4, 0.6, 0.7], [0.2, 0.3, 0.5, 0.6]]),
+    _times_scheme([[0.1, 0.15, 0.5], [0.2, 0.3, 0.4]]),  # one tight window leads
     _times_scheme([[0.5], [0.7]]),
 ])
 def test_check_cover_time_equals_loop_reference(scheme):
