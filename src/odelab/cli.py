@@ -416,7 +416,7 @@ _SUITES = {
 
 def _cmd_verify(cfg: dict, out: str, seed: int) -> int:
     suite = _get(cfg, "suite", required=True)
-    if suite not in _SUITES:
+    if not isinstance(suite, str) or suite not in _SUITES:
         raise ConfigError(f"unknown suite '{suite}' (use {'|'.join(sorted(_SUITES))})")
     checks = []  # a record's None measured value or limit is left out of the report
     for name, ok, measured, limit in _SUITES[suite](cfg, seed):

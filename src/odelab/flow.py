@@ -133,15 +133,17 @@ def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
     if T != 0:
         direction = 1.0 if T > 0 else -1.0
         t = 0.0
-        h = direction * min(abs(T), max(1e-8, float(np.min(
-            0.01 * (1.0 + _row_norms(y)) / (_row_norms(K[0]) + 1e-12)))))
+        h = direction * max(1e-8, float(np.min(
+            0.01 * (1.0 + _row_norms(y)) / (_row_norms(K[0]) + 1e-12))))
         while (T - t) * direction > 0:
             if n_accepted + n_rejected >= _MAX_STEPS:
                 raise RuntimeError("step budget exhausted; field badly scaled?")
-            if abs(h) > abs(T - t):
-                h = T - t
+            # the step the error control asks for; clipping it to a leftover
+            # T - t below rounding level of t is no stall
             if abs(h) < 1e-14 * max(1.0, abs(t)):
                 raise StepsizeUnderflow(f"step {h:.3e} at t = {t:.6g}")
+            if abs(h) > abs(T - t):
+                h = T - t
 
             for i in range(1, 7):
                 yi = y + h * (_A[i, :i] * K[:i]).sum(axis=0)

@@ -86,6 +86,9 @@ def halton(n: int, d: int) -> np.ndarray:
     return out
 
 
+_MIN_DISTANCE_ROWS = 64
+
+
 def min_distance(a, b=None) -> float:
     """Smallest Euclidean distance from a row of ``a`` to a row of ``b``.
 
@@ -94,10 +97,16 @@ def min_distance(a, b=None) -> float:
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     other = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
-    dist = np.sqrt(((a[:, None, :] - other[None, :, :]) ** 2).sum(axis=-1))
-    if b is None:
-        dist[np.diag_indices(len(a))] = math.inf
-    return float(dist.min()) if dist.size else math.inf
+    # a block of rows of a at a time: the difference array grows as len(other), not m^2
+    block_mins = []
+    for lo in range(0, len(a), _MIN_DISTANCE_ROWS):
+        rows = a[lo:lo + _MIN_DISTANCE_ROWS]
+        dist = np.sqrt(((rows[:, None, :] - other[None, :, :]) ** 2).sum(axis=-1))
+        if b is None:
+            dist[np.arange(len(rows)), lo + np.arange(len(rows))] = math.inf
+        if dist.size:
+            block_mins.append(dist.min())
+    return float(np.min(block_mins)) if block_mins else math.inf
 
 
 _DENSE = 512   # evenly spaced slice times, merged with the trajectory's nodes

@@ -169,18 +169,20 @@ def _calibrated(beta: float, d: int, L, L_beta: float, shape: str):
 def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: float,
                      amplitude: float, axis: int, coef: float,
                      metadata: dict) -> ModelFunction:
-    """drift + coef * sum_i ScaledField(z_i, r, amplitude) on output coordinate ``axis``."""
-    perts = [
-        kernels.ScaledField(kernel=spec, center=zi, radius=r, amplitude=amplitude)
-        for zi in centers
-    ]
+    """drift + coef * sum_i amplitude r^beta h((x - z_i)/r) on output coordinate ``axis``.
+
+    h is the unit shape of ``spec`` (:func:`kernels.kernel_shape_eval`), so
+    the term of center z_i vanishes outside the closed ball B(z_i, r).
+    """
+    scale = amplitude * r**spec.beta
+    zs = [np.asarray(z, dtype=float) for z in centers]
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         out[...] = drift
-        for p in perts:
-            out[..., axis] += coef * p(x)
+        for z in zs:
+            out[..., axis] += coef * (scale * kernels.kernel_shape_eval(spec, (x - z) / r))
         return out
 
     return ModelFunction(dim=spec.dim, eval=evaluate, metadata=metadata)
@@ -271,7 +273,10 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
         raise smoothness.SlopeOutOfRange(
             f"time step {delta_t} gives period {r:.3g}; no admissible amplitude"
         )
-    amp_slope_cap = 0.5 / (r**beta * per_prime) * (1.0 - 1e-12)
+    r_beta = r**beta
+    if r_beta == 0.0:  # the period is so short that every amplitude scale underflows
+        raise ClassTooTight(f"time step {delta_t} gives period {r:.3g}, and r^beta = 0")
+    amp_slope_cap = 0.5 / (r_beta * per_prime) * (1.0 - 1e-12)
 
     def certifies(amp: float, *, fast: bool = True) -> bool:
         fld = smoothness.chain_remainder_field(amp, r, 0.0, L0, beta)

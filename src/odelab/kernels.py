@@ -46,13 +46,10 @@ from numpy.polynomial import Polynomial
 __all__ = [
     "CalibrationFailed",
     "KernelSpec",
-    "ScaledField",
     "standard_kernel",
     "standard_kernel_deriv",
     "periodic_kernel",
     "periodic_kernel_deriv",
-    "bump_eval",
-    "pulse_eval",
     "kernel_shape_eval",
     "calibrate_alpha",
     "r_max",
@@ -167,63 +164,26 @@ class KernelSpec:
             raise ValueError("dim must be >= 1")
 
 
-def bump_eval(spec: KernelSpec, x):
-    """alpha * K(||x||): radial, C^infinity, support the closed unit ball."""
-    if spec.kind != "bump":
-        raise ValueError("bump_eval needs a bump KernelSpec")
-    x = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(np.atleast_1d(x), axis=-1) if x.ndim else np.abs(x)
-    return spec.alpha * standard_kernel(nrm)
+def kernel_shape_eval(spec: KernelSpec, w):
+    """The unit shape h of ``spec`` at w: a point (dim,) gives a float, a batch (..., dim) values.
 
-
-def pulse_eval(spec: KernelSpec, x):
-    """(alpha K)(||x||) * (alpha K)'(x_1): odd in x_1, zero at x_1 = 0."""
-    if spec.kind != "pulse":
-        raise ValueError("pulse_eval needs a pulse KernelSpec")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    nrm = np.linalg.norm(x, axis=-1)
-    # Both factors are evaluated only where K(||x||) can be non-zero;
-    # elsewhere the product is an unsigned 0.
+    * bump: alpha K(||w||), radial and C^infinity, support the closed unit ball;
+    * pulse: (alpha K)(||w||) (alpha K)'(w_1), odd in w_1 and zero at w_1 = 0.
+      Both factors are evaluated only where K(||w||) can be non-zero;
+      elsewhere the product is an unsigned 0.
+    """
+    w = np.asarray(w, dtype=float)
+    if spec.kind == "bump":
+        nrm = np.linalg.norm(np.atleast_1d(w), axis=-1) if w.ndim else np.abs(w)
+        return spec.alpha * standard_kernel(nrm)
+    w = np.atleast_1d(w)
+    nrm = np.linalg.norm(w, axis=-1)
     live = 1.0 - nrm * nrm > _EDGE
     val = np.zeros_like(nrm)
     if live.any():
         val[live] = ((spec.alpha * standard_kernel(nrm[live]))
-                     * (spec.alpha * standard_kernel_deriv(x[..., 0][live], 1)))
+                     * (spec.alpha * standard_kernel_deriv(w[..., 0][live], 1)))
     return float(val) if val.ndim == 0 else val
-
-
-def kernel_shape_eval(spec: KernelSpec, x):
-    """Dispatch on spec.kind."""
-    return bump_eval(spec, x) if spec.kind == "bump" else pulse_eval(spec, x)
-
-
-@dataclass(frozen=True)
-class ScaledField:
-    """Scalar perturbation x -> L r^beta h((x - z)/r).
-
-    Vanishes outside the closed ball B(z, r).  Which output
-    coordinate of a vector field it perturbs is the caller's choice.
-    """
-
-    kernel: KernelSpec
-    center: tuple
-    radius: float
-    amplitude: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be > 0")
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(self.center, dtype=float)
-        w = (x - z) / self.radius
-        scale = self.amplitude * self.radius**self.kernel.beta
-        return scale * kernel_shape_eval(self.kernel, w)
-
-    __call__ = evaluate
 
 
 @functools.lru_cache(maxsize=None)

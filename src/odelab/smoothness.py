@@ -150,14 +150,9 @@ def faa_di_bruno(f_derivs, g_derivs, k: int, x: float) -> float:
     return total
 
 
-def _scalar_batch(f):
-    """Adapt f to map (N, d) -> (N,) float."""
-
-    def call(pts):
-        out = np.asarray(f(pts), dtype=float)
-        return out.reshape(pts.shape[0])
-
-    return call
+def _columns(f, pts: np.ndarray) -> np.ndarray:
+    """f at the points (N, d) as an (N, k) float array: column j is output component j."""
+    return np.asarray(f(pts), dtype=float).reshape(pts.shape[0], -1)
 
 
 def _sample_box(reg: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,66 +183,72 @@ def _direction_set(d: int) -> np.ndarray:
     return np.asarray(dirs)
 
 
-def _directional_fd(fb, pts, v, order: int, h: float) -> np.ndarray:
-    """Central stencil for the order-th derivative along v at each point.
+def _directional_fd(f, pts, v, order: int, h: float) -> np.ndarray:
+    """Central stencil for the order-th derivative along v: (N, k) for k outputs.
 
-    ``v`` is one direction (d,) or one direction per point (N, d).
+    ``v`` is one direction (d,) or one direction per point (N, d).  Each
+    stencil offset evaluates f once, for every output component.
     """
     if order == 0:
-        return fb(pts)
-    acc = np.zeros(pts.shape[0])
+        return _columns(f, pts)
+    acc = 0.0
     for i in range(order + 1):
         coeff = (-1.0) ** i * math.comb(order, i)
         offset = (order / 2.0 - i) * h
-        acc += coeff * fb(pts + offset * v)
+        acc = acc + coeff * _columns(f, pts + offset * v)
     return acc / h**order
 
 
-def derivative_supnorm(f, order: int, region, *, budget: int = 4096) -> float:
-    """Estimated sup over the region of the order-th derivative's norm.
+def derivative_supnorm(f, order: int, region, *, budget: int = 4096) -> list:
+    """Estimated sup over the region of the order-th derivative's norm, per output.
 
-    Directional finite differences (central stencils, step 10^{-3/order}
-    times the region diameter) maximized over a deterministic point mesh,
-    a fixed direction set, and one refinement pass around the argmax.
+    f maps (N, d) points to (N,) or (N, k) values; the result lists one sup
+    per output component (one for an (N,) field).  Directional finite
+    differences (central stencils, step 10^{-3/order} times the region
+    diameter) maximized over a deterministic point mesh, a fixed direction
+    set, and one refinement pass around each component's argmax.  Each
+    point set is evaluated once for all components; the refinement boxes of
+    all components are stacked into one.
     """
     if order > MAX_SUPNORM_ORDER:
         raise ValueError(f"derivative_supnorm supports orders 0..{MAX_SUPNORM_ORDER}")
     reg = _as_region(region)
-    fb = _scalar_batch(f)
     diam = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
     h = 10.0 ** (-3.0 / order) * diam if order else 0.0
     dirs = _direction_set(reg.shape[0])
 
     def scan(pts):
         if order == 0:
-            return np.abs(fb(pts))
-        best = np.zeros(pts.shape[0])
+            return np.abs(_columns(f, pts))
+        best = 0.0
         for v in dirs:
-            best = np.maximum(best, np.abs(_directional_fd(fb, pts, v, order, h)))
+            best = np.maximum(best, np.abs(_directional_fd(f, pts, v, order, h)))
         return best
 
     pts, spacing = _sample_box(reg, budget)
     vals = scan(pts)
-    i = int(np.argmax(vals))
-    local = np.stack(
-        [np.clip(pts[i] - spacing, reg[:, 0], reg[:, 1]),
-         np.clip(pts[i] + spacing, reg[:, 0], reg[:, 1])],
-        axis=-1,
-    )
-    pts2, _ = _sample_box(local, min(budget, 729))
-    return float(max(vals[i], scan(pts2).max()))
+    peaks = np.argmax(vals, axis=0)
+    boxes = [
+        _sample_box(np.stack([np.clip(pts[i] - spacing, reg[:, 0], reg[:, 1]),
+                              np.clip(pts[i] + spacing, reg[:, 0], reg[:, 1])], axis=-1),
+                    min(budget, 729))[0]
+        for i in peaks
+    ]
+    refined = scan(np.concatenate(boxes)).reshape(len(boxes), -1, vals.shape[1])
+    return [float(max(vals[i, j], refined[j, :, j].max())) for j, i in enumerate(peaks)]
 
 
-def holder_quotient(f, ell: int, beta: float, region, *, pairs: int = 10**5) -> float:
-    """sup |D^ell f(x) - D^ell f(y)| / ||x-y||^(beta-ell) over sampled pairs.
+def holder_quotient(f, ell: int, beta: float, region, *, pairs: int = 10**5) -> list:
+    """sup |D^ell f(x) - D^ell f(y)| / ||x-y||^(beta-ell) over sampled pairs, per output.
 
+    f maps (N, d) points to (N,) or (N, k) values; the result lists one
+    quotient per output component, from one evaluation of each point set.
     Half the pairs are global, half are short-range perturbations (the sup
     frequently sits at moderate separations; both regimes are covered).
     The pairs and directions are drawn with seed 0.
     """
     reg = _as_region(region)
     d = reg.shape[0]
-    fb = _scalar_batch(f)
     diam = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
     h = 10.0 ** (-3.0 / ell) * diam if ell else 0.0
     rng = np.random.default_rng(0)
@@ -268,12 +269,12 @@ def holder_quotient(f, ell: int, beta: float, region, *, pairs: int = 10**5) -> 
         dirs = rng.normal(size=(pairs, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    dx = _directional_fd(fb, xs, dirs, ell, h)
-    dy = _directional_fd(fb, ys, dirs, ell, h)
+    dx = _directional_fd(f, xs, dirs, ell, h)
+    dy = _directional_fd(f, ys, dirs, ell, h)
     sep = np.linalg.norm(xs - ys, axis=1)
     keep = sep > 1e-10 * diam
-    quot = np.abs(dx[keep] - dy[keep]) / sep[keep] ** (beta - ell)
-    return float(quot.max()) if quot.size else 0.0
+    quot = np.abs(dx[keep] - dy[keep]) / (sep[keep] ** (beta - ell))[:, None]
+    return quot.max(axis=0, initial=0.0).tolist()
 
 
 @dataclass
@@ -303,35 +304,23 @@ def certify_membership(f, cls: SmoothnessClass, region, *, budget: int = 4096,
                        pairs: int = 10**5) -> CertificationReport:
     """Numerical membership check of a field against its declared class.
 
-    Per output component: measured ||D^k f_j||_inf <= L_k for k = 0..ell and
-    Hölder quotient of D^ell f_j <= L_beta (1 + slack).  Report-carrying;
-    never raises on failure.
+    Per output component f_j, j < dim_out: measured ||D^k f_j||_inf <= L_k
+    for k = 0..ell and Hölder quotient of D^ell f_j <= L_beta (1 + slack).
+    Every point set is evaluated once for all components; f_j is column j
+    of the values.  Report-carrying; never raises on failure.
     """
     reg = _as_region(region)
-
-    def component(j):
-        def fj(pts):
-            out = np.asarray(f(pts), dtype=float)
-            if out.ndim == 1:
-                out = out[:, None]
-            return out[:, j]
-
-        return fj
-
-    report = CertificationReport(cls=cls)
-    for j in range(cls.dim_out):
-        fj = component(j)
-        sups = [derivative_supnorm(fj, k, reg, budget=budget) for k in range(cls.ell + 1)]
-        holder = holder_quotient(fj, cls.ell, cls.beta, reg, pairs=pairs)
-        report.components.append(
-            ComponentReport(
-                sup_measured=sups,
-                sup_limits=list(cls.L),
-                holder_measured=holder,
-                holder_limit=cls.L_beta * (1.0 + MEMBERSHIP_SLACK),
-            )
+    sups = [derivative_supnorm(f, k, reg, budget=budget) for k in range(cls.ell + 1)]
+    holder = holder_quotient(f, cls.ell, cls.beta, reg, pairs=pairs)
+    return CertificationReport(cls=cls, components=[
+        ComponentReport(
+            sup_measured=[s[j] for s in sups],
+            sup_limits=list(cls.L),
+            holder_measured=holder[j],
+            holder_limit=cls.L_beta * (1.0 + MEMBERSHIP_SLACK),
         )
-    return report
+        for j in range(cls.dim_out)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import odelab
-from odelab import hypotheses, kernels, smoothness, statmodel
+from odelab import hypotheses, smoothness, statmodel
 
 PHI_MINUS_HALF = 0.3085375387259869  # Phi(-1/2), mpmath 22 digits
 BELL = [1, 2, 5, 15, 52, 203]
@@ -246,14 +246,9 @@ def test_criterion_10_smoothness_certification():
     bad_r = 4.0 * fam.rho_plus
     with pytest.raises(ValueError):
         fam.make_alternative(np.array([0.5, 0.5]), bad_r)
-    bump = kernels.ScaledField(kernel=fam.kernel, center=(0.5, 0.5), radius=bad_r,
-                               amplitude=BUMP_CLASS["L_beta"])
-
-    def cheat(x):  # build the alternative by hand, bypassing the radius guard
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = bump(x)
-        return out
+    # build the alternative by hand, bypassing the radius guard
+    cheat = hypotheses._perturbed_field(fam.kernel, np.zeros(2), [(0.5, 0.5)], bad_r,
+                                        BUMP_CLASS["L_beta"], 0, 1.0, {})
 
     wide = ((0.5 - bad_r, 0.5 + bad_r), (0.5 - bad_r, 0.5 + bad_r))
     rep_bad = smoothness.certify_membership(cheat, fam.smoothness_class, wide,

@@ -87,6 +87,7 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("experiment", {"kl": 1e308}),
     ("rates", {"beta": 2.0, "n": {"start": 0, "stop": 10, "num": 3}}),
     ("rates", {"beta": 2.0, "n": {"start": 10, "stop": -100, "num": 3}}),
+    ("verify", {"suite": []}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)
@@ -94,6 +95,26 @@ def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     err = capsys.readouterr().err
     assert "odelab: config error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("construct", {"construction": "stubble-det", "beta": 2.5, "delta_t": 1e-300}),
+    ("verify", {"suite": "coincidence", "beta": 1.5, "delta_t": 1e-300}),
+])
+def test_underflowing_period_is_a_construction_error(tmp_path, capsys, command, payload):
+    # r^beta underflows to 0, which left no amplitude cap to divide by
+    cfg = _cfg(tmp_path, payload)
+    assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "odelab: construction error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["symmetry", "gronwall"])
+def test_radius_below_rounding_integrates(tmp_path, suite):
+    # the flow spans 4r / L_0, far below 1e-14: one step, no StepsizeUnderflow
+    cfg = _cfg(tmp_path, {"suite": suite, "beta": 2.0, "r": 1e-300})
+    assert _run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
 
 def test_unknown_subcommand_exits_two():

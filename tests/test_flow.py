@@ -194,3 +194,24 @@ def test_batched_start_shapes():
     assert flow.flow_at(still, np.zeros(2)).shape == (2, 3, 2)
     with pytest.raises(ValueError):
         flow.integrate(f, starts[None], 1.0, 1e-9)
+
+
+def _unit_drift():
+    return flow.ModelFunction(dim=1, eval=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+
+
+# T values whose second-to-last step lands a few ulps short of T; the last
+# step is then clipped to that leftover, below 1e-14 * t
+@pytest.mark.parametrize("T,x0", [(28.468728879038796, 0.3), (215.61729889563654, 0.3),
+                                  (1.9603095593968083, 7.0)])
+def test_last_step_clipped_below_rounding_is_no_underflow(T, x0):
+    traj = flow.integrate(_unit_drift(), np.array([x0]), T, 1e-10)
+    assert traj.ts[-1] == T
+    assert flow.final_state(traj)[0] == pytest.approx(x0 + T, rel=1e-14)
+
+
+@pytest.mark.parametrize("T", [1e-300, -1e-20, 5e-15])
+def test_span_below_rounding_is_one_step(T):
+    traj = flow.integrate(_unit_drift(), np.array([0.3]), T, 1e-10)
+    assert (traj.n_accepted, traj.n_rejected) == (1, 0)
+    assert flow.final_state(traj)[0] == 0.3 + T

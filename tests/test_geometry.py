@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,3 +257,40 @@ def test_min_distance_pairs_and_cross_sets():
     assert geometry.min_distance(pts) == 1.0
     assert geometry.min_distance(pts[:1]) == np.inf
     assert geometry.min_distance(pts[:2], np.array([[3.0, 0.0]])) == 3.0
+
+
+def _one_shot_min_distance(a, b=None):
+    """The whole m x m' x d difference array at once."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    other = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
+    dist = np.sqrt(((a[:, None, :] - other[None, :, :]) ** 2).sum(axis=-1))
+    if b is None:
+        dist[np.diag_indices(len(a))] = np.inf
+    return float(dist.min()) if dist.size else np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 200), k=st.integers(0, 70), d=st.integers(1, 12),
+       seed=st.integers(0, 2**31))
+def test_min_distance_is_bitwise_the_one_shot_formula(m, k, d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, d))
+    a[: m // 3] = np.round(a[: m // 3], 1)  # some repeated rows: zero distances
+    b = rng.normal(size=(k, d))
+    assert geometry.min_distance(a) == _one_shot_min_distance(a)
+    assert geometry.min_distance(a, b) == _one_shot_min_distance(a, b)
+
+
+def test_min_distance_memory_is_linear_in_the_rows():
+    _, initials, _ = hypotheses.snake_det_pair(2.0, 4, (2, 20), 100, 0.1, np.full(4, 0.5))
+    transverse = initials[:, 1:]
+    assert transverse.shape == (1331, 3)
+    tracemalloc.start()
+    try:
+        pitch = geometry.min_distance(transverse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the one-shot 1331 x 1331 x 3 difference array alone is 42.5 MB
+    assert peak < 8e6
+    assert pitch == _one_shot_min_distance(transverse)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
-from odelab import kernels, smoothness
+from odelab import hypotheses, kernels, smoothness
 
 # Reference suprema of |K^(j)| on (-1, 1) for K(w) = exp(-1/(1-w^2)),
 # computed with mpmath at 50 digits (golden-section polish of a 4000-point
@@ -217,13 +217,13 @@ def _bump_spec(beta=2.0, d=2):
 
 def test_bump_eval_support_and_center():
     spec = _bump_spec()
-    assert kernels.bump_eval(spec, np.zeros(2)) == pytest.approx(
+    assert kernels.kernel_shape_eval(spec, np.zeros(2)) == pytest.approx(
         0.125 * np.exp(-1.0), rel=1e-14
     )
     # compactly supported in the unit ball
-    assert kernels.bump_eval(spec, np.array([1.0, 0.0])) == 0.0
-    assert kernels.bump_eval(spec, np.array([0.8, 0.8])) == 0.0
-    batch = kernels.bump_eval(spec, np.array([[0.0, 0.0], [2.0, 0.0]]))
+    assert kernels.kernel_shape_eval(spec, np.array([1.0, 0.0])) == 0.0
+    assert kernels.kernel_shape_eval(spec, np.array([0.8, 0.8])) == 0.0
+    batch = kernels.kernel_shape_eval(spec, np.array([[0.0, 0.0], [2.0, 0.0]]))
     assert batch.shape == (2,) and batch[1] == 0.0
 
 
@@ -231,11 +231,12 @@ def test_pulse_eval_shape_and_scalar():
     spec = kernels.KernelSpec(
         beta=2.0, alpha=kernels.calibrate_alpha(2.0, 2, "pulse"), kind="pulse", dim=2
     )
-    v = kernels.pulse_eval(spec, np.array([0.3, -0.2]))
+    v = kernels.kernel_shape_eval(spec, np.array([0.3, -0.2]))
     assert isinstance(v, float)
     # odd in the first coordinate, vanishes on the symmetry plane
-    assert kernels.pulse_eval(spec, np.array([0.0, 0.4])) == pytest.approx(0.0, abs=1e-15)
-    assert kernels.pulse_eval(spec, np.array([-0.3, -0.2])) == pytest.approx(-v, rel=1e-13)
+    shape = functools.partial(kernels.kernel_shape_eval, spec)
+    assert shape(np.array([0.0, 0.4])) == pytest.approx(0.0, abs=1e-15)
+    assert shape(np.array([-0.3, -0.2])) == pytest.approx(-v, rel=1e-13)
 
 
 def test_r_max_frozen_and_monotone():
@@ -248,7 +249,11 @@ def test_r_max_frozen_and_monotone():
 
 def test_scaled_field_translation_and_amplitude():
     spec = _bump_spec()
-    f = kernels.ScaledField(kernel=spec, center=(0.3, 0.4), radius=0.2, amplitude=5.0)
+    field = hypotheses._perturbed_field(spec, np.zeros(2), [(0.3, 0.4)], 0.2, 5.0, 0, 1.0, {})
+
+    def f(x):  # the perturbed output coordinate
+        return field(x)[..., 0]
+
     # value at the center is L r^beta h(0)
     assert f(np.array([0.3, 0.4])) == pytest.approx(
         5.0 * 0.2**2 * 0.125 * np.exp(-1.0), rel=1e-13
@@ -277,7 +282,7 @@ def test_shape_deriv_supnorm_is_bitwise_the_direct_measurement(beta, d, kind):
                               kind=kind, dim=d)
     for k in range(smoothness.strict_floor(beta) + 1):
         direct = smoothness.derivative_supnorm(
-            lambda pts: kernels.kernel_shape_eval(spec, pts), k, [(-1.0, 1.0)] * d)
+            lambda pts: kernels.kernel_shape_eval(spec, pts), k, [(-1.0, 1.0)] * d)[0]
         assert kernels.shape_deriv_supnorm(spec, k) == direct
 
 
@@ -310,13 +315,18 @@ def _every_point_shape(spec, w):
 def test_culled_shape_is_bitwise_the_full_evaluation(kind, d, drift):
     spec = kernels.KernelSpec(beta=2.5, alpha=0.25, kind=kind, dim=d)
     center = tuple(np.linspace(0.2, 0.6, d))
-    field = kernels.ScaledField(kernel=spec, center=center, radius=0.07, amplitude=40.0)
+    radius, amplitude = 0.07, 40.0
+    perturbed = hypotheses._perturbed_field(spec, np.zeros(d), [center], radius, amplitude,
+                                            0, 1.0, {})
+
+    def field(x):  # the perturbation alone, on the coordinate it perturbs
+        return perturbed(x)[..., 0]
 
     def unit(x):
-        return (x - np.asarray(center)) / field.radius
+        return (x - np.asarray(center)) / radius
 
     def every_point(x):
-        scale = field.amplitude * field.radius**spec.beta
+        scale = amplitude * radius**spec.beta
         return scale * _every_point_shape(spec, unit(x))
 
     def bits(a):
@@ -331,13 +341,13 @@ def test_culled_shape_is_bitwise_the_full_evaluation(kind, d, drift):
 
     rng = np.random.default_rng([d, len(kind)])
     for n in (1, 5, 1000):
-        x = _straddling_points(rng, n, d, center, field.radius)
+        x = _straddling_points(rng, n, d, center, radius)
         t = 1.0 - np.linalg.norm(unit(x), axis=-1) ** 2
         if n > 1:  # points just inside and just outside the test 1 - ||w||^2 > 1e-12
             assert ((t > 1e-12) & (t < 2e-12)).any() and ((t <= 1e-12) & (t > -2e-12)).any()
         assert field(x).shape == (n,)
         assert same(x)
-    x = _straddling_points(rng, 20, d, center, field.radius).reshape(4, 5, d)
+    x = _straddling_points(rng, 20, d, center, radius).reshape(4, 5, d)
     assert same(x)
     far = np.asarray(center) + np.full((3, d), 1.0)  # no point inside: early return
     assert same(far)

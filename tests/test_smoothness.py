@@ -1,12 +1,13 @@
 """Smoothness classes, Faà di Bruno, and the chain-remainder field."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from odelab import kernels, smoothness
+from odelab import hypotheses, kernels, smoothness
 
 # Bell numbers B_1..B_6 (sympy.bell)
 BELL = [1, 2, 5, 15, 52, 203]
@@ -153,7 +154,7 @@ def test_derivative_supnorm_sine():
         x = np.asarray(x, dtype=float)
         return np.sin(x)
 
-    got = smoothness.derivative_supnorm(vec, 1, ((0.0, 2.0 * np.pi),))
+    got = smoothness.derivative_supnorm(vec, 1, ((0.0, 2.0 * np.pi),))[0]
     assert got == pytest.approx(1.0, rel=1e-4)
     assert got <= 1.0 + 1e-8
 
@@ -164,7 +165,7 @@ def test_holder_quotient_sqrt_like():
         x = np.asarray(x, dtype=float)
         return np.abs(x) ** 0.5
 
-    q = smoothness.holder_quotient(f, 0, 0.5, ((-1.0, 1.0),), pairs=20000)
+    q = smoothness.holder_quotient(f, 0, 0.5, ((-1.0, 1.0),), pairs=20000)[0]
     assert 0.5 < q <= 1.0 + 1e-9
 
 
@@ -191,3 +192,173 @@ def test_certify_membership_pass_and_fail():
     c = bad[0]
     over_sup = any(m > lim for m, lim in zip(c.sup_measured, c.sup_limits))
     assert over_sup or c.holder_measured > c.holder_limit
+
+
+# ---------------------------------------------------------------------------
+# one evaluation for every output component
+
+
+def _reference_scalar_batch(f):
+    """Adapt f to map (N, d) -> (N,) float."""
+
+    def call(pts):
+        out = np.asarray(f(pts), dtype=float)
+        return out.reshape(pts.shape[0])
+
+    return call
+
+
+def _reference_directional_fd(fb, pts, v, order, h):
+    if order == 0:
+        return fb(pts)
+    acc = np.zeros(pts.shape[0])
+    for i in range(order + 1):
+        coeff = (-1.0) ** i * math.comb(order, i)
+        offset = (order / 2.0 - i) * h
+        acc += coeff * fb(pts + offset * v)
+    return acc / h**order
+
+
+def _reference_supnorm(f, order, reg, budget):
+    fb = _reference_scalar_batch(f)
+    diam = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
+    h = 10.0 ** (-3.0 / order) * diam if order else 0.0
+    dirs = smoothness._direction_set(reg.shape[0])
+
+    def scan(pts):
+        if order == 0:
+            return np.abs(fb(pts))
+        best = np.zeros(pts.shape[0])
+        for v in dirs:
+            best = np.maximum(best, np.abs(_reference_directional_fd(fb, pts, v, order, h)))
+        return best
+
+    pts, spacing = smoothness._sample_box(reg, budget)
+    vals = scan(pts)
+    i = int(np.argmax(vals))
+    local = np.stack(
+        [np.clip(pts[i] - spacing, reg[:, 0], reg[:, 1]),
+         np.clip(pts[i] + spacing, reg[:, 0], reg[:, 1])],
+        axis=-1,
+    )
+    pts2, _ = smoothness._sample_box(local, min(budget, 729))
+    return float(max(vals[i], scan(pts2).max()))
+
+
+def _reference_holder(f, ell, beta, reg, pairs):
+    d = reg.shape[0]
+    fb = _reference_scalar_batch(f)
+    diam = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
+    h = 10.0 ** (-3.0 / ell) * diam if ell else 0.0
+    rng = np.random.default_rng(0)
+    widths = reg[:, 1] - reg[:, 0]
+    half = pairs // 2
+    xs = reg[:, 0] + rng.random((pairs, d)) * widths
+    ys = np.empty_like(xs)
+    ys[:half] = reg[:, 0] + rng.random((half, d)) * widths
+    scales = 10.0 ** rng.uniform(-4, -0.3, size=(pairs - half, 1)) * diam
+    steps = rng.normal(size=(pairs - half, d))
+    steps /= np.linalg.norm(steps, axis=1, keepdims=True)
+    ys[half:] = np.clip(xs[half:] + scales * steps, reg[:, 0], reg[:, 1])
+    if d == 1:
+        dirs = np.ones((pairs, 1))
+    else:
+        dirs = rng.normal(size=(pairs, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dx = _reference_directional_fd(fb, xs, dirs, ell, h)
+    dy = _reference_directional_fd(fb, ys, dirs, ell, h)
+    sep = np.linalg.norm(xs - ys, axis=1)
+    keep = sep > 1e-10 * diam
+    quot = np.abs(dx[keep] - dy[keep]) / sep[keep] ** (beta - ell)
+    return float(quot.max()) if quot.size else 0.0
+
+
+def _reference_certify(f, cls, region, budget=4096, pairs=10**5):
+    """The per-component certification: every measurement once per output component."""
+    reg = np.asarray(region, dtype=float)
+
+    def component(j):
+        def fj(pts):
+            out = np.asarray(f(pts), dtype=float)
+            if out.ndim == 1:
+                out = out[:, None]
+            return out[:, j]
+
+        return fj
+
+    reports = []
+    for j in range(cls.dim_out):
+        fj = component(j)
+        reports.append((
+            [_reference_supnorm(fj, k, reg, budget) for k in range(cls.ell + 1)],
+            _reference_holder(fj, cls.ell, cls.beta, reg, pairs),
+        ))
+    return reports
+
+
+def _alternative(kind, beta, d):
+    """The verify-suite alternative: a kind-shaped perturbation of radius rho_plus/2 at the
+    cube center, with the moderate L_k = 2 * 10^k, L_beta = 10^(ell+1) ladder."""
+    ell = smoothness.strict_floor(beta)
+    L, L_beta = tuple(2.0 * 10.0**k for k in range(ell + 1)), 10.0 ** (ell + 1)
+    build = hypotheses.stubble_prob_family if kind == "bump" else hypotheses.snake_prob_family
+    fam = build(beta, d, L, L_beta)
+    r = fam.rho_plus / 2.0
+    f = fam.make_alternative(np.full(d, 0.5), r)
+    return f, fam.smoothness_class, [(0.5 - r, 0.5 + r)] * d
+
+
+def _three_outputs(x):
+    """A 3 -> 3 field whose components all differ."""
+    x = np.asarray(x, dtype=float)
+    return np.stack([
+        np.sin(x[..., 0] + 2.0 * x[..., 1]),
+        x[..., 2] * np.exp(-(x * x).sum(axis=-1)),
+        np.cos(x[..., 0] * x[..., 1] * x[..., 2]),
+    ], axis=-1)
+
+
+def _certify_case(case):
+    if case == "three-outputs":
+        cls = smoothness.SmoothnessClass(2.5, (2.0, 20.0, 200.0), 1e3, 3, 3)
+        return _three_outputs, cls, [(0.0, 1.0)] * 3
+    kind, beta, d = case
+    return _alternative(kind, beta, d)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("case", [
+    ("bump", 2.0, 2), ("bump", 3.5, 3), ("pulse", 2.0, 2), ("pulse", 2.5, 3), "three-outputs",
+], ids=["bump-d2-beta2", "bump-d3-beta3.5", "pulse-d2-beta2", "pulse-d3-beta2.5",
+        "three-outputs"])
+def test_certify_is_bitwise_the_per_component_loop(case):
+    f, cls, region = _certify_case(case)
+    rep = smoothness.certify_membership(f, cls, region)
+    ref = _reference_certify(f, cls, region)
+    assert len(rep.components) == cls.dim_out
+    for comp, (sups, holder) in zip(rep.components, ref):
+        assert _bits(comp.sup_measured) == _bits(sups)
+        assert _bits(comp.holder_measured) == _bits(holder)
+
+
+def test_certify_evaluates_each_point_set_once_for_all_components():
+    f, cls, region = _alternative("bump", 2.0, 3)
+    calls = []
+
+    def every_output(x):
+        calls.append(len(x))
+        return f(x)
+
+    def first_output(x):
+        calls.append(len(x))
+        return f(x)[..., 0]
+
+    smoothness.certify_membership(every_output, cls, region, budget=512, pairs=2000)
+    n_every = len(calls)
+    calls.clear()
+    first = dataclasses.replace(cls, dim_out=1)
+    smoothness.certify_membership(first_output, first, region, budget=512, pairs=2000)
+    assert n_every == len(calls)
