@@ -35,9 +35,9 @@ class ConfigError(Exception):
     pass
 
 
-# sensible demo smoothness constants per beta; the slope-capped
-# chain-remainder amplitude does not certify into either class, so
-# stubble_det_pair runs its full amplitude bisection for both
+# sensible demo smoothness constants per beta; at the slope cap the
+# chain-remainder jet breaks both classes' bounds, so stubble_det_pair
+# bisects its amplitude below the cap for both
 _DEMO_CLASSES = {
     1.5: {"L": (2.0, 300.0), "L_beta": 6500.0},
     2.5: {"L": (2.0, 300.0, 60000.0), "L_beta": 1.6e6},
@@ -291,7 +291,7 @@ def _suite_coincidence(cfg: dict, seed: int) -> list:
     delta_t = _positive(cfg, "delta_t", 0.05)
     tol = _number(cfg, "tol", 1e-9)
     n_points = _count(cfg, "n_points", 50)
-    L, L_beta = _demo_class(beta)
+    L, L_beta = _class_constants(cfg, beta, _demo_class(beta))
     x0 = _start(cfg, d)
     pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
     rng = np.random.default_rng(seed)
@@ -343,9 +343,12 @@ def _suite_smoothness(cfg: dict, seed: int) -> list:
 def _suite_symmetry(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
     d = _count(cfg, "d", 2)
-    L, L_beta = _bump_class(beta)
+    L, L_beta = _class_constants(cfg, beta, _bump_class(beta))
     family = hypotheses.snake_prob_family(beta, d, L, L_beta)
     r = _radius(cfg, family)
+    psi = hypotheses.snake_transverse_envelope(family, r)
+    if psi == 0.0:  # every transverse check would pass as 0 <= 0
+        raise ConfigError(f"field 'r' = {r} is so small that the envelope psi(r) is 0")
     z = np.full(d, 0.5)
     alt = family.make_alternative(z, r)
     x = np.full(d, 0.5)
@@ -354,7 +357,6 @@ def _suite_symmetry(cfg: dict, seed: int) -> list:
     traj = flow_mod.integrate(alt, x, T, 1e-11)
     net = float(abs(flow_mod.final_state(traj)[1] - x[1]))
     during = float(np.abs(traj.states[:, 1] - x[1]).max())
-    psi = hypotheses.snake_transverse_envelope(family, r)
     tol_net = _number(cfg, "tol_net", max(1e-9, 1e-4 * psi))
     sg = flow_mod.flow_semigroup_check(alt, x, T / 3.0, T / 2.0, 1e-11)
     return [
@@ -367,9 +369,11 @@ def _suite_symmetry(cfg: dict, seed: int) -> list:
 def _suite_gronwall(cfg: dict, seed: int) -> list:
     beta = _require_beta(cfg)
     d = _count(cfg, "d", 2)
-    L, L_beta = _bump_class(beta)
+    L, L_beta = _class_constants(cfg, beta, _bump_class(beta))
     family = hypotheses.snake_prob_family(beta, d, L, L_beta)
     r = _radius(cfg, family)
+    if 0.5 + r / 4 == 0.5:  # the start offsets would vanish and every pair pass as 0 <= 0
+        raise ConfigError(f"field 'r' = {r} is so small that offsets up to r/4 vanish at 0.5")
     z = np.full(d, 0.5)
     alt = family.make_alternative(z, r)
     rng = np.random.default_rng(seed)
@@ -557,6 +561,7 @@ def main(argv=None) -> int:
         hypotheses.ClassTooTight,
         hypotheses.DimensionTooSmall,
         hypotheses.DeltaTooLarge,
+        hypotheses.DeltaTooSmall,
         smoothness.SlopeOutOfRange,
         statmodel.RadiusOutOfRange,
     ) as exc:

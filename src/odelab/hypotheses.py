@@ -29,6 +29,7 @@ __all__ = [
     "ClassTooTight",
     "DimensionTooSmall",
     "DeltaTooLarge",
+    "DeltaTooSmall",
     "HypothesisPair",
     "HypothesisFamily",
     "SpiralConstruction",
@@ -56,6 +57,14 @@ class DimensionTooSmall(Exception):
 
 class DeltaTooLarge(Exception):
     """Requested tube radius exceeds what the class constants support."""
+
+
+class DeltaTooSmall(Exception):
+    """Requested tube radius needs more lattice points than MAX_LATTICE."""
+
+
+# starts or bump centers of one snake-det lattice; 1,331 is the largest tested
+MAX_LATTICE = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -258,53 +267,54 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     f0 drifts at speed (2/3) L_0 along e_1; f1 reparametrizes the same
     orbit through a periodic perturbation g of the identity with period
     r = (2/3) L_0 delta_t, so one step of the time grid advances the
-    conjugating map by exactly one period.  The perturbation amplitude is
-    pushed to the largest value that still certifies into the declared
-    class; the phase is chosen so the pointwise gap at x0 is the grid
-    maximum of the attainable separation.
+    conjugating map by exactly one period.  The amplitude is bisected in
+    (0, slope cap] against the closed-form jet of the chain-remainder field
+    (:func:`odelab.smoothness.chain_remainder_bounds`): M_k = max |s^(k)|
+    <= L_k on a 40,001-point grid of one period, and the Hölder bound
+    (2 M_ell)^(1-gamma) M_{ell+1}^gamma <= L_beta, gamma = beta - ell.  The
+    lower end always meets every bound, so the result meets them even where
+    they are not monotone.  The phase puts g^{-1}(x0_1) on the argmax
+    (1 + 3^(-1/4))/2 of |K_per'|, where the gap at x0 is the largest.  A
+    period below 2^26 ulp(|x0_1| + 1), too short to resolve there, raises
+    :class:`ClassTooTight`.
     """
     L = tuple(float(v) for v in L)
     cls = smoothness.SmoothnessClass(beta, L, L_beta, d, d)
     L0 = L[0]
     x0 = np.asarray(x0, dtype=float)
     r = (2.0 / 3.0) * L0 * delta_t
-    per_prime = smoothness.periodic_sup(1)
+    w_star = 0.5 * (1.0 + 3.0**-0.25)  # argmax of |K_per'|, where 1 - 3 (2w - 1)^4 = 0
+    per_prime = abs(float(kernels.periodic_kernel_deriv(w_star, 1)))
     if r * per_prime >= 2.0:  # even amplitude -> 0 cannot satisfy the slope bound
         raise smoothness.SlopeOutOfRange(
             f"time step {delta_t} gives period {r:.3g}; no admissible amplitude"
         )
-    r_beta = r**beta
-    if r_beta == 0.0:  # the period is so short that every amplitude scale underflows
-        raise ClassTooTight(f"time step {delta_t} gives period {r:.3g}, and r^beta = 0")
-    amp_slope_cap = 0.5 / (r_beta * per_prime) * (1.0 - 1e-12)
+    # the phase (x - z)/r of points within 1 of x0 keeps 26 bits, which the separation
+    # claimed at x0 needs (|K_per'| is flat at its maximum); r >= 1.5e-8 also keeps
+    # r^beta and the jet's scale r^-(ell+1) finite
+    resolution = 2.0**26 * math.ulp(abs(float(x0[0])) + 1.0)
+    if r < resolution:
+        raise ClassTooTight(f"time step {delta_t} gives period {r:.3g}, below the "
+                            f"{resolution:.3g} that x0 = {float(x0[0])} resolves")
+    limits = L + (L_beta,)
 
-    def certifies(amp: float, *, fast: bool = True) -> bool:
-        fld = smoothness.chain_remainder_field(amp, r, 0.0, L0, beta)
-        scal = smoothness.SmoothnessClass(beta, L, L_beta, 1, 1)
-        kwargs = {"budget": 1024, "pairs": 20000} if fast else {}
-        rep = smoothness.certify_membership(fld, scal, [(0.0, 2.0 * r)], **kwargs)
-        return rep.passed
+    def fits(amp: float) -> bool:
+        bounds = smoothness.chain_remainder_bounds(amp, r, L0, beta)
+        return all(b <= lim for b, lim in zip(bounds, limits))
 
-    if certifies(amp_slope_cap, fast=False):
-        amp = amp_slope_cap
-    else:
-        lo, hi = 0.0, amp_slope_cap
-        for _ in range(14):
-            mid = 0.5 * (lo + hi)
-            if certifies(mid):
-                lo = mid
-            else:
-                hi = mid
-        amp = lo
-        while amp > 0.0 and not certifies(amp, fast=False):
-            amp *= 0.9
+    amp, hi = 0.0, 0.5 / (r**beta * per_prime) * (1.0 - 1e-12)  # hi: the exact slope cap
+    if fits(hi):
+        amp = hi
+    while hi - amp > 1e-12 * hi:  # amp meets every bound (or is 0), hi misses one
+        mid = 0.5 * (amp + hi)
+        if fits(mid):
+            amp = mid
+        else:
+            hi = mid
     if amp <= 0.0:
-        raise ClassTooTight(
-            f"no perturbation amplitude certifies into L={L}, L_beta={L_beta}"
-        )
+        raise ClassTooTight(f"no perturbation amplitude fits into L={L}, L_beta={L_beta}")
 
     # place the phase so g^{-1}(x0_1) lands exactly on the argmax of |K_per'|
-    w_star = _periodic_slope_argmax()
     z = float(x0[0]) - r * w_star - amp * r ** (beta + 1) * float(
         kernels.periodic_kernel(w_star)
     )
@@ -333,20 +343,8 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
             "L0": L0,
             "beta": beta,
             "separation_constant": sep_constant,
-            "periodic_slope_sup": per_prime,
         },
     )
-
-
-def _periodic_slope_argmax() -> float:
-    """argmax over one period of |K_per'|, via grid scan plus refinement."""
-    w = np.linspace(0.0, 1.0, 40001)
-    vals = np.abs(kernels.periodic_kernel_deriv(w, 1))
-    i = int(vals.argmax())
-    lo, hi = w[max(i - 1, 0)], w[min(i + 1, len(w) - 1)]
-    fine = np.linspace(lo, hi, 2001)
-    j = int(np.abs(kernels.periodic_kernel_deriv(fine, 1)).argmax())
-    return float(fine[j])
 
 
 def _embed_first_coordinate(core: ModelFunction, d: int) -> ModelFunction:
@@ -400,8 +398,11 @@ def stubble_det_checks(pair: HypothesisPair, xs: np.ndarray, tol: float = 1e-9) 
     * ``separation-floor``: the claimed separation reaches the amplitude-free
       floor ``separation_constant`` * L_0^(beta+1) delta_t^beta, that is
       (2/3)^(beta+1) sup|K_per'| L_0^(beta+1) delta_t^beta, which a pair
-      whose certified amplitude is below 1 misses;
-    * ``separation-attained``: |f1(x0) - f0(x0)| reaches the claimed separation.
+      whose amplitude is below 1 misses;
+    * ``separation-attained``: |f1(x0) - f0(x0)| reaches the claimed separation;
+    * ``membership``: f1 passes the finite-difference certification
+      (:func:`odelab.smoothness.certify_membership`, default budget) into
+      the pair's class on [0, 2r]^d, two periods of the perturbation.
     """
     md = pair.metadata
     beta, delta_t = md["beta"], md["delta_t"]
@@ -409,10 +410,13 @@ def stubble_det_checks(pair: HypothesisPair, xs: np.ndarray, tol: float = 1e-9) 
     floor = md["separation_constant"] * md["L0"] ** (beta + 1.0) * delta_t**beta
     claimed = pair.claimed_separation
     attained = float(np.linalg.norm(pair.f1(pair.x0) - pair.f0(pair.x0)))
+    region = [(0.0, 2.0 * md["radius"])] * pair.f1.dim
+    member = smoothness.certify_membership(pair.f1, pair.smoothness_class, region)
     return [
         ("grid-coincidence", worst <= tol, worst, tol),
         ("separation-floor", claimed >= floor, claimed, floor),
         ("separation-attained", attained >= claimed, attained, claimed),
+        ("membership", member.passed, None, None),
     ]
 
 
@@ -475,9 +479,18 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     L0 = L[0]
     x0 = np.asarray(x0, dtype=float)
 
+    # size both lattices in integers before allocating either
     m0 = math.ceil(math.sqrt(d) / (2.0 * delta))
     per_axis = m0 + 1
     m = per_axis ** (d - 1)
+    # bump centers: transverse lattice of pitch 2r through the apex x0,
+    # wide enough to flank the cube by one pitch on each side
+    spans = [(math.floor((-2.0 * r - x0[c]) / (2.0 * r)),
+              math.ceil((1.0 + 2.0 * r - x0[c]) / (2.0 * r))) for c in range(1, d)]
+    n_centers = math.prod(hi - lo + 1 for lo, hi in spans)
+    if max(m, n_centers) > MAX_LATTICE:
+        raise DeltaTooSmall(f"delta {delta} needs {max(m, n_centers)} lattice points "
+                            f"(starts or bump centers), above the limit {MAX_LATTICE}")
 
     # transverse lattice of initial conditions: pitch 2r, offset exactly r
     # from the bump lattice through x0, shifted into [0, 1] coverage position
@@ -491,16 +504,10 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
         initials[:, c + 1] = g.reshape(-1)
     times = np.full(m, 1.0 / L0)
 
-    # bump centers: transverse lattice of pitch 2r through the apex x0,
-    # wide enough to flank the cube by one pitch on each side
-    center_axes = []
-    for c in range(1, d):
-        lo = math.floor((-2.0 * r - x0[c]) / (2.0 * r))
-        hi = math.ceil((1.0 + 2.0 * r - x0[c]) / (2.0 * r))
-        ks = np.arange(lo, hi + 1)
-        center_axes.append(x0[c] + 2.0 * r * ks)
+    center_axes = [x0[c] + 2.0 * r * np.arange(lo, hi + 1)
+                   for c, (lo, hi) in enumerate(spans, 1)]
     cgrids = np.meshgrid(*center_axes, indexing="ij")
-    centers = np.zeros((cgrids[0].size, d))
+    centers = np.zeros((n_centers, d))
     centers[:, 0] = x0[0]
     for c, g in enumerate(cgrids):
         centers[:, c + 1] = g.reshape(-1)

@@ -43,6 +43,8 @@ __all__ = [
     "CertificationReport",
     "chain_remainder_field",
     "chain_remainder_jet",
+    "chain_remainder_u_jet",
+    "chain_remainder_bounds",
     "periodic_sup",
 ]
 
@@ -108,10 +110,6 @@ class Partition:
         if set(all_items) != set(range(1, k + 1)):
             raise ValueError("blocks must cover {1..k}")
 
-    @property
-    def order(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
 
 def enumerate_partitions(k: int):
     """All set partitions of {1..k}; the count is the k-th Bell number."""
@@ -134,7 +132,8 @@ def faa_di_bruno(f_derivs, g_derivs, k: int, x: float) -> float:
     """k-th derivative of f o g at x via the partition sum.
 
     ``f_derivs[j]`` / ``g_derivs[j]`` must evaluate the j-th derivative,
-    j = 0..k (index 0 is the function itself).
+    j = 0..k (index 0 is the function itself).  The callables may return
+    arrays, which are not modified.
     """
     if k > MAX_PARTITION_ORDER:
         raise TooLarge(f"k = {k} > {MAX_PARTITION_ORDER}")
@@ -145,9 +144,26 @@ def faa_di_bruno(f_derivs, g_derivs, k: int, x: float) -> float:
     for part in enumerate_partitions(k):
         term = f_derivs[len(part.blocks)](gx)
         for block in part.blocks:
-            term *= g_derivs[len(block)](x)
+            term = term * g_derivs[len(block)](x)
         total += term
     return total
+
+
+def _values(jet) -> list:
+    """Callables for :func:`faa_di_bruno` returning the precomputed values jet[j]."""
+    return [lambda _, v=v: v for v in jet]
+
+
+def _inverse_derivs(g, n: int) -> list:
+    """[., (g^{-1})', ..., (g^{-1})^(n)] at y = g(u), from g[j] = g^(j)(u), j = 1..n.
+
+    (g^{-1})' = 1/g'; for k >= 2, d^k/dy^k g(g^{-1}(y)) = 0 is g' (g^{-1})^(k)
+    plus the partitions of two or more blocks, which need only lower orders.
+    """
+    h = [None, 1.0 / g[1]]
+    for k in range(2, n + 1):  # a 0 in place of (g^{-1})^(k) drops the one-block term
+        h.append(-faa_di_bruno(_values(g), _values(h + [0.0]), k, None) / g[1])
+    return h
 
 
 def _columns(f, pts: np.ndarray) -> np.ndarray:
@@ -328,10 +344,16 @@ def certify_membership(f, cls: SmoothnessClass, region, *, budget: int = 4096,
 
 
 @functools.lru_cache(maxsize=None)
+def _periodic_grid(order: int) -> np.ndarray:
+    """K_per^(order) on the 40,001-point grid of one period (cached, read-only)."""
+    vals = kernels.periodic_kernel_deriv(np.linspace(0.0, 1.0, 40001), order)
+    vals.setflags(write=False)
+    return vals
+
+
 def periodic_sup(order: int) -> float:
-    """sup |K_per^(order)| over one period, on a 40,001-point grid (cached)."""
-    x = np.linspace(0.0, 1.0, 40001)
-    return float(np.abs(kernels.periodic_kernel_deriv(x, order)).max())
+    """sup |K_per^(order)| over one period, on a 40,001-point grid."""
+    return float(np.abs(_periodic_grid(order)).max())
 
 
 def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: float,
@@ -400,10 +422,48 @@ def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: flo
             "L0": L0,
             "beta": beta,
             "g": g,
-            "g_prime": g_prime,
             "g_inv": g_inv,
         },
     )
+
+
+def _g_jet(kper, a: float, radius: float) -> list:
+    """[., g', ..., g^(n)] from kper[j - 1] = K_per^(j)(w), j = 1..n; a = amplitude radius^beta."""
+    return [None, 1.0 + a * kper[0]] + [
+        a * radius ** (1 - j) * kper[j - 1] for j in range(2, len(kper) + 1)
+    ]
+
+
+def chain_remainder_u_jet(kper, a: float, radius: float, L0: float) -> list:
+    """[s, s', ..., s^(n)] of s = (2/3) L0 g' o g^{-1} at the points y = g(u).
+
+    kper[j - 1] = K_per^(j)(w) at w = (u - phase)/radius, j = 1..n+1, and
+    a = amplitude radius^beta give g' = 1 + a K_per'(w) and g^(j) =
+    a radius^(1-j) K_per^(j)(w), so g^{-1} is never evaluated.
+    """
+    speed = 2.0 / 3.0 * L0
+    g = _g_jet(kper, a, radius)
+    n = len(kper) - 1
+    outer = [None] + [speed * gj for gj in g[2:]]
+    h = _inverse_derivs(g, n)
+    return [speed * g[1]] + [faa_di_bruno(_values(outer), _values(h), k, None)
+                             for k in range(1, n + 1)]
+
+
+def chain_remainder_bounds(amplitude: float, radius: float, L0: float, beta: float) -> list:
+    """[M_0, ..., M_ell, H]: the class constants the chain-remainder field s needs.
+
+    M_k = max |s^(k)| on the 40,001-point grid of one period (within 3e-6
+    relative of a ten times finer grid).  H = (2 M_ell)^(1-gamma)
+    M_{ell+1}^gamma, gamma = beta - ell, bounds the Hölder seminorm of
+    s^(ell), as |s^(ell)(x) - s^(ell)(y)| <= min(2 M_ell, M_{ell+1} |x - y|).
+    """
+    ell = strict_floor(beta)
+    gamma = beta - ell
+    kper = [_periodic_grid(j) for j in range(1, ell + 3)]
+    M = [float(np.abs(v).max())
+         for v in chain_remainder_u_jet(kper, amplitude * radius**beta, radius, L0)]
+    return M[: ell + 1] + [(2.0 * M[ell]) ** (1.0 - gamma) * M[ell + 1] ** gamma]
 
 
 def chain_remainder_jet(amplitude: float, radius: float, phase: float, L0: float,
@@ -411,48 +471,19 @@ def chain_remainder_jet(amplitude: float, radius: float, phase: float, L0: float
     """Derivative callables (outer, inner) for Faà di Bruno on s = F o g^{-1}.
 
     outer[j] is the j-th derivative of F(u) = (2/3) L0 g'(u); inner[j] the
-    j-th derivative of g^{-1} (closed-form inverse-function derivatives),
-    j = 0..4.
+    j-th derivative of g^{-1}, j = 0..4, from the jet of g at u = g^{-1}(y).
+    :func:`chain_remainder_bounds` takes the same jet on a 40,001-point grid
+    of one period and bounds the Hölder seminorm by (2 M_ell)^(1-gamma)
+    M_{ell+1}^gamma.
     """
-    fld = chain_remainder_field(amplitude, radius, phase, L0, beta)
-    g_inv = fld.metadata["g_inv"]
-    speed = 2.0 / 3.0 * L0
+    g_inv = chain_remainder_field(amplitude, radius, phase, L0, beta).metadata["g_inv"]
+    a, speed = amplitude * radius**beta, 2.0 / 3.0 * L0
 
-    def g_deriv(order):
-        def d(x):
-            x = np.asarray(x, dtype=float)
-            val = amplitude * radius ** (beta + 1 - order) * kernels.periodic_kernel_deriv(
-                (x - phase) / radius, order
-            )
-            return val + 1.0 if order == 1 else val
+    def g_jet(u, n):
+        w = (u - phase) / radius
+        return _g_jet([kernels.periodic_kernel_deriv(w, j) for j in range(1, n + 1)], a, radius)
 
-        return d
-
-    gd = [None] + [g_deriv(j) for j in range(1, 6)]
-
-    def outer(j):
-        return lambda u: speed * gd[j + 1](u)
-
-    outer_derivs = [outer(j) for j in range(5)]
-
-    def inner(j):
-        def d(y):
-            u = g_inv(y)
-            g1 = gd[1](u)
-            if j == 0:
-                return u
-            if j == 1:
-                return 1.0 / g1
-            g2 = gd[2](u)
-            if j == 2:
-                return -g2 / g1**3
-            g3 = gd[3](u)
-            if j == 3:
-                return (3.0 * g2**2 - g1 * g3) / g1**5
-            g4 = gd[4](u)
-            return (-15.0 * g2**3 + 10.0 * g1 * g2 * g3 - g1**2 * g4) / g1**7
-
-        return d
-
-    inner_derivs = [inner(j) for j in range(5)]
-    return outer_derivs, inner_derivs
+    outer = [lambda u, j=j: speed * g_jet(u, j + 1)[j + 1] for j in range(5)]
+    inner = [g_inv] + [lambda y, j=j: _inverse_derivs(g_jet(g_inv(y), j), j)[j]
+                       for j in range(1, 5)]
+    return outer, inner

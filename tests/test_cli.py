@@ -100,9 +100,10 @@ def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
 @pytest.mark.parametrize("command,payload", [
     ("construct", {"construction": "stubble-det", "beta": 2.5, "delta_t": 1e-300}),
     ("verify", {"suite": "coincidence", "beta": 1.5, "delta_t": 1e-300}),
+    ("construct", {"construction": "stubble-det", "beta": 1.5, "delta_t": 1e-12}),
 ])
 def test_underflowing_period_is_a_construction_error(tmp_path, capsys, command, payload):
-    # r^beta underflows to 0, which left no amplitude cap to divide by
+    # periods this short leave the phase at x0 no digits (and at 1e-300 r^beta = 0)
     cfg = _cfg(tmp_path, payload)
     assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
@@ -110,11 +111,40 @@ def test_underflowing_period_is_a_construction_error(tmp_path, capsys, command, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "delta": 1e-9}),
+    ("construct", {"construction": "snake-det", "beta": 2.0, "delta": 1e-9}),
+])
+def test_tiny_delta_is_a_construction_error(tmp_path, capsys, command, payload):
+    # the lattice would hold about 7e8 starts; it is sized and refused first
+    cfg = _cfg(tmp_path, payload)
+    assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "odelab: construction error: delta 1e-09 needs 707106785 lattice points" in err
+    assert f"above the limit {hypotheses.MAX_LATTICE}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite,L_beta", [
+    ("coincidence", 3000.0), ("symmetry", 50.0), ("gronwall", 50.0)])
+def test_config_class_constants_reach_the_suite(tmp_path, suite, L_beta):
+    # a config L_beta changes what the suite measures or the limit it checks against
+    default = _report_checks(tmp_path, {"suite": suite, "beta": 1.5}, 3)
+    tight = _report_checks(tmp_path, {"suite": suite, "beta": 1.5, "L_beta": L_beta}, 3)
+    assert [c["name"] for c in tight] == [c["name"] for c in default]
+    values = lambda checks: [(c.get("measured"), c.get("limit")) for c in checks]
+    assert values(tight) != values(default)
+
+
 @pytest.mark.parametrize("suite", ["symmetry", "gronwall"])
-def test_radius_below_rounding_integrates(tmp_path, suite):
-    # the flow spans 4r / L_0, far below 1e-14: one step, no StepsizeUnderflow
+def test_radius_below_rounding_integrates(tmp_path, capsys, suite):
+    # at r = 1e-300 the envelope psi(r) underflows to 0 and the gronwall start
+    # offsets vanish next to 0.5, so every check would pass as 0 <= 0
     cfg = _cfg(tmp_path, {"suite": suite, "beta": 2.0, "r": 1e-300})
-    assert _run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert _run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "odelab: config error: field 'r'" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_two():
@@ -157,7 +187,7 @@ def test_failing_check_names_itself(tmp_path):
     assert report["passed"] is False
     verdicts = {c["name"]: c["passed"] for c in report["checks"]}
     assert verdicts == {"grid-coincidence": False, "separation-floor": True,
-                        "separation-attained": True}
+                        "separation-attained": True, "membership": True}
     assert report["checks"][0]["measured"] == 2.220446049250313e-16
 
 
@@ -169,7 +199,9 @@ def _report_checks(tmp_path, payload, seed):
 
 
 def _as_dicts(records):
-    return [{"name": name, "passed": bool(ok), "measured": measured, "limit": limit}
+    # the report leaves out a record's None measured value or limit
+    return [{k: v for k, v in {"name": name, "passed": bool(ok), "measured": measured,
+                                "limit": limit}.items() if v is not None}
             for name, ok, measured, limit in records]
 
 

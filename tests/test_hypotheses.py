@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from odelab import flow, geometry, hypotheses
+from odelab import cli, flow, geometry, hypotheses, kernels, smoothness
 
 STUBBLE_CLASS = dict(beta=1.5, L=(2.0, 300.0), L_beta=6500.0)
 SNAKE_CLASS = dict(beta=2.0, L=(2.0, 20.0), L_beta=100.0)
+W_STAR = 0.5 * (1.0 + 3.0**-0.25)  # argmax of |K_per'| over one period
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +21,8 @@ def det_pair():
 def test_stubble_det_metadata_frozen(det_pair):
     md = det_pair.metadata
     assert md["radius"] == pytest.approx(0.05 * 2.0 * 2.0 / 3.0, rel=1e-14)
-    assert md["amplitude"] == pytest.approx(18.189203392137294, rel=1e-9)
-    assert det_pair.claimed_separation == pytest.approx(0.666625976561167, rel=1e-9)
+    assert md["amplitude"] == pytest.approx(14.114030413129996, rel=1e-9)
+    assert det_pair.claimed_separation == pytest.approx(0.5172727547168167, rel=1e-9)
     assert "0.05" in det_pair.coincidence_spec  # names the arithmetic grid
 
 
@@ -31,7 +32,8 @@ def test_stubble_det_coincidence_on_grid(det_pair):
     xs = rng.uniform(0.2, 0.8, size=8)[:, None]
     checks = hypotheses.stubble_det_checks(det_pair, xs, tol=1e-12)
     assert [(name, ok) for name, ok, _, _ in checks] == [
-        ("grid-coincidence", True), ("separation-floor", True), ("separation-attained", True)]
+        ("grid-coincidence", True), ("separation-floor", True), ("separation-attained", True),
+        ("membership", True)]
 
 
 def test_stubble_det_separation_attained(det_pair):
@@ -45,7 +47,7 @@ def test_stubble_det_separation_attained(det_pair):
 
 
 def test_separation_floor_fails_below_unit_amplitude():
-    # at L_beta = 200 the certified amplitude is about 0.80, so the claim
+    # at L_beta = 200 the largest fitting amplitude is about 0.49, so the claim
     # falls short of the amplitude-free floor (the claim at amplitude 1)
     beta, dt = STUBBLE_CLASS["beta"], 0.05
     pair = hypotheses.stubble_det_pair(beta, 1, STUBBLE_CLASS["L"], 200.0, dt, np.array([0.5]))
@@ -55,6 +57,57 @@ def test_separation_floor_fails_below_unit_amplitude():
     floor = md["separation_constant"] * md["L0"] ** (beta + 1.0) * dt**beta
     assert checks["separation-floor"] == [False, pair.claimed_separation, floor]
     assert checks["grid-coincidence"][0] and checks["separation-attained"][0]
+
+
+def _slope_cap(r, beta):
+    return 0.5 / (r**beta * abs(kernels.periodic_kernel_deriv(W_STAR, 1))) * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 2.5, 3.5, 4.5])
+def test_stubble_det_amplitude_is_the_largest_fitting(beta):
+    L, L_beta = cli._demo_class(beta)
+    pair = hypotheses.stubble_det_pair(beta, 1, L, L_beta, 0.05, np.array([0.5]))
+    amp, r = pair.metadata["amplitude"], pair.metadata["radius"]
+    limits = L + (L_beta,)
+
+    def fits(a):
+        bounds = smoothness.chain_remainder_bounds(a, r, L[0], beta)
+        return all(b <= lim for b, lim in zip(bounds, limits))
+
+    assert fits(amp)
+    assert amp == _slope_cap(r, beta) or not fits(amp * (1.0 + 1e-9))
+    assert amp >= 1.0
+    rep = smoothness.certify_membership(pair.f1, pair.smoothness_class, [(0.0, 2.0 * r)])
+    assert rep.passed
+
+
+def test_slope_capped_amplitude_keeps_the_slope_within_half():
+    # constants this loose leave the slope condition as the only limit; the cap
+    # must hold for the exact max |K_per'|, which the 40,001-point grid reads low
+    pair = hypotheses.stubble_det_pair(2.5, 1, (2.0, 1e9, 1e12), 1e15, 0.05, np.array([0.5]))
+    amp, r = pair.metadata["amplitude"], pair.metadata["radius"]
+    assert amp == _slope_cap(r, 2.5)
+    assert amp * r**2.5 * abs(kernels.periodic_kernel_deriv(W_STAR, 1)) <= 0.5
+
+
+def test_stubble_det_certifies_only_in_its_checks(monkeypatch):
+    calls = []
+    certify = smoothness.certify_membership
+    monkeypatch.setattr(smoothness, "certify_membership",
+                        lambda *args, **kwargs: calls.append(1) or certify(*args, **kwargs))
+    cls = STUBBLE_CLASS
+    pair = hypotheses.stubble_det_pair(cls["beta"], 1, cls["L"], cls["L_beta"], 0.05,
+                                       np.array([0.5]))
+    assert len(calls) == 0
+    hypotheses.stubble_det_checks(pair, np.array([[0.4]]))
+    assert len(calls) == 1
+
+
+def test_snake_det_rejects_lattice_above_limit():
+    # delta 1e-9 would need about 7e8 starts at d = 2: refused before any allocation
+    with pytest.raises(hypotheses.DeltaTooSmall, match="707106785 lattice points"):
+        hypotheses.snake_det_pair(2.0, 2, SNAKE_CLASS["L"], SNAKE_CLASS["L_beta"], 1e-9,
+                                  np.array([0.5, 0.5]))
 
 
 def test_irrational_timestep_breaks_coincidence(det_pair):

@@ -136,6 +136,38 @@ def test_chain_remainder_jet_matches_reference(k):
     assert got == pytest.approx(CHAIN_S_AT_04[k], rel=1e-10)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_chain_remainder_u_jet_matches_reference(k):
+    # the jet on the u side, at u = g^{-1}(0.4), needs no inverse beyond that point
+    u = smoothness.chain_remainder_field(**TAME).metadata["g_inv"](0.4)
+    w = (u - TAME["phase"]) / TAME["radius"]
+    kper = [kernels.periodic_kernel_deriv(w, j) for j in range(1, 6)]
+    a = TAME["amplitude"] * TAME["radius"] ** TAME["beta"]
+    jet = smoothness.chain_remainder_u_jet(kper, a, TAME["radius"], TAME["L0"])
+    assert jet[k] == pytest.approx(CHAIN_S_AT_04[k], rel=1e-10)
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 2.5, 3.5, 4.5])
+def test_chain_remainder_grid_maxima_resolve(beta):
+    # max |s^(k)| on the 40,001-point grid of one period against a 400,001-point one,
+    # at half the slope cap of the demo period r = (2/3) 2 0.05
+    r = 2.0 / 3.0 * 2.0 * 0.05
+    a = 0.25 / smoothness.periodic_sup(1)
+    n = smoothness.strict_floor(beta) + 1
+
+    def maxima(points):
+        w = np.linspace(0.0, 1.0, points)
+        kper = [kernels.periodic_kernel_deriv(w, j) for j in range(1, n + 2)]
+        return np.array([np.abs(v).max()
+                         for v in smoothness.chain_remainder_u_jet(kper, a, r, 2.0)])
+
+    coarse, fine = maxima(40001), maxima(400001)
+    assert np.all(np.abs(coarse / fine - 1.0) <= 1e-5)
+    # chain_remainder_bounds reads its M_k on the coarse grid
+    bounds = smoothness.chain_remainder_bounds(a / r**beta, r, 2.0, beta)
+    assert bounds[:n] == pytest.approx(coarse[:n].tolist(), rel=1e-12)
+
+
 def test_periodic_sup_frozen():
     # 2^j * sup|K^(j)| (mpmath values); grid measurement is slightly low
     truth = [0.3678794411714423, 1.596859503667199, 30.99881976677658,
