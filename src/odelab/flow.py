@@ -126,6 +126,8 @@ def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
     y = x0.reshape(1, -1) if single else x0
     if y.shape[1] != f.dim:
         raise ValueError(f"x0 has dim {y.shape[1]}, field has dim {f.dim}")
+    if y.shape[0] == 0:
+        raise ValueError(f"x0 has shape {x0.shape}; need at least one start")
     K = np.empty((7,) + y.shape)
     K[0] = np.asarray(f.eval(y), dtype=float).reshape(y.shape)
     n_accepted = n_rejected = 0

@@ -196,6 +196,11 @@ def test_batched_start_shapes():
         flow.integrate(f, starts[None], 1.0, 1e-9)
 
 
+def test_empty_batch_names_its_shape():
+    with pytest.raises(ValueError, match=r"shape \(0, 2\); need at least one start"):
+        flow.integrate(_rotation_field(), np.empty((0, 2)), 1.0, 1e-9)
+
+
 def _unit_drift():
     return flow.ModelFunction(dim=1, eval=lambda x: np.ones_like(np.asarray(x, dtype=float)))
 

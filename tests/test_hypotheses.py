@@ -90,6 +90,22 @@ def test_slope_capped_amplitude_keeps_the_slope_within_half():
     assert amp * r**2.5 * abs(kernels.periodic_kernel_deriv(W_STAR, 1)) <= 0.5
 
 
+def test_stubble_det_builds_at_unit_time_step():
+    # r sup|K_per'| > 2 here, yet the slope cap 0.5 / (r^beta sup|K_per'|) stays positive
+    cls = STUBBLE_CLASS
+    pair = hypotheses.stubble_det_pair(cls["beta"], 1, cls["L"], cls["L_beta"], 1.0,
+                                       np.array([0.5]))
+    amp, r = pair.metadata["amplitude"], pair.metadata["radius"]
+    assert r * abs(kernels.periodic_kernel_deriv(W_STAR, 1)) >= 2.0
+    assert 0.0 < amp <= _slope_cap(r, cls["beta"])
+    bounds = smoothness.chain_remainder_bounds(amp, r, cls["L"][0], cls["beta"])
+    assert all(b <= lim for b, lim in zip(bounds, cls["L"] + (cls["L_beta"],)))
+    checks = {name: ok for name, ok, _, _ in
+              hypotheses.stubble_det_checks(pair, np.array([[0.4], [0.9]]))}
+    assert checks["grid-coincidence"] and checks["separation-attained"]
+    assert checks["membership"]
+
+
 def test_stubble_det_certifies_only_in_its_checks(monkeypatch):
     calls = []
     certify = smoothness.certify_membership
@@ -138,6 +154,22 @@ def test_stubble_family_alternative_is_local():
     # at the center it deviates by the full perturbation height
     dev = np.abs(f1.eval(z) - fam.f0.eval(z))
     assert dev.max() == pytest.approx(100.0 * r**2 * fam.metadata["h_sup"], rel=1e-12)
+
+
+@pytest.mark.parametrize("make_family", [hypotheses.stubble_prob_family,
+                                         hypotheses.snake_prob_family])
+def test_alternative_with_one_center_per_row_is_the_lone_alternative(make_family):
+    fam = make_family(2.0, 2, (2.0, 20.0), 100.0)
+    r = fam.rho_plus / 2.0
+    rng = np.random.default_rng(13)
+    Z = rng.uniform(0.2, 0.8, size=(9, 2))
+    X = Z + rng.uniform(-1.2 * r, 1.2 * r, size=Z.shape)
+    rows = fam.make_alternative(Z, r).eval(X)
+    assert rows.shape == X.shape
+    for i in range(len(Z)):
+        lone = fam.make_alternative(Z[i], r).eval(X[i])
+        assert rows[i].tobytes() == lone.tobytes()
+    assert (rows != fam.f0.eval(X)).any()  # some rows sit inside their ball
 
 
 def test_class_too_tight_raises():

@@ -232,6 +232,111 @@ def test_psi_chi_measure_stubble_quick():
     assert out.n_candidates > 0
 
 
+def _snake_instance(d, delta):
+    """A snake master instance built as perfbench/master_pipeline.py builds it."""
+    L, L_beta = (2.0, 20.0), 100.0
+    fam = hypotheses.snake_prob_family(2.0, d, L, L_beta)
+    _, initials, horizons = hypotheses.snake_det_pair(2.0, d, L, L_beta, delta, np.full(d, 0.5))
+    noise = statmodel.NoiseLaw(dim=d, covariance=1.0)
+    return statmodel.master_instance_snake(
+        fam, statmodel.build_snake_scheme(initials, horizons, 40, noise))
+
+
+def _per_row_psi(family, scheme, r):
+    """psi from each (center, start) pair integrated alone at tol 1e-13.
+
+    A pair starts where its null path x + v t first meets B(z, r).  It is
+    integrated in pieces that end at every observation and at 64 even steps
+    of its crossing of the ball, so no step is longer than 1/64 of the
+    crossing and no observation is interpolated.
+    """
+    v = family.f0.metadata["velocity"]
+    a = float(v @ v)
+    psi = 0.0
+    for z in statmodel._default_centers(scheme, r):
+        alt = family.make_alternative(z, r)
+        for x, times in zip(scheme.initials, scheme.times):
+            p = x - z
+            b, c = float(p @ v), float(p @ p) - r * r
+            disc = b * b - a * c
+            if disc < 0.0 or (c > 0.0 and b >= 0.0):
+                continue
+            t_in = max(0.0, (-b - np.sqrt(disc)) / a)
+            t_out = (-b + np.sqrt(disc)) / a
+            seen = times[times >= t_in]
+            if seen.size == 0:
+                continue
+            ends = np.union1d(seen - t_in, np.linspace(0.0, t_out - t_in, 65))
+            state, at = x + v * t_in, {0.0: x + v * t_in}
+            for t0, t1 in zip(ends[:-1], ends[1:]):
+                state = flow.final_state(flow.integrate(alt, state, t1 - t0, 1e-13))
+                at[t1] = state
+            for t in seen:
+                psi = max(psi, float(np.linalg.norm(at[t - t_in] - (x + v * t))))
+    return psi
+
+
+def test_psi_at_rho_minus_sees_the_pulse_of_every_row():
+    # at rho_minus a row that starts at its pulse's center crosses half of it in one
+    # initial step; integrated from t = 0, psi_hat reads half the reference
+    inst = _snake_instance(2, 0.05)
+    r = inst.rho_minus
+    ref = _per_row_psi(inst.family, inst.scheme, r)
+    got = statmodel.psi_chi_measure(inst.family, inst.scheme, r, tol=1e-12).psi_hat
+    assert abs(got - ref) <= 1e-3 * ref
+
+
+def _counting_integrate(monkeypatch):
+    calls = []
+    integrate = flow.integrate
+    monkeypatch.setattr(flow, "integrate",
+                        lambda *args, **kwargs: calls.append(1) or integrate(*args, **kwargs))
+    return calls
+
+
+def test_psi_chi_measure_integrates_once(monkeypatch):
+    stubble = hypotheses.stubble_prob_family(2.0, 2, (2.0, 20.0), 100.0)
+    cases = [(stubble, statmodel.build_stubble_scheme(6, 2, 0.1, _noise2()))]
+    snake = _snake_instance(2, 0.1)
+    cases.append((snake.family, snake.scheme))
+    calls = _counting_integrate(monkeypatch)
+    for fam, sch in cases:
+        for r in np.geomspace(0.01, fam.rho_plus, 4):
+            calls.clear()
+            out = statmodel.psi_chi_measure(fam, sch, float(r))
+            assert len(calls) == 1 and out.psi_hat > 0.0
+
+
+def test_psi_chi_measure_without_hits_integrates_nothing(monkeypatch):
+    snake = _snake_instance(2, 0.1)
+    far = np.array([[3.0, 3.0], [0.5, 3.0], [-2.0, 0.5]])
+    monkeypatch.setattr(statmodel, "_default_centers", lambda scheme, r: far)
+    calls = _counting_integrate(monkeypatch)
+    for fam, sch in [(snake.family, snake.scheme),
+                     (hypotheses.stubble_prob_family(2.0, 2, (2.0, 20.0), 100.0),
+                      statmodel.build_stubble_scheme(6, 2, 0.1, _noise2()))]:
+        out = statmodel.psi_chi_measure(fam, sch, 0.1)
+        assert (out.psi_hat, out.chi_hat, out.n_candidates, out.detail) == (0.0, 0, 3, {})
+    assert calls == []
+
+
+def test_chi_hat_frozen_on_criterion_04_radii():
+    # the integers of the master envelope check; no batching of the flows may move them
+    fam = hypotheses.stubble_prob_family(2.0, 2, (2.0, 20.0), 100.0)
+    stubble = statmodel.master_instance_stubble(
+        fam, statmodel.build_stubble_scheme(20, 3, 0.1, _noise2()))
+    frozen = {
+        "stubble": [3, 3, 3, 3, 6, 6, 12, 12, 15, 27, 36, 42, 72, 99, 144, 207, 300, 444,
+                    642, 948],
+        "snake": [0, 0, 0, 0, 0, 1, 1, 1, 3, 3, 5, 5, 8, 14, 20, 33, 52, 83, 142, 225],
+    }
+    for inst in (stubble, _snake_instance(2, 0.1)):
+        radii = np.geomspace(inst.rho_minus, inst.rho_plus, 20)
+        got = [statmodel.psi_chi_measure(inst.family, inst.scheme, float(r)).chi_hat
+               for r in radii]
+        assert got == frozen[inst.kind]
+
+
 # --- master instances -----------------------------------------------------
 
 @pytest.fixture(scope="module")
