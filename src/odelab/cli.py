@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import flow as flow_mod
-from . import hypotheses, smoothness, statmodel
+from . import hypotheses, kernels, smoothness, statmodel
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -391,11 +391,12 @@ def _suite_gronwall(cfg: dict, seed: int) -> list:
 
 
 def _suite_assumptions(cfg: dict, seed: int) -> list:
-    d = _count(cfg, "d", 2)
+    d, K_grid = _count(cfg, "d", 2), _count(cfg, "K_grid", 6)
+    if K_grid**d > hypotheses.MAX_LATTICE:  # sized in integers before the grid is built
+        raise ConfigError(f"K_grid^d = {K_grid}^{d} starts, above {hypotheses.MAX_LATTICE}")
     noise = statmodel.NoiseLaw(dim=d, covariance=_positive(cfg, "sigma2", 1.0))
     scheme = statmodel.build_stubble_scheme(
-        _count(cfg, "K_grid", 6), _count(cfg, "n_per", 3),
-        _positive(cfg, "delta_t", 0.1), noise
+        K_grid, _count(cfg, "n_per", 3), _positive(cfg, "delta_t", 0.1), noise
     )
     declared = _get(cfg, "C_cvr")
     cover = statmodel.check_cover(scheme, None if declared is None else _number(cfg, "C_cvr"))
@@ -562,6 +563,7 @@ def main(argv=None) -> int:
         hypotheses.DimensionTooSmall,
         hypotheses.DeltaTooLarge,
         hypotheses.DeltaTooSmall,
+        kernels.CalibrationFailed,
         smoothness.SlopeOutOfRange,
         statmodel.RadiusOutOfRange,
     ) as exc:

@@ -63,7 +63,8 @@ class DeltaTooSmall(Exception):
     """Requested tube radius needs more lattice points than MAX_LATTICE."""
 
 
-# starts or bump centers of one snake-det lattice; 1,331 is the largest tested
+# points of one lattice: snake-det starts or bump centers (1,331 is the largest tested),
+# or the K_grid^d starts of the CLI's assumptions suite
 MAX_LATTICE = 10**5
 
 

@@ -63,7 +63,7 @@ _EDGE = 1e-12
 
 
 class CalibrationFailed(Exception):
-    """No alpha on the search grid passed smoothness certification."""
+    """No alpha on the search grid certifies, or no measured sup-norm bounds r_max."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,7 +249,9 @@ def r_max(beta: float, L, L_beta: float, kernel: KernelSpec) -> float:
     """Largest admissible scaling radius for the perturbation x -> L_beta r^beta h((x-z)/r).
 
     min over k = 0..ell of (L_k / (L_beta ||D^k h||_inf))^(1/(beta-k)),
-    with the derivative sup-norms measured by finite differences.
+    with the derivative sup-norms measured by finite differences.  Raises
+    :class:`CalibrationFailed` when every measured sup-norm is 0, so that
+    no order constrains the radius.
     """
     terms = []
     for k, head in enumerate(float(v) for v in L):
@@ -257,4 +259,7 @@ def r_max(beta: float, L, L_beta: float, kernel: KernelSpec) -> float:
         if sup <= 0:
             continue  # derivative vanishes identically: no constraint
         terms.append((head / (L_beta * sup)) ** (1.0 / (beta - k)))
+    if not terms:
+        raise CalibrationFailed(f"every measured sup-norm of the {kernel.kind} shape is 0 "
+                                f"({beta=}, dim={kernel.dim}): no order bounds the radius")
     return min(terms)

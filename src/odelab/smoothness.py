@@ -13,13 +13,15 @@ the true k-th derivative, so measured sup-norms never overshoot the truth
 explicit 5% slack.
 
 Also here: set partitions and the Faà di Bruno composition-derivative
-formula (used to differentiate the chain-remainder construction), and the
-chain-remainder field itself, s(x) = (2/3) L0 g'(g^{-1}(x)) for a
-periodically perturbed identity g.
+formula, one loop over block-size classes on value jets, and the
+chain-remainder field s(x) = (2/3) L0 g'(g^{-1}(x)) for a periodically
+perturbed identity g, with its closed-form jet taken at y = g(u) (the
+derivatives of g^{-1} come from the same loop).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -42,7 +44,6 @@ __all__ = [
     "certify_membership",
     "CertificationReport",
     "chain_remainder_field",
-    "chain_remainder_jet",
     "chain_remainder_u_jet",
     "chain_remainder_bounds",
     "periodic_sup",
@@ -128,30 +129,48 @@ def enumerate_partitions(k: int):
     return [Partition(tuple(frozenset(b) for b in p)) for p in parts]
 
 
+@functools.lru_cache(maxsize=None)
+def _block_classes(k: int) -> tuple:
+    """(count, block sizes) of each block-size class of the partitions of {1..k}.
+
+    Partitions with the same block sizes give equal Faà di Bruno terms.  The
+    classes come in order of first appearance; sorting the sizes changes no
+    one-partition class (one block, or all singletons).
+    """
+    sizes = (tuple(sorted(map(len, p.blocks), reverse=True)) for p in enumerate_partitions(k))
+    return tuple((count, s) for s, count in collections.Counter(sizes).items())
+
+
+def _compose(f, g, k: int):
+    """k-th derivative of f o g from the value jets f[j] = f^(j)(g(x)), g[j] = g^(j)(x).
+
+    One term per block-size class times its count; j = 1..k, and the values
+    (floats or arrays) are not modified.
+    """
+    total = 0.0
+    for count, sizes in _block_classes(k):
+        term = f[len(sizes)]
+        for size in sizes:
+            term = term * g[size]
+        total += term if count == 1 else count * term
+    return total
+
+
 def faa_di_bruno(f_derivs, g_derivs, k: int, x: float) -> float:
-    """k-th derivative of f o g at x via the partition sum.
+    """k-th derivative of f o g at x by the Faà di Bruno formula.
 
     ``f_derivs[j]`` / ``g_derivs[j]`` must evaluate the j-th derivative,
-    j = 0..k (index 0 is the function itself).  The callables may return
-    arrays, which are not modified.
+    j = 0..k (index 0 is the function itself).  Each is evaluated at most
+    once (f_derivs[0] never) and :func:`_compose` sums the set partitions of
+    {1..k} by block-size class.  Arrays they return are not modified.
     """
     if k > MAX_PARTITION_ORDER:
         raise TooLarge(f"k = {k} > {MAX_PARTITION_ORDER}")
     if len(f_derivs) < k + 1 or len(g_derivs) < k + 1:
         raise ValueError("need derivative callables up to order k")
     gx = g_derivs[0](x)
-    total = 0.0
-    for part in enumerate_partitions(k):
-        term = f_derivs[len(part.blocks)](gx)
-        for block in part.blocks:
-            term = term * g_derivs[len(block)](x)
-        total += term
-    return total
-
-
-def _values(jet) -> list:
-    """Callables for :func:`faa_di_bruno` returning the precomputed values jet[j]."""
-    return [lambda _, v=v: v for v in jet]
+    return _compose([None] + [fj(gx) for fj in f_derivs[1:k + 1]],
+                    [None] + [gj(x) for gj in g_derivs[1:k + 1]], k)
 
 
 def _inverse_derivs(g, n: int) -> list:
@@ -162,7 +181,7 @@ def _inverse_derivs(g, n: int) -> list:
     """
     h = [None, 1.0 / g[1]]
     for k in range(2, n + 1):  # a 0 in place of (g^{-1})^(k) drops the one-block term
-        h.append(-faa_di_bruno(_values(g), _values(h + [0.0]), k, None) / g[1])
+        h.append(-_compose(g, h + [0.0], k) / g[1])
     return h
 
 
@@ -352,8 +371,8 @@ def _periodic_grid(order: int) -> np.ndarray:
 
 
 def periodic_sup(order: int) -> float:
-    """sup |K_per^(order)| over one period, on a 40,001-point grid."""
-    return float(np.abs(_periodic_grid(order)).max())
+    """sup |K_per^(order)| over one period: 2^order sup |K^(order)|, by the refined search."""
+    return 2.0**order * kernels.sup_abs_kernel_deriv(order)
 
 
 def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: float,
@@ -427,13 +446,6 @@ def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: flo
     )
 
 
-def _g_jet(kper, a: float, radius: float) -> list:
-    """[., g', ..., g^(n)] from kper[j - 1] = K_per^(j)(w), j = 1..n; a = amplitude radius^beta."""
-    return [None, 1.0 + a * kper[0]] + [
-        a * radius ** (1 - j) * kper[j - 1] for j in range(2, len(kper) + 1)
-    ]
-
-
 def chain_remainder_u_jet(kper, a: float, radius: float, L0: float) -> list:
     """[s, s', ..., s^(n)] of s = (2/3) L0 g' o g^{-1} at the points y = g(u).
 
@@ -442,12 +454,11 @@ def chain_remainder_u_jet(kper, a: float, radius: float, L0: float) -> list:
     a radius^(1-j) K_per^(j)(w), so g^{-1} is never evaluated.
     """
     speed = 2.0 / 3.0 * L0
-    g = _g_jet(kper, a, radius)
     n = len(kper) - 1
+    g = [None, 1.0 + a * kper[0]] + [a * radius ** (1 - j) * kper[j - 1] for j in range(2, n + 2)]
     outer = [None] + [speed * gj for gj in g[2:]]
     h = _inverse_derivs(g, n)
-    return [speed * g[1]] + [faa_di_bruno(_values(outer), _values(h), k, None)
-                             for k in range(1, n + 1)]
+    return [speed * g[1]] + [_compose(outer, h, k) for k in range(1, n + 1)]
 
 
 def chain_remainder_bounds(amplitude: float, radius: float, L0: float, beta: float) -> list:
@@ -464,26 +475,3 @@ def chain_remainder_bounds(amplitude: float, radius: float, L0: float, beta: flo
     M = [float(np.abs(v).max())
          for v in chain_remainder_u_jet(kper, amplitude * radius**beta, radius, L0)]
     return M[: ell + 1] + [(2.0 * M[ell]) ** (1.0 - gamma) * M[ell + 1] ** gamma]
-
-
-def chain_remainder_jet(amplitude: float, radius: float, phase: float, L0: float,
-                        beta: float):
-    """Derivative callables (outer, inner) for Faà di Bruno on s = F o g^{-1}.
-
-    outer[j] is the j-th derivative of F(u) = (2/3) L0 g'(u); inner[j] the
-    j-th derivative of g^{-1}, j = 0..4, from the jet of g at u = g^{-1}(y).
-    :func:`chain_remainder_bounds` takes the same jet on a 40,001-point grid
-    of one period and bounds the Hölder seminorm by (2 M_ell)^(1-gamma)
-    M_{ell+1}^gamma.
-    """
-    g_inv = chain_remainder_field(amplitude, radius, phase, L0, beta).metadata["g_inv"]
-    a, speed = amplitude * radius**beta, 2.0 / 3.0 * L0
-
-    def g_jet(u, n):
-        w = (u - phase) / radius
-        return _g_jet([kernels.periodic_kernel_deriv(w, j) for j in range(1, n + 1)], a, radius)
-
-    outer = [lambda u, j=j: speed * g_jet(u, j + 1)[j + 1] for j in range(5)]
-    inner = [g_inv] + [lambda y, j=j: _inverse_derivs(g_jet(g_inv(y), j), j)[j]
-                       for j in range(1, 5)]
-    return outer, inner

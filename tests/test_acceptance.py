@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import odelab
-from odelab import hypotheses, smoothness, statmodel
+from odelab import hypotheses, kernels, smoothness, statmodel
 
 PHI_MINUS_HALF = 0.3085375387259869  # Phi(-1/2), mpmath 22 digits
 BELL = [1, 2, 5, 15, 52, 203]
@@ -203,15 +203,17 @@ def test_criterion_09_faa_di_bruno():
         want = fd(lambda u: math.exp(math.sin(u)), 0.7, k, 1e-2)
         assert got == pytest.approx(want, rel=1e-5)
 
-    # chain-remainder field: tame parameters keep the FD noise in range
-    tame = dict(amplitude=0.5, radius=0.5, phase=0.13, L0=2.0, beta=2.5)
-    fld = smoothness.chain_remainder_field(**tame)
-    outer, inner = smoothness.chain_remainder_jet(**tame)
+    # chain-remainder field: its closed-form jet at y = 0.4, taken at u = g^{-1}(0.4);
+    # tame parameters keep the FD noise in range
+    amp, r, phase, L0 = 0.5, 0.5, 0.13, 2.0
+    fld = smoothness.chain_remainder_field(amp, r, phase, L0, 2.5)
+    w = (fld.metadata["g_inv"](0.4) - phase) / r
+    kper = [kernels.periodic_kernel_deriv(w, j) for j in range(1, 6)]
+    jet = smoothness.chain_remainder_u_jet(kper, amp * r**2.5, r, L0)
     s_scalar = lambda y: float(fld.eval(np.array([y]))[0])
     for k in range(1, 5):
-        got = smoothness.faa_di_bruno(outer, inner, k, 0.4)
         want = fd(s_scalar, 0.4, k, 4e-3 if k >= 3 else 1e-3)
-        assert got == pytest.approx(want, rel=1e-5), f"order {k}"
+        assert jet[k] == pytest.approx(want, rel=1e-5), f"order {k}"
 
 
 def test_criterion_10_smoothness_certification():

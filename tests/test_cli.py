@@ -125,6 +125,21 @@ def test_tiny_delta_is_a_construction_error(tmp_path, capsys, command, payload):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("payload,error", [
+    ({"suite": "smoothness", "beta": 2.0, "d": 12}, "construction error: every measured"),
+    ({"suite": "symmetry", "beta": 2.0, "d": 12}, "construction error: every measured"),
+    ({"suite": "assumptions", "d": 40}, "config error: K_grid^d = 6^40 starts"),
+])
+def test_oversized_dimension_exits_two(tmp_path, capsys, payload, error):
+    # at d = 12 no sample point of the unit shape's calibration lies in its support,
+    # so no sup-norm bounds the radius; 6^40 starts are refused before the grid is built
+    cfg = _cfg(tmp_path, payload)
+    assert _run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert f"odelab: {error}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("suite,L_beta", [
     ("coincidence", 3000.0), ("symmetry", 50.0), ("gronwall", 50.0)])
 def test_config_class_constants_reach_the_suite(tmp_path, suite, L_beta):

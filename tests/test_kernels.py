@@ -247,6 +247,13 @@ def test_r_max_frozen_and_monotone():
     assert kernels.r_max(2.0, (2.0, 20.0), 400.0, spec) < r
 
 
+def test_r_max_without_a_constraining_order_fails():
+    # at d = 12 no calibration sample lies in the unit ball: every measured sup-norm is 0
+    spec = kernels.KernelSpec(beta=2.0, alpha=1.0, kind="bump", dim=12)
+    with pytest.raises(kernels.CalibrationFailed, match="no order bounds the radius"):
+        kernels.r_max(2.0, (2.0, 20.0), 100.0, spec)
+
+
 def test_scaled_field_translation_and_amplitude():
     spec = _bump_spec()
     field = hypotheses._perturbed_field(spec, np.zeros(2), [(0.3, 0.4)], 0.2, 5.0, 0, 1.0, {})

@@ -87,6 +87,39 @@ def test_faa_di_bruno_linear_inner():
         assert got == pytest.approx(2.0**k * f_der[k](0.6), rel=1e-13)
 
 
+# values in [-10, 10] on a 1e-5 lattice: no product of nine underflows
+JET = st.lists(st.integers(-10**6, 10**6).map(lambda n: n / 1e5), min_size=9, max_size=9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 8), f=JET, g=JET)
+def test_faa_di_bruno_matches_the_partition_sum(k, f, g):
+    # the block-size-class sum against one term per set partition of {1..k}
+    terms = []
+    for part in smoothness.enumerate_partitions(k):
+        term = f[len(part.blocks)]
+        for block in part.blocks:
+            term *= g[len(block)]
+        terms.append(term)
+    got = smoothness.faa_di_bruno([lambda _, v=v: v for v in f],
+                                  [lambda _, v=v: v for v in g], k, 0.0)
+    assert abs(got - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+
+
+def test_faa_di_bruno_evaluates_each_callable_once():
+    calls = []
+
+    def logged(name, fn):
+        return lambda x: calls.append(name) or fn(x)
+
+    g_fns = [math.sin, math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), math.sin]
+    f_der = [logged(("f", j), math.exp) for j in range(5)]
+    g_der = [logged(("g", j), fn) for j, fn in enumerate(g_fns)]
+    got = smoothness.faa_di_bruno(f_der, g_der, 4, 0.7)
+    assert got == pytest.approx(EXP_SIN_AT_07[3], rel=1e-12)
+    assert len(calls) == len(set(calls))
+
+
 def test_chain_remainder_field_value_and_flow():
     fld = smoothness.chain_remainder_field(**TAME)
     assert float(fld.eval(np.array([0.4]))[0]) == pytest.approx(
@@ -129,11 +162,14 @@ def test_chain_remainder_slope_guard():
         smoothness.chain_remainder_field(50.0, 0.5, 0.13, 2.0, 2.5)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_chain_remainder_jet_matches_reference(k):
-    outer, inner = smoothness.chain_remainder_jet(**TAME)
-    got = smoothness.faa_di_bruno(outer, inner, k, 0.4)
-    assert got == pytest.approx(CHAIN_S_AT_04[k], rel=1e-10)
+def test_chain_remainder_slope_guard_is_exact():
+    # sup|K_per'| = 1.596859503667199 (mpmath, as in test_periodic_sup_frozen): a slope
+    # 1e-9 relative over the cap 1/2 is rejected, one 1e-9 under it admitted
+    r, beta = 0.5, 2.5
+    amp = 0.5 / (r**beta * 1.596859503667199)
+    with pytest.raises(smoothness.SlopeOutOfRange):
+        smoothness.chain_remainder_field(amp * (1.0 + 1e-9), r, 0.13, 2.0, beta)
+    smoothness.chain_remainder_field(amp * (1.0 - 1e-9), r, 0.13, 2.0, beta)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
