@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import flow as flow_mod
-from . import hypotheses, kernels, smoothness, statmodel
+from . import geometry, hypotheses, kernels, smoothness, statmodel
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -186,14 +186,6 @@ def _radius(cfg: dict, family: hypotheses.HypothesisFamily) -> float:
 # construct
 
 
-def _grid_points(first, second, d: int) -> np.ndarray:
-    """Points of R^d on the product grid first x second in (x_1, x_2), in row order; x_3.. = 0."""
-    pts = np.zeros((len(first) * len(second), d))
-    pts[:, 0] = np.repeat(first, len(second))
-    pts[:, 1] = np.tile(second, len(first))
-    return pts
-
-
 def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
     which = _get(cfg, "construction", "stubble-det")
     if which == "spiral":
@@ -208,7 +200,7 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
             "supnorm": spec.field.metadata["supnorm"],
         }
         _write_json(os.path.join(out, "construction.json"), desc)
-        pts = _grid_points(np.linspace(-2.0, 3.0, 41), np.linspace(-3.5, 1.5, 41), 2)
+        pts = geometry.product_grid([np.linspace(-2.0, 3.0, 41), np.linspace(-3.5, 1.5, 41)])
         rows = np.hstack([pts, spec.field(pts)]).tolist()
         _write_csv(os.path.join(out, "field_grid.csv"),
                    ["x1", "x2", "f1", "f2"], rows, comment=f"spiral K={K}")
@@ -270,7 +262,7 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
         }
         _write_json(os.path.join(out, "construction.json"), desc)
         grid = np.linspace(0.0, 1.0, 41)
-        pts = _grid_points(grid, grid, d)
+        pts = geometry.product_grid([grid, grid] + [np.zeros(1)] * (d - 2))
         rows = np.column_stack([pts[:, :2], pair.f0(pts)[:, 0], pair.f1(pts)[:, 0]]).tolist()
         _write_csv(os.path.join(out, "field_grid.csv"),
                    ["x1", "x2", "f0_1", "f1_1"], rows,
@@ -398,9 +390,8 @@ def _suite_assumptions(cfg: dict, seed: int) -> list:
     scheme = statmodel.build_stubble_scheme(
         K_grid, _count(cfg, "n_per", 3), _positive(cfg, "delta_t", 0.1), noise
     )
-    declared = _get(cfg, "C_cvr")
-    cover = statmodel.check_cover(scheme, None if declared is None else _number(cfg, "C_cvr"))
-    cover_time = statmodel.check_cover_time(scheme, _number(cfg, "C_cvrtm", 3.0))
+    cover = statmodel.check_cover(scheme, _positive(cfg, "C_cvr", 4.0**d))
+    cover_time = statmodel.check_cover_time(scheme, _positive(cfg, "C_cvrtm", 3.0))
     return [
         ("cover-constant", cover.passed, cover.C_hat, cover.declared),
         ("cover-time-constant", cover_time.passed, cover_time.C_hat, cover_time.declared),

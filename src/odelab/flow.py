@@ -46,10 +46,13 @@ class OutOfSpan(Exception):
 class ModelFunction:
     """An evaluatable vector field R^dim -> R^dim.
 
-    ``eval`` accepts a point (dim,) or a batch (..., dim).  If a
-    closed-form flow is known it satisfies the semigroup property (checked
-    by :func:`flow_semigroup_check`, not assumed).  ``metadata`` carries
-    construction tags and pinned constants used by downstream bounds.
+    ``eval`` accepts a point (dim,) or a batch (..., dim).  A closed-form
+    flow ``closed_form_flow(x, t)`` takes starts x (..., dim) and times t
+    that broadcast against ``x.shape[:-1]``, and returns a new array of the
+    broadcast shape + (dim,), which callers may write into; it satisfies
+    the semigroup property (checked by :func:`flow_semigroup_check`, not
+    assumed).  ``metadata`` carries construction tags and pinned constants
+    used by downstream bounds.
     """
 
     dim: int

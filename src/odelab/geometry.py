@@ -25,6 +25,7 @@ __all__ = [
     "packing_number",
     "varshamov_gilbert",
     "halton",
+    "product_grid",
     "min_distance",
 ]
 
@@ -84,6 +85,15 @@ def halton(n: int, d: int) -> np.ndarray:
             scale /= base
             q //= base
     return out
+
+
+def product_grid(axes) -> np.ndarray:
+    """Every point of the product of the 1-d ``axes``: (prod n_i, len(axes)), "ij" order.
+
+    Point k takes its coordinates in the order of ``itertools.product``, the
+    last axis varying fastest.
+    """
+    return np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 _MIN_DISTANCE_ROWS = 64
@@ -225,8 +235,7 @@ def tube_cover_check(tubes: Sequence[TubeSpec], region, *, radius: Optional[floa
     net = halton(n, d)
     pts = reg[:, 0] + (reg[:, 1] - reg[:, 0]) * net
     if d <= 12:
-        corners = np.array(list(itertools.product(*[(lo, hi) for lo, hi in reg])))
-        pts = np.vstack([pts, corners])
+        pts = np.vstack([pts, product_grid(reg)])
     dist, max_gap = _union_distance(pts, tubes)
     worst = int(dist.argmax())
     width = float((reg[:, 1] - reg[:, 0]).max())
@@ -256,9 +265,8 @@ def packing_number(region, r: float):
     counts = np.floor(sides / (2.0 * r)).astype(int)
     if np.any(counts == 0):
         return 0, np.empty((0, len(reg)))
-    axes = [reg[i, 0] + r + 2.0 * r * np.arange(counts[i]) for i in range(len(reg))]
-    grids = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    centers = product_grid([reg[i, 0] + r + 2.0 * r * np.arange(counts[i])
+                            for i in range(len(reg))])
     return int(centers.shape[0]), centers
 
 

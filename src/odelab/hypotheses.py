@@ -154,7 +154,7 @@ def _constant_field(dim: int, velocity: np.ndarray, tag: str) -> ModelFunction:
         return np.broadcast_to(v, x.shape).copy()
 
     def closed_flow(x, t):
-        return np.asarray(x, dtype=float) + v * t
+        return np.asarray(x, dtype=float) + v * np.asarray(t, dtype=float)[..., None]
 
     return ModelFunction(
         dim=dim,
@@ -269,10 +269,13 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
                      delta_t: float, x0) -> HypothesisPair:
     """Two fields whose flows agree at every multiple of delta_t from every x.
 
-    f0 drifts at speed (2/3) L_0 along e_1; f1 reparametrizes the same
-    orbit through a periodic perturbation g of the identity with period
-    r = (2/3) L_0 delta_t, so one step of the time grid advances the
-    conjugating map by exactly one period.  The amplitude is bisected in
+    f0 drifts at speed (2/3) L_0 along e_1; f1 is the chain-remainder field
+    (:func:`odelab.smoothness.chain_remainder_field`, built in d dimensions),
+    which reparametrizes the same orbit through a periodic perturbation g of
+    the identity with period r = (2/3) L_0 delta_t, so one step of the time
+    grid advances the conjugating map by exactly one period; coordinates
+    2..d do not move under either field.  Both closed-form flows broadcast
+    starts against times.  The amplitude is bisected in
     (0, slope cap] against the closed-form jet of the chain-remainder field
     (:func:`odelab.smoothness.chain_remainder_bounds`): M_k = max |s^(k)|
     <= L_k on a 40,001-point grid of one period, and the Hölder bound
@@ -319,11 +322,9 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     z = float(x0[0]) - r * w_star - amp * r ** (beta + 1) * float(
         kernels.periodic_kernel(w_star)
     )
-    core = smoothness.chain_remainder_field(amp, r, z, L0, beta)
     speed = (2.0 / 3.0) * L0
-
     f0 = _constant_field(d, speed * np.eye(d)[0], "stubble-det-null")
-    f1 = _embed_first_coordinate(core, d)
+    f1 = smoothness.chain_remainder_field(amp, r, z, L0, beta, d)
 
     attained = speed * amp * r**beta * per_prime
     # the amplitude-free floor is sep_constant L0^(beta+1) dt^beta: the claim at amp = 1
@@ -345,29 +346,6 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
             "beta": beta,
             "separation_constant": sep_constant,
         },
-    )
-
-
-def _embed_first_coordinate(core: ModelFunction, d: int) -> ModelFunction:
-    """Lift a 1-d field with closed flow to d dims (other coordinates frozen)."""
-    if d == 1:
-        return core
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = np.asarray(core(x[..., :1]))[..., 0]
-        return out
-
-    def closed_flow(x, t):
-        x = np.asarray(x, dtype=float)
-        out = x.copy()
-        out[..., 0] = np.asarray(core.closed_form_flow(x[..., :1], t))[..., 0]
-        return out
-
-    return ModelFunction(
-        dim=d, eval=evaluate, closed_form_flow=closed_flow,
-        metadata=dict(core.metadata),
     )
 
 
@@ -500,18 +478,12 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
         base = (x0[c] + r) % (2.0 * r)
         first = base - 2.0 * r if base >= r else base
         axes.append(first + 2.0 * r * np.arange(per_axis))
-    initials = np.zeros((m, d))
-    for c, g in enumerate(np.meshgrid(*axes, indexing="ij")):
-        initials[:, c + 1] = g.reshape(-1)
+    initials = geometry.product_grid([np.zeros(1)] + axes)
     times = np.full(m, 1.0 / L0)
 
     center_axes = [x0[c] + 2.0 * r * np.arange(lo, hi + 1)
                    for c, (lo, hi) in enumerate(spans, 1)]
-    cgrids = np.meshgrid(*center_axes, indexing="ij")
-    centers = np.zeros((n_centers, d))
-    centers[:, 0] = x0[0]
-    for c, g in enumerate(cgrids):
-        centers[:, c + 1] = g.reshape(-1)
+    centers = geometry.product_grid([x0[:1]] + center_axes)
 
     # transverse distance between the trajectory lines and the bump centers.
     # Both lattices are products of axes, so the closest pair is closest on
@@ -649,10 +621,8 @@ def spiral_build(K: int) -> SpiralConstruction:
         },
     )
 
-    ks = np.arange(K + 1)
-    schedule = np.array(
-        [sum(2.0 + math.pi * (2.0 + j / K + (j + 1) / K) for j in range(k)) for k in ks]
-    )
+    j = np.arange(K)
+    schedule = np.concatenate([[0.0], np.cumsum(2.0 + math.pi * (2.0 + j / K + (j + 1) / K))])
     T = float(schedule[-1] + 1.0)
     assert abs(T - (1.0 + (2.0 + 3.0 * math.pi) * K)) < 1e-9
     return SpiralConstruction(K=K, delta=delta, field=fld, schedule=schedule, T=T)

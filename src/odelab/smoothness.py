@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow, kernels
-from .geometry import _as_region, halton
+from .geometry import _as_region, halton, product_grid
 
 __all__ = [
     "TooLarge",
@@ -196,9 +196,7 @@ def _sample_box(reg: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
     widths = reg[:, 1] - reg[:, 0]
     if d <= 3:
         per_axis = max(2, int(round(budget ** (1.0 / d))))
-        axes = [np.linspace(reg[i, 0], reg[i, 1], per_axis) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = product_grid([np.linspace(reg[i, 0], reg[i, 1], per_axis) for i in range(d)])
         spacing = widths / (per_axis - 1)
     else:
         pts = reg[:, 0] + halton(budget, d) * widths
@@ -376,8 +374,12 @@ def periodic_sup(order: int) -> float:
 
 
 def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: float,
-                          beta: float) -> flow.ModelFunction:
-    """The 1-d model function s(x) = (2/3) L0 g'(g^{-1}(x)).
+                          beta: float, d: int = 1) -> flow.ModelFunction:
+    """The field R^d -> R^d moving coordinate 0 at s(x_0) = (2/3) L0 g'(g^{-1}(x_0)).
+
+    Coordinates 1..d-1 have velocity 0 and do not move.  ``eval`` and the
+    closed-form flow g(g^{-1}(x_0) + (2/3) L0 t) act on coordinate 0 of any
+    (..., d) batch, the flow broadcasting starts against times.
 
     g(x) = x + amplitude * radius^(beta+1) * K_per((x - phase)/radius) is a
     smooth periodic perturbation of the identity; the slope condition
@@ -421,16 +423,19 @@ def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: flo
 
     def eval_field(x):
         x = np.asarray(x, dtype=float)
-        val = speed * g_prime(g_inv(x[..., 0]))
-        return np.stack([val], axis=-1) if np.ndim(val) else np.array([val])
+        out = np.zeros_like(x)
+        out[..., 0] = speed * g_prime(g_inv(x[..., 0]))
+        return out
 
     def closed_flow(x, t):
         x = np.asarray(x, dtype=float)
-        val = g(g_inv(x[..., 0]) + speed * t)
-        return np.stack([val], axis=-1) if np.ndim(val) else np.array([val])
+        u = g_inv(x[..., 0]) + speed * np.asarray(t, dtype=float)
+        out = np.broadcast_to(x, np.shape(u) + x.shape[-1:]).copy()
+        out[..., 0] = g(u)
+        return out
 
     return flow.ModelFunction(
-        dim=1,
+        dim=d,
         eval=eval_field,
         closed_form_flow=closed_flow,
         metadata={

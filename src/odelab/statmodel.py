@@ -151,10 +151,7 @@ class ObservationScheme:
 def build_stubble_scheme(K_grid: int, n_per: int, delta_t: float,
                          noise: NoiseLaw) -> ObservationScheme:
     """Cell-centered K^d grid of starts, each observed at delta_t, 2 delta_t, ...."""
-    d = noise.dim
-    axes = [(np.arange(K_grid) + 0.5) / K_grid] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    initials = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    initials = geometry.product_grid([(np.arange(K_grid) + 0.5) / K_grid] * noise.dim)
     row = delta_t * np.arange(1, n_per + 1)
     times = np.tile(row, (len(initials), 1))
     return ObservationScheme("stubble", initials, times, noise)
@@ -189,12 +186,15 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None,
     of #{j : ||x_j - z|| <= r} / (m r^d); the floor r_floor =
     (declared * m)^(-1/d) is where a single point saturates the budget.
     Candidate radii are the inclusion radii at each center (where the
-    count jumps), which is where the ratio is locally maximal.
+    count jumps), which is where the ratio is locally maximal.  A declared
+    constant <= 0 raises ValueError.
     """
     x = scheme.initials
     m, d = x.shape
     if declared is None:
         declared = 4.0**d
+    if declared <= 0:
+        raise ValueError(f"declared cover constant {declared} <= 0")
     r_floor = (declared * m) ** (-1.0 / d)
     net = geometry.halton(extra_centers, d)
     centers = np.vstack([x, net, np.full((1, d), 0.5)])
@@ -259,34 +259,26 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
                 *, tol: float = 1e-10) -> np.ndarray:
     """States of every trajectory at its observation times, shape (m, n, d).
 
-    ``times`` needs one row per initial state.  Closed-form flows are
-    evaluated directly; otherwise all trajectories are integrated in step,
-    each under its own error test, up to the largest finite time and read
-    out at the union of the requested times.  A NaN time gives a NaN state
-    on both paths.
+    ``times`` needs one row per initial state.  A closed-form flow is
+    evaluated in one call, the starts (m, 1, d) broadcast against the times
+    (m, n); otherwise all trajectories are integrated in step, each under
+    its own error test, up to the largest finite time and read out at the
+    union of the requested times.  A NaN time gives a NaN state on both
+    paths.
     """
     initials = np.atleast_2d(np.asarray(initials, float))
     times = np.atleast_2d(np.asarray(times, float))
-    m, d = initials.shape
+    m = initials.shape[0]
     if times.shape[0] != m:
         raise ValueError(f"{times.shape[0]} rows of times for {m} initial states")
     if f.closed_form_flow is not None:
-        out = np.empty((m,) + times.shape[1:] + (d,))
-        shared = (times == times[0]).all(axis=0)
-        for i in range(times.shape[1]):
-            col = times[:, i]
-            if shared[i]:
-                out[:, i, :] = f.closed_form_flow(initials, float(col[0]))
-            else:
-                for j in range(m):
-                    out[j, i, :] = f.closed_form_flow(initials[j], float(col[j]))
-        return out
-    finite = times[np.isfinite(times)]
-    T = float(finite.max()) if finite.size else 0.0
-    traj = flow_mod.integrate(f, initials, T, tol)
-    unique, inverse = np.unique(times, return_inverse=True)
-    states = flow_mod.flow_at(traj, unique)
-    out = states[inverse.reshape(times.shape), np.arange(m)[:, None]]
+        out = f.closed_form_flow(initials[:, None, :], times)
+    else:
+        finite = times[np.isfinite(times)]
+        T = float(finite.max()) if finite.size else 0.0
+        traj = flow_mod.integrate(f, initials, T, tol)
+        unique, inverse = np.unique(times, return_inverse=True)
+        out = flow_mod.flow_at(traj, unique)[inverse.reshape(times.shape), np.arange(m)[:, None]]
     out[np.isnan(times)] = np.nan
     return out
 
@@ -379,8 +371,8 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
         hits = np.linalg.norm(offsets, axis=-1) <= r * (1.0 + 1e-9)
         chi = hits.sum(axis=1) * scheme.n_max
     if c_idx.size:
-        t0 = t_in[c_idx, j_idx][:, None]
-        local = times[j_idx] - t0
+        t0 = t_in[c_idx, j_idx]
+        local = times[j_idx] - t0[:, None]
         before = local < 0.0
         local[before] = np.nan
         alt = family.make_alternative(centers[c_idx], r)

@@ -88,6 +88,9 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("rates", {"beta": 2.0, "n": {"start": 0, "stop": 10, "num": 3}}),
     ("rates", {"beta": 2.0, "n": {"start": 10, "stop": -100, "num": 3}}),
     ("verify", {"suite": []}),
+    ("verify", {"suite": "assumptions", "C_cvr": 0}),
+    ("verify", {"suite": "assumptions", "C_cvr": -1}),
+    ("verify", {"suite": "assumptions", "C_cvrtm": 0}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)

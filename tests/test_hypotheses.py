@@ -132,6 +132,48 @@ def test_irrational_timestep_breaks_coincidence(det_pair):
     assert gap > 1e-4
 
 
+def _stubble_det(d):
+    return hypotheses.stubble_det_pair(STUBBLE_CLASS["beta"], d, STUBBLE_CLASS["L"],
+                                       STUBBLE_CLASS["L_beta"], 0.05, np.full(d, 0.5))
+
+
+def _prob_null(make_family, d):
+    return make_family(SNAKE_CLASS["beta"], d, SNAKE_CLASS["L"], SNAKE_CLASS["L_beta"]).f0
+
+
+# every closed-form flow the package builds
+CLOSED_FORMS = {
+    "stubble-det-null-d1": lambda: _stubble_det(1).f0,
+    "stubble-det-f1-d1": lambda: _stubble_det(1).f1,
+    "stubble-det-null-d2": lambda: _stubble_det(2).f0,
+    "stubble-det-f1-d2": lambda: _stubble_det(2).f1,
+    "stubble-prob-null-d2": lambda: _prob_null(hypotheses.stubble_prob_family, 2),
+    "snake-prob-null-d3": lambda: _prob_null(hypotheses.snake_prob_family, 3),
+    "chain-remainder-d1": lambda: smoothness.chain_remainder_field(0.5, 0.5, 0.13, 2.0, 2.5),
+    "chain-remainder-d3": lambda: smoothness.chain_remainder_field(0.5, 0.5, 0.13, 2.0, 2.5, 3),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_flow_broadcasts_starts_against_times(name, k):
+    # starts (k, d) take times (k,) row by row and starts (k, 1, d) take times (k, n)
+    # element by element, bit for bit; at k = d the times are not read along the
+    # coordinate axis
+    f = CLOSED_FORMS[name]()
+    rng = np.random.default_rng(k)
+    x = rng.uniform(0.0, 1.0, size=(k, f.dim))
+    t = rng.uniform(-1.0, 2.0, size=k)
+    got = f.closed_form_flow(x, t)
+    want = np.array([f.closed_form_flow(xi, ti) for xi, ti in zip(x, t)])
+    assert got.shape == (k, f.dim) and got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, x)
+    times = rng.uniform(-1.0, 2.0, size=(k, 4))
+    got = f.closed_form_flow(x[:, None, :], times)
+    want = np.array([[f.closed_form_flow(xi, tj) for tj in row] for xi, row in zip(x, times)])
+    assert got.shape == (k, 4, f.dim) and got.tobytes() == want.tobytes()
+
+
 def test_stubble_family_radius_guardrails():
     fam = hypotheses.stubble_prob_family(2.0, 2, (2.0, 20.0), 100.0)
     assert fam.rho_plus > 0

@@ -116,6 +116,13 @@ def test_check_cover_equals_loop_reference(d, K_grid, declared):
     assert type(rep.detail["radius"]) is float and type(rep.detail["count"]) is int
 
 
+@pytest.mark.parametrize("declared", [0.0, -1.0])
+def test_check_cover_rejects_nonpositive_constant(declared):
+    sch = statmodel.build_stubble_scheme(4, 2, 0.1, _noise2())
+    with pytest.raises(ValueError, match="<= 0"):
+        statmodel.check_cover(sch, declared)
+
+
 def test_check_cover_time_equidistant():
     sch = statmodel.build_stubble_scheme(20, 3, 0.1, _noise2())
     rep = statmodel.check_cover_time(sch)
@@ -190,20 +197,32 @@ def _rotation(closed: bool) -> flow.ModelFunction:
                               closed_form_flow=closed_flow if closed else None)
 
 
-def test_flow_states_closed_form_per_trajectory_times():
+def _stubble_det_f1() -> flow.ModelFunction:
+    """The chain-remainder field of the beta 1.5 stubble-det pair, built in 2 dimensions."""
+    pair = hypotheses.stubble_det_pair(1.5, 2, (2.0, 300.0), 6500.0, 0.05, np.full(2, 0.5))
+    return pair.f1
+
+
+# tol bounds each step's local error; up to t = 2 the global error is 3.4e-9 for the
+# rotation and 3.6e-8 for the chain-remainder field, which crosses 40 of its periods
+@pytest.mark.parametrize("make_field,tols", [
+    (lambda: _rotation(closed=True), 100), (_stubble_det_f1, 1000),
+], ids=["rotation", "stubble-det-f1"])
+def test_flow_states_closed_form_per_trajectory_times(make_field, tols):
     initials = np.array([[1.0, 0.0], [0.5, -0.25], [-0.3, 0.8]])
     times = np.array([[0.1, 0.2, 0.7, 2.0], [0.3, 0.2, 1.1, 2.0], [0.1, 0.2, 0.4, 2.0]])
-    f = _rotation(closed=True)
+    f = make_field()
     got = statmodel.flow_states(f, initials, times)
     want = np.array([[f.closed_form_flow(x, t) for t in row]
                      for x, row in zip(initials, times)])
     assert got.shape == (3, 4, 2)
     assert got.tobytes() == want.tobytes()
-    # tol bounds each step's local error; up to t = 2 the global error is 3.4e-9
     tol = 1e-10
-    integrated = statmodel.flow_states(_rotation(closed=False), initials, times, tol=tol)
-    assert np.abs(got - integrated).max() <= 100 * tol
-    # a NaN time is never shared, so its column is read per trajectory
+    integrated = statmodel.flow_states(dataclasses.replace(f, closed_form_flow=None),
+                                       initials, times, tol=tol)
+    assert np.abs(got - integrated).max() <= tols * tol
+    # the closed form takes every time in one call; a NaN time gives a NaN state in
+    # every coordinate, also in those the field does not move
     nan_times = np.array([[np.nan, 0.2], [np.nan, 0.2]])
     states = statmodel.flow_states(f, initials[:2], nan_times)
     assert np.isnan(states[:, 0]).all() and np.isfinite(states[:, 1]).all()
