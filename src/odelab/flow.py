@@ -99,6 +99,7 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])[:, None, None]
 _ERR = _B5 - _B4
+_A_ROWS = [_A[i, :i] for i in range(7)]
 
 _MAX_STEPS = 5_000_000
 
@@ -151,10 +152,10 @@ def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
                 h = T - t
 
             for i in range(1, 7):
-                yi = y + h * (_A[i, :i] * K[:i]).sum(axis=0)
+                yi = y + h * np.add.reduce(_A_ROWS[i] * K[:i], axis=0)
                 K[i] = np.asarray(f.eval(yi), dtype=float).reshape(y.shape)
-            y_new = y + h * (_B5 * K).sum(axis=0)
-            err = abs(h) * float(np.max(_row_norms((_ERR * K).sum(axis=0))))
+            y_new = y + h * np.add.reduce(_B5 * K, axis=0)
+            err = abs(h) * float(np.max(_row_norms(np.add.reduce(_ERR * K, axis=0))))
 
             if err <= tol:
                 n_accepted += 1

@@ -152,13 +152,15 @@ def _slice_distances(points: np.ndarray, states: np.ndarray, units: np.ndarray,
 
     A slice contributes ||w_par|| if the transverse part of w = point -
     state is within the radius, else the Euclidean distance to its rim.
+    Blocks of _MIN_DISTANCE_ROWS points keep the temporaries cache-sized.
     """
-    w = points[:, None, :] - states[None, :, :]  # (P, S, d)
-    par = np.einsum("psd,sd->ps", w, units)
-    perp_sq = np.maximum((w**2).sum(axis=-1) - par**2, 0.0)
-    perp = np.sqrt(perp_sq)
-    outside = np.maximum(perp - radius, 0.0)
-    return np.sqrt(par**2 + outside**2)
+    out = np.empty((len(points), len(states)))
+    for lo in range(0, len(points), _MIN_DISTANCE_ROWS):
+        w = points[lo:lo + _MIN_DISTANCE_ROWS, None, :] - states[None, :, :]  # (P, S, d)
+        par = np.einsum("psd,sd->ps", w, units)
+        perp = np.sqrt(np.maximum((w**2).sum(axis=-1) - par**2, 0.0))
+        out[lo:lo + _MIN_DISTANCE_ROWS] = np.sqrt(par**2 + np.maximum(perp - radius, 0.0)**2)
+    return out
 
 
 def point_tube_distance(point, tube: TubeSpec) -> float:

@@ -185,18 +185,27 @@ def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: fl
 
     h is the unit shape of ``spec`` (:func:`kernels.kernel_shape_eval`), so
     the term of center z_i vanishes outside the closed ball B(z_i, r).  A
-    center may be an (m, d) array: x - z_i broadcasts, so row j of an (m, d)
-    state is perturbed at row j of z_i only.
+    lone center may be an (m, d) array: x - z broadcasts, so row j of an
+    (m, d) state is perturbed at row j of z only.  Several centers must be
+    pairwise >= 2r apart (``combine`` checks it, the snake-det lattice has
+    pitch 2r): as h is an exact 0 where 1 - |w|^2 <= 1e-12, only the nearest
+    center's term t can be non-zero, and drift + t is the sum bit for bit.
     """
     scale = amplitude * r**spec.beta
-    zs = [np.asarray(z, dtype=float) for z in centers]
+    zs = np.asarray(centers, dtype=float)
+    rows = geometry._MIN_DISTANCE_ROWS
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         out[...] = drift
-        for z in zs:
-            out[..., axis] += coef * (scale * kernels.kernel_shape_eval(spec, (x - z) / r))
+        z = zs[0]
+        if len(zs) > 1:  # each point's nearest center, a block of rows at a time
+            pts = x.reshape(-1, x.shape[-1])
+            near = [((pts[lo:lo + rows, None] - zs) ** 2).sum(axis=-1).argmin(axis=1)
+                    for lo in range(0, len(pts), rows)]
+            z = zs[np.concatenate(near)].reshape(x.shape)
+        out[..., axis] += coef * (scale * kernels.kernel_shape_eval(spec, (x - z) / r))
         return out
 
     return ModelFunction(dim=spec.dim, eval=evaluate, metadata=metadata)

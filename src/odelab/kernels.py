@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 __all__ = [
     "CalibrationFailed",
@@ -68,13 +67,16 @@ class CalibrationFailed(Exception):
 
 @functools.lru_cache(maxsize=None)
 def _deriv_coef(order: int) -> tuple:
-    """Coefficients of P_order, lowest degree first."""
-    w = Polynomial([0.0, 1.0])
-    one_minus_w2 = Polynomial([1.0, 0.0, -1.0])
-    p = Polynomial([1.0])
+    """Coefficients of P_order, lowest degree first: exact integers, returned as floats."""
+    p = [1]
     for j in range(order):
-        p = -2 * w * p + p.deriv() * one_minus_w2**2 + (4 * j) * w * one_minus_w2 * p
-    return tuple(p.coef.tolist())
+        # -2 w P + 4j (w - w^3) P + (1 - 2 w^2 + w^4) P' by coefficient (k = 0 adds 0 to q[-1])
+        q = [0] * (len(p) + 3)
+        for k, c in enumerate(p):
+            for shift, s in ((1, 4 * j - 2), (3, -4 * j), (-1, k), (1, -2 * k), (3, k)):
+                q[k + shift] += s * c
+        p = q[:max(k for k, c in enumerate(q) if c) + 1]  # drop zero top coefficients
+    return tuple(float(c) for c in p)
 
 
 def standard_kernel(w):
@@ -86,19 +88,22 @@ def standard_kernel(w):
 
 
 def standard_kernel_deriv(w, order: int):
-    """Exact order-th derivative of the standard kernel (order <= 6)."""
+    """Exact order-th derivative of the standard kernel (order <= 6).
+
+    The package's one copy of K P_j / (1 - w^2)^(2j); an exact 0 where 1 - w^2 <= 1e-12.
+    """
     if not 0 <= order <= MAX_DERIV_ORDER:
         raise ValueError(f"derivative order {order} outside 0..{MAX_DERIV_ORDER}")
-    w = np.asarray(w, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
+    scalar = np.ndim(w) == 0
+    w = np.atleast_1d(np.asarray(w, dtype=float))
     t = 1.0 - w * w
     # exp(-1/t) underflows to an exact 0 long before the rational factor
     # can blow up, but evaluate through the log to avoid 0*inf at the edge.
     inside = t > _EDGE
-    if not inside.any():  # no point inside: nothing to evaluate
+    n_inside = np.count_nonzero(inside)
+    if not n_inside:  # no point inside: nothing to evaluate
         return 0.0 if scalar else np.zeros_like(w)
-    everywhere = bool(inside.all())
+    everywhere = n_inside == inside.size
     ti, wi = (t, w) if everywhere else (t[inside], w[inside])
     if order == 0:
         vals = np.exp(-1.0 / ti)
@@ -169,21 +174,19 @@ def kernel_shape_eval(spec: KernelSpec, w):
 
     * bump: alpha K(||w||), radial and C^infinity, support the closed unit ball;
     * pulse: (alpha K)(||w||) (alpha K)'(w_1), odd in w_1 and zero at w_1 = 0.
-      Both factors are evaluated only where K(||w||) can be non-zero;
-      elsewhere the product is an unsigned 0.
+      Each factor is one :func:`standard_kernel_deriv` call on the points
+      where K(||w||) can be non-zero; elsewhere h is an unsigned 0.
     """
-    w = np.asarray(w, dtype=float)
-    if spec.kind == "bump":
-        nrm = np.linalg.norm(np.atleast_1d(w), axis=-1) if w.ndim else np.abs(w)
-        return spec.alpha * standard_kernel(nrm)
-    w = np.atleast_1d(w)
-    nrm = np.linalg.norm(w, axis=-1)
-    live = 1.0 - nrm * nrm > _EDGE
-    val = np.zeros_like(nrm)
-    if live.any():
-        val[live] = ((spec.alpha * standard_kernel(nrm[live]))
-                     * (spec.alpha * standard_kernel_deriv(w[..., 0][live], 1)))
-    return float(val) if val.ndim == 0 else val
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    nrm = np.sqrt(np.add.reduce(w * w, axis=-1)).reshape(-1)
+    val = np.zeros(nrm.shape)
+    live = (1.0 - nrm * nrm > _EDGE).nonzero()[0]
+    if len(live):
+        h = spec.alpha * standard_kernel(nrm[live])
+        if spec.kind == "pulse":
+            h = h * (spec.alpha * standard_kernel_deriv(w[..., 0].reshape(-1)[live], 1))
+        val[live] = h
+    return float(val[0]) if w.ndim == 1 else val.reshape(w.shape[:-1])
 
 
 @functools.lru_cache(maxsize=None)

@@ -252,6 +252,37 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
+def test_import_does_not_load_numpy_polynomial():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(odelab.__file__)))
+    code = ("import sys, odelab; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def _one_shot_slice_distances(points, states, units, radius):
+    """Every point x slice at once: the (P, S, d) difference array in one piece."""
+    w = points[:, None, :] - states[None, :, :]
+    par = np.einsum("psd,sd->ps", w, units)
+    perp = np.sqrt(np.maximum((w**2).sum(axis=-1) - par**2, 0.0))
+    return np.sqrt(par**2 + np.maximum(perp - radius, 0.0) ** 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_blocked_slice_distances_are_bitwise_the_one_shot_formula(d, n):
+    rng = np.random.default_rng([d, n])
+    states = rng.normal(size=(300, d))
+    units = rng.normal(size=(300, d))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    points = rng.normal(size=(n, d))
+    points[: n // 4] = states[: n // 4] + 0.05 * units[: n // 4]  # on the axis: perp ~ 0
+    got = geometry._slice_distances(points, states, units, 0.1)
+    assert got.shape == (n, 300)
+    assert got.tobytes() == _one_shot_slice_distances(points, states, units, 0.1).tobytes()
+
+
 def test_min_distance_pairs_and_cross_sets():
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
     assert geometry.min_distance(pts) == 1.0

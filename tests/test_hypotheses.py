@@ -275,6 +275,80 @@ def test_snake_det_attains_claimed_separation(d, delta):
     assert gap >= pair.claimed_separation
 
 
+def _per_center_sum(spec, drift, centers, r, amplitude, axis, coef, x):
+    """The multi-center field as a loop adding every center's term."""
+    scale = amplitude * r**spec.beta
+    out = np.empty_like(x)
+    out[...] = drift
+    for z in centers:
+        out[..., axis] += coef * (scale * kernels.kernel_shape_eval(spec, (x - z) / r))
+    return out
+
+
+def _multi_center_cases():
+    """(field, spec, drift, centers, r, amplitude, axis, coef) for the fields with many centers."""
+    cases = []
+    for d, delta in ((2, 0.05), (3, 0.2)):
+        pair, _, _ = hypotheses.snake_det_pair(
+            SNAKE_CLASS["beta"], d, SNAKE_CLASS["L"], SNAKE_CLASS["L_beta"], delta,
+            np.full(d, 0.5))
+        _, spec, _ = hypotheses._calibrated(SNAKE_CLASS["beta"], d, SNAKE_CLASS["L"],
+                                            SNAKE_CLASS["L_beta"], "bump")
+        meta = pair.f1.metadata
+        cases.append((pair.f1, spec, pair.f0.eval(np.zeros(d)), meta["centers"],
+                      meta["radius"], SNAKE_CLASS["L_beta"], 0, -1.0))
+    for make_family, axis in ((hypotheses.stubble_prob_family, 0),
+                              (hypotheses.snake_prob_family, 1)):
+        fam = make_family(2.0, 2, (2.0, 20.0), 100.0)
+        r = 2.0 ** np.floor(np.log2(fam.rho_plus / 2.0))  # dyadic: the 2r gaps are exact
+        centers = 0.25 + 2.0 * r * np.array([[0, 0], [1, 0], [0, 1], [1, 1], [3, 0]])
+        combined = fam.combine(centers, r)
+        assert geometry.min_distance(centers) == 2.0 * r  # the balls touch
+        cases.append((combined, fam.kernel, fam.f0.eval(np.zeros(2)), centers, r,
+                      fam.smoothness_class.L_beta, axis, 1.0))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_multi_center_field_is_bitwise_the_per_center_sum(case):
+    field, spec, drift, centers, r, amplitude, axis, coef = _multi_center_cases()[case]
+    d = centers.shape[1]
+    rng = np.random.default_rng(case)
+    touching = [(a + b) / 2.0 for i, a in enumerate(centers) for b in centers[i + 1:]
+                if abs(np.linalg.norm(a - b) - 2.0 * r) < 1e-9 * r]
+    u = rng.standard_normal((len(centers), d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    edge = [centers + r * (1.0 + eps) * u for eps in (-6e-13, -5e-13, -4e-13, -1e-13, 0.0, 1e-13)]
+    t = 1.0 - np.linalg.norm((np.concatenate(edge) - np.tile(centers, (6, 1))) / r, axis=1) ** 2
+    assert ((t > 1e-12) & (t < 2e-12)).any() and ((t <= 1e-12) & (t > -2e-12)).any()
+    lo, hi = centers.min(axis=0) - r, centers.max(axis=0) + r
+    x = np.concatenate([rng.uniform(lo, hi, size=(500, d)), centers, np.array(touching)]
+                       + edge)
+    assert len(touching) >= 3
+    ref = _per_center_sum(spec, drift, centers, r, amplitude, axis, coef, x)
+    assert field.eval(x).tobytes() == ref.tobytes()
+    assert field.eval(x[:130].reshape(2, 65, d)).tobytes() == ref[:130].tobytes()
+    for row in x[::37]:
+        assert field.eval(row).tobytes() == _per_center_sum(
+            spec, drift, centers, r, amplitude, axis, coef, row).tobytes()
+    assert (ref[:, axis] != drift[axis]).sum() > 50  # many points sit inside a ball
+
+
+def test_snake_det_field_makes_one_kernel_call_per_evaluation(monkeypatch):
+    pair, initials, _ = hypotheses.snake_det_pair(
+        SNAKE_CLASS["beta"], 2, SNAKE_CLASS["L"], SNAKE_CLASS["L_beta"], 0.05,
+        np.array([0.5, 0.5]))
+    assert len(pair.f1.metadata["centers"]) == 19
+    calls = []
+    shape_eval = kernels.kernel_shape_eval
+    monkeypatch.setattr(kernels, "kernel_shape_eval",
+                        lambda spec, w: calls.append(1) or shape_eval(spec, w))
+    for x in (initials[:1], initials[0], np.full((300, 2), 0.5)):
+        calls.clear()
+        pair.f1.eval(x)
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("d,delta,x0", [
     (2, 0.1, [0.5, 0.5]), (3, 0.2, [0.5] * 3), (2, 0.05, [0.5, 0.5]), (3, 0.1, [0.5] * 3),
     (2, 0.1, [0.31, 0.77]), (3, 0.15, [0.2, 0.64, 0.45]), (4, 0.3, [0.5, 0.13, 0.58, 0.91]),

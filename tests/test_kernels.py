@@ -73,6 +73,16 @@ def _reference_kernel_deriv(w, order):
     return out
 
 
+@pytest.mark.parametrize("order", range(7))
+def test_deriv_coef_is_the_polynomial_recursion(order):
+    x, q, p = Polynomial([0.0, 1.0]), Polynomial([1.0, 0.0, -1.0]), Polynomial([1.0])
+    for j in range(order):
+        p = -2 * x * p + p.deriv() * q**2 + (4 * j) * x * q * p
+    got = kernels._deriv_coef(order)
+    assert all(type(c) is float for c in got)
+    assert got == tuple(p.coef.tolist())
+
+
 EDGES = [1.0, -1.0, 1.0 - 1e-13, -(1.0 - 1e-13), 0.0, -0.0]
 
 
