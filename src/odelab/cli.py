@@ -23,7 +23,6 @@ import sys
 
 import numpy as np
 
-from . import flow as flow_mod
 from . import geometry, hypotheses, kernels, smoothness, statmodel
 
 _EXIT_OK = 0
@@ -174,14 +173,6 @@ def _class_constants(cfg: dict, beta: float, default: tuple) -> tuple:
     return tuple(L.tolist()), L_beta
 
 
-def _radius(cfg: dict, family: hypotheses.HypothesisFamily) -> float:
-    """Perturbation radius from the config: default rho_plus/2, at most rho_plus."""
-    r = _number(cfg, "r", family.rho_plus / 2.0)
-    if not 0.0 < r <= family.rho_plus:
-        raise ConfigError(f"field 'r' must be in (0, {family.rho_plus}], got {r}")
-    return r
-
-
 # ---------------------------------------------------------------------------
 # construct
 
@@ -304,82 +295,36 @@ def _suite_tube_cover(cfg: dict, seed: int) -> list:
 
 
 def _suite_spiral(cfg: dict, seed: int) -> list:
-    K = _count(cfg, "K", 4)
-    spec = hypotheses.spiral_build(K)
-    rep = hypotheses.spiral_verify(spec, seed=seed)
-    t_exact = 1.0 + (2.0 + 3.0 * math.pi) * K
-    schedule, *rest = rep.checks
-    horizon = ("horizon", abs(spec.T - t_exact) <= 1e-12, spec.T, t_exact)
-    return [schedule, horizon, *rest]
+    return hypotheses.spiral_verify(hypotheses.spiral_build(_count(cfg, "K", 4)), seed=seed)
+
+
+def _prob_family(cfg: dict, build) -> tuple:
+    """The family ``build(beta, d, L, L_beta)`` (d = 2, bump-class constants) and radius r."""
+    beta = _require_beta(cfg)
+    family = build(beta, _count(cfg, "d", 2), *_class_constants(cfg, beta, _bump_class(beta)))
+    r = _number(cfg, "r", family.rho_plus / 2.0)
+    if not 0.0 < r <= family.rho_plus:
+        raise ConfigError(f"field 'r' must be in (0, {family.rho_plus}], got {r}")
+    return family, r
 
 
 def _suite_smoothness(cfg: dict, seed: int) -> list:
-    beta = _require_beta(cfg)
-    d = _count(cfg, "d", 2)
-    L, L_beta = _class_constants(cfg, beta, _bump_class(beta))
-    family = hypotheses.stubble_prob_family(beta, d, L, L_beta)
-    r = _radius(cfg, family)
-    z = np.full(d, 0.5)
-    alt = family.make_alternative(z, r)
-    region = [(z[i] - r, z[i] + r) for i in range(d)]
-    rep = smoothness.certify_membership(alt, family.smoothness_class, region)
-    try:
-        family.make_alternative(z, 4.0 * family.rho_plus)
-        rejected = False
-    except ValueError:
-        rejected = True
-    return [("bump-membership", rep.passed, None, None),
-            ("oversized-radius-rejected", rejected, None, None)]
+    return hypotheses.stubble_prob_checks(*_prob_family(cfg, hypotheses.stubble_prob_family))
 
 
 def _suite_symmetry(cfg: dict, seed: int) -> list:
-    beta = _require_beta(cfg)
-    d = _count(cfg, "d", 2)
-    L, L_beta = _class_constants(cfg, beta, _bump_class(beta))
-    family = hypotheses.snake_prob_family(beta, d, L, L_beta)
-    r = _radius(cfg, family)
-    psi = hypotheses.snake_transverse_envelope(family, r)
-    if psi == 0.0:  # every transverse check would pass as 0 <= 0
+    family, r = _prob_family(cfg, hypotheses.snake_prob_family)
+    if hypotheses.snake_transverse_envelope(family, r) == 0.0:  # checks would pass as 0 <= 0
         raise ConfigError(f"field 'r' = {r} is so small that the envelope psi(r) is 0")
-    z = np.full(d, 0.5)
-    alt = family.make_alternative(z, r)
-    x = np.full(d, 0.5)
-    x[0] = z[0] - 2.0 * r
-    T = 4.0 * r / family.metadata["drift"]
-    traj = flow_mod.integrate(alt, x, T, 1e-11)
-    net = float(abs(flow_mod.final_state(traj)[1] - x[1]))
-    during = float(np.abs(traj.states[:, 1] - x[1]).max())
-    tol_net = _number(cfg, "tol_net", max(1e-9, 1e-4 * psi))
-    sg = flow_mod.flow_semigroup_check(alt, x, T / 3.0, T / 2.0, 1e-11)
-    return [
-        ("zero-net-transverse", net <= tol_net, net, tol_net),
-        ("transverse-within-envelope", during <= psi * (1.0 + 1e-6), during, psi),
-        ("semigroup", sg <= 1e-8, sg, 1e-8),
-    ]
+    tol_net = _number(cfg, "tol_net") if "tol_net" in cfg else None
+    return hypotheses.snake_symmetry_checks(family, r, tol_net)
 
 
 def _suite_gronwall(cfg: dict, seed: int) -> list:
-    beta = _require_beta(cfg)
-    d = _count(cfg, "d", 2)
-    L, L_beta = _class_constants(cfg, beta, _bump_class(beta))
-    family = hypotheses.snake_prob_family(beta, d, L, L_beta)
-    r = _radius(cfg, family)
+    family, r = _prob_family(cfg, hypotheses.snake_prob_family)
     if 0.5 + r / 4 == 0.5:  # the start offsets would vanish and every pair pass as 0 <= 0
         raise ConfigError(f"field 'r' = {r} is so small that offsets up to r/4 vanish at 0.5")
-    z = np.full(d, 0.5)
-    alt = family.make_alternative(z, r)
-    rng = np.random.default_rng(seed)
-    checks = []
-    for trial in range(_count(cfg, "trials", 4)):
-        x1 = np.full(d, 0.5)
-        x1[0] = z[0] - 2.0 * r
-        x1[1] += rng.uniform(-r / 2, r / 2)
-        x2 = x1 + rng.uniform(-r / 4, r / 4, size=d)
-        T = 4.0 * r / family.metadata["drift"]
-        measured, bound_a, bound_b = flow_mod.gronwall_pair_bound(alt, x1, x2, T)
-        ok = measured <= bound_a + 1e-12 and measured <= bound_b + 1e-12
-        checks.append((f"pair-{trial}", ok, measured, min(bound_a, bound_b)))
-    return checks
+    return hypotheses.snake_gronwall_checks(family, r, _count(cfg, "trials", 4), seed)
 
 
 def _suite_assumptions(cfg: dict, seed: int) -> list:
@@ -390,13 +335,8 @@ def _suite_assumptions(cfg: dict, seed: int) -> list:
     scheme = statmodel.build_stubble_scheme(
         K_grid, _count(cfg, "n_per", 3), _positive(cfg, "delta_t", 0.1), noise
     )
-    cover = statmodel.check_cover(scheme, _positive(cfg, "C_cvr", 4.0**d))
-    cover_time = statmodel.check_cover_time(scheme, _positive(cfg, "C_cvrtm", 3.0))
-    return [
-        ("cover-constant", cover.passed, cover.C_hat, cover.declared),
-        ("cover-time-constant", cover_time.passed, cover_time.C_hat, cover_time.declared),
-        ("noise-positive", noise.C_noise > 0, noise.C_noise, 0.0),
-    ]
+    return statmodel.scheme_checks(scheme, _positive(cfg, "C_cvr", 4.0**d),
+                                   _positive(cfg, "C_cvrtm", 3.0))
 
 
 _SUITES = {
@@ -419,13 +359,7 @@ def _cmd_verify(cfg: dict, out: str, seed: int) -> int:
         check = {"name": name, "passed": bool(ok), "measured": measured, "limit": limit}
         checks.append({k: v for k, v in check.items() if v is not None})
     passed = all(c["passed"] for c in checks)
-    report = {
-        "suite": suite,
-        "passed": passed,
-        "seed": seed,
-        "config": cfg,
-        "checks": checks,
-    }
+    report = {"suite": suite, "passed": passed, "seed": seed, "config": cfg, "checks": checks}
     _write_json(os.path.join(out, "report.json"), report)
     return _EXIT_OK if passed else _EXIT_CHECK_FAILED
 

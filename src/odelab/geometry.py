@@ -218,12 +218,12 @@ def tube_distance(points, tubes: Sequence[TubeSpec]) -> np.ndarray:
     return _union_distance(np.atleast_2d(np.asarray(points, dtype=float)), tubes)[0]
 
 
-def tube_cover_check(tubes: Sequence[TubeSpec], region, *, radius: Optional[float] = None,
-                     samples: int = 2048) -> CoverReport:
+def tube_cover_check(tubes: Sequence[TubeSpec], region, *,
+                     radius: Optional[float] = None) -> CoverReport:
     """Do the tubes cover the region?  Checked on a deterministic point cloud.
 
-    The cloud mixes a low-discrepancy net with the region's corners (the
-    usual worst case for box coverings).  ``radius`` overrides every
+    The cloud is 2,048 Halton points plus, up to d = 12, the region's 2^d
+    corners (the usual worst case for box coverings).  ``radius`` overrides every
     tube's radius for sensitivity sweeps.  The pass threshold absorbs the
     slice-sampling resolution (half the largest axial gap, with a safety
     factor, plus 1e-6 of the region's widest side, at least 1e-6) so a
@@ -233,8 +233,7 @@ def tube_cover_check(tubes: Sequence[TubeSpec], region, *, radius: Optional[floa
     d = len(reg)
     if radius is not None:
         tubes = [dataclasses.replace(t, radius=radius) for t in tubes]
-    n = max(int(samples), 1000)
-    net = halton(n, d)
+    net = halton(2048, d)
     pts = reg[:, 0] + (reg[:, 1] - reg[:, 0]) * net
     if d <= 12:
         pts = np.vstack([pts, product_grid(reg)])

@@ -33,13 +33,15 @@ __all__ = [
     "HypothesisPair",
     "HypothesisFamily",
     "SpiralConstruction",
-    "SpiralReport",
     "stubble_prob_family",
+    "stubble_prob_checks",
     "stubble_det_pair",
     "stubble_det_checks",
     "irrational_timestep_falsifier",
     "snake_prob_family",
     "snake_transverse_envelope",
+    "snake_symmetry_checks",
+    "snake_gronwall_checks",
     "snake_det_pair",
     "snake_det_checks",
     "spiral_build",
@@ -113,33 +115,6 @@ class SpiralConstruction:
     field: ModelFunction
     schedule: np.ndarray  # pass-start times s_0..s_K
     T: float
-
-
-@dataclass
-class SpiralReport:
-    schedule_errors: list
-    max_schedule_error: float
-    tol_geo: float
-    supnorm_measured: float
-    supnorm_expected: float
-    lipschitz_measured: float
-    lipschitz_limit: float
-
-    @property
-    def checks(self) -> list:
-        """(name, ok, measured, limit) of the schedule, sup-norm and Lipschitz tests."""
-        return [
-            ("schedule", self.max_schedule_error <= self.tol_geo,
-             self.max_schedule_error, self.tol_geo),
-            ("supnorm", abs(self.supnorm_measured - self.supnorm_expected) <= 1e-9,
-             self.supnorm_measured, self.supnorm_expected),
-            ("lipschitz", self.lipschitz_measured <= self.lipschitz_limit + 1e-9,
-             self.lipschitz_measured, self.lipschitz_limit),
-        ]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _, _ in self.checks)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +247,25 @@ def stubble_prob_family(beta: float, d: int, L: Sequence[float],
     cls, spec, cap = _calibrated(beta, d, L, L_beta, "bump")
     h_sup = spec.alpha * math.exp(-1.0)  # bump peak: alpha*K(0)
     return _prob_family("stubble", cls, spec, L, cap, np.zeros(d), 0, {"h_sup": h_sup})
+
+
+def stubble_prob_checks(family: HypothesisFamily, r: float) -> list:
+    """(name, ok, measured, limit) records of a stubble bump family at radius r.
+
+    ``bump-membership``: the alternative at z = (0.5, ...) passes
+    :func:`odelab.smoothness.certify_membership` on prod [z_i - r, z_i + r];
+    ``oversized-radius-rejected``: ``make_alternative`` refuses 4 rho_plus.
+    """
+    z = np.full(family.f0.dim, 0.5)
+    alt = family.make_alternative(z, r)
+    rep = smoothness.certify_membership(alt, family.smoothness_class, [(c - r, c + r) for c in z])
+    try:
+        family.make_alternative(z, 4.0 * family.rho_plus)
+        rejected = False
+    except ValueError:
+        rejected = True
+    return [("bump-membership", rep.passed, None, None),
+            ("oversized-radius-rejected", rejected, None, None)]
 
 
 def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
@@ -442,6 +436,59 @@ def snake_transverse_envelope(family: HypothesisFamily, r: float) -> float:
     alpha, cls = family.kernel.alpha, family.smoothness_class
     kt_sup, kt_grad = alpha * math.exp(-1.0), alpha * kernels.sup_abs_kernel_deriv(1)
     return 2.0 * kt_sup * kt_grad * cls.L_beta * r ** (cls.beta + 1.0) / family.metadata["drift"]
+
+
+def _pulse_crossing(family: HypothesisFamily, r: float):
+    """The pulse at z = (0.5, ...), a start 2r before z along e_1 and the time 4r/L_0."""
+    z = np.full(family.f0.dim, 0.5)
+    x = z.copy()
+    x[0] = z[0] - 2.0 * r
+    return family.make_alternative(z, r), x, 4.0 * r / family.metadata["drift"]
+
+
+def snake_symmetry_checks(family: HypothesisFamily, r: float,
+                          tol_net: float | None = None) -> list:
+    """(name, ok, measured, limit) records of one pass through a snake pulse.
+
+    The pass starts 2r before z = (0.5, ...) along e_1 and runs for T = 4r/L_0
+    at tol 1e-11.  Its transverse displacement ends within ``tol_net`` (default
+    max(1e-9, 1e-4 psi(r))) and stays within psi(r) (1 + 1e-6) at every node;
+    :func:`odelab.flow.flow_semigroup_check` at (T/3, T/2) is at most 1e-8.
+    """
+    alt, x, T = _pulse_crossing(family, r)
+    psi = snake_transverse_envelope(family, r)
+    tol_net = max(1e-9, 1e-4 * psi) if tol_net is None else tol_net
+    traj = flow_mod.integrate(alt, x, T, 1e-11)
+    net = float(abs(flow_mod.final_state(traj)[1] - x[1]))
+    during = float(np.abs(traj.states[:, 1] - x[1]).max())
+    sg = flow_mod.flow_semigroup_check(alt, x, T / 3.0, T / 2.0, 1e-11)
+    return [
+        ("zero-net-transverse", net <= tol_net, net, tol_net),
+        ("transverse-within-envelope", during <= psi * (1.0 + 1e-6), during, psi),
+        ("semigroup", sg <= 1e-8, sg, 1e-8),
+    ]
+
+
+def snake_gronwall_checks(family: HypothesisFamily, r: float, trials: int,
+                          seed: int = 0) -> list:
+    """(name, ok, measured, limit) records ``pair-0`` .. of pulse-crossing pairs.
+
+    Pair i runs for T = 4r/L_0 from x1, the start 2r before z = (0.5, ...) along
+    e_1 moved by U(-r/2, r/2) in coordinate 2, and x2 = x1 + U(-r/4, r/4)^d, drawn
+    from ``default_rng(seed)``; it passes within both bounds of
+    :func:`odelab.flow.gronwall_pair_bound` (+1e-12) and reports the smaller.
+    """
+    alt, x, T = _pulse_crossing(family, r)
+    rng = np.random.default_rng(seed)
+    checks = []
+    for trial in range(trials):
+        x1 = x.copy()
+        x1[1] += rng.uniform(-r / 2, r / 2)
+        x2 = x1 + rng.uniform(-r / 4, r / 4, size=len(x1))
+        measured, bound_a, bound_b = flow_mod.gronwall_pair_bound(alt, x1, x2, T)
+        ok = measured <= bound_a + 1e-12 and measured <= bound_b + 1e-12
+        checks.append((f"pair-{trial}", ok, measured, min(bound_a, bound_b)))
+    return checks
 
 
 def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
@@ -633,16 +680,18 @@ def spiral_build(K: int) -> SpiralConstruction:
     j = np.arange(K)
     schedule = np.concatenate([[0.0], np.cumsum(2.0 + math.pi * (2.0 + j / K + (j + 1) / K))])
     T = float(schedule[-1] + 1.0)
-    assert abs(T - (1.0 + (2.0 + 3.0 * math.pi) * K)) < 1e-9
     return SpiralConstruction(K=K, delta=delta, field=fld, schedule=schedule, T=T)
 
 
-def spiral_verify(spec: SpiralConstruction, seed: int = 0) -> SpiralReport:
-    """Integrate the spiral orbit and check schedule, sup-norm and Lipschitz.
+def spiral_verify(spec: SpiralConstruction, seed: int = 0) -> list:
+    """(name, ok, measured, limit) records of the spiral orbit and field.
 
-    Pass k should start at (0, k/K) at time s_k and end at (1, k/K) at
-    s_k + 1; the geometric tolerance scales with the total horizon.  No
-    step cap is needed at the region boundaries, where the field is only
+    ``schedule``: pass k starts at (0, k/K) at time s_k and ends at (1, k/K)
+    at s_k + 1, within ``tol_geo`` = 1e-6 T; ``horizon``: T is 1 + (2 + 3 pi) K
+    to 1e-12; ``supnorm``: max |f| on the box [-2, 3] x [-3.5, 1.5] is
+    sqrt(1 + 4 delta^2) to 1e-9; ``lipschitz``: no difference quotient there
+    exceeds sqrt(1 + 20 delta^2) + 1e-9 (100,000 points each, ``default_rng(seed)``).
+    No step cap is needed at the region boundaries, where the field is only
     Lipschitz: steps across them fail the local error test and shrink.
     The orbit is integrated at tol 1e-10; over K = 1..8 the schedule error
     stays at least 19x inside ``tol_geo`` (1.8e-6 against 3.5e-5 at K = 3)
@@ -652,39 +701,29 @@ def spiral_verify(spec: SpiralConstruction, seed: int = 0) -> SpiralReport:
     tol_geo = 1e-6 * spec.T
     starts = flow_mod.flow_at(traj, spec.schedule)
     ends = flow_mod.flow_at(traj, spec.schedule + 1.0)
-    errors = [
-        {
-            "pass": k,
-            "start_error": float(np.linalg.norm(starts[k] - np.array([0.0, k / spec.K]))),
-            "end_error": float(np.linalg.norm(ends[k] - np.array([1.0, k / spec.K]))),
-        }
-        for k in range(len(spec.schedule))
-    ]
-    max_err = max(max(e["start_error"], e["end_error"]) for e in errors)
+    max_err = max(float(np.linalg.norm(p - (x, k / spec.K)))
+                  for k in range(spec.K + 1) for p, x in ((starts[k], 0.0), (ends[k], 1.0)))
+    t_exact = 1.0 + (2.0 + 3.0 * math.pi) * spec.K
 
     rng = np.random.default_rng(seed)
-    box_lo = np.array([-2.0, -3.5])
-    box_hi = np.array([3.0, 1.5])
+    box_lo, box_hi = np.array([-2.0, -3.5]), np.array([3.0, 1.5])
     pts = box_lo + (box_hi - box_lo) * rng.random((100000, 2))
     # the sup-norm is attained on the mid-ramp line below the turning band
     pts[0] = (0.5, -2.5)
-    vals = spec.field(pts)
-    supnorm = float(np.linalg.norm(vals, axis=1).max())
+    supnorm = float(np.linalg.norm(spec.field(pts), axis=1).max())
+    sup_exact = spec.field.metadata["supnorm"]
 
     a = box_lo + (box_hi - box_lo) * rng.random((100000, 2))
-    b = a + rng.normal(scale=0.05, size=a.shape)
-    b = np.clip(b, box_lo, box_hi)
+    b = np.clip(a + rng.normal(scale=0.05, size=a.shape), box_lo, box_hi)
     num = np.linalg.norm(spec.field(a) - spec.field(b), axis=1)
     den = np.linalg.norm(a - b, axis=1)
     keep = den > 1e-12
     lip = float((num[keep] / den[keep]).max())
+    lip_limit = math.sqrt(1.0 + 20.0 * spec.delta**2)
 
-    return SpiralReport(
-        schedule_errors=errors,
-        max_schedule_error=max_err,
-        tol_geo=tol_geo,
-        supnorm_measured=supnorm,
-        supnorm_expected=math.sqrt(1.0 + 4.0 * spec.delta**2),
-        lipschitz_measured=lip,
-        lipschitz_limit=math.sqrt(1.0 + 20.0 * spec.delta**2),
-    )
+    return [
+        ("schedule", max_err <= tol_geo, max_err, tol_geo),
+        ("horizon", abs(spec.T - t_exact) <= 1e-12, spec.T, t_exact),
+        ("supnorm", abs(supnorm - sup_exact) <= 1e-9, supnorm, sup_exact),
+        ("lipschitz", lip <= lip_limit + 1e-9, lip, lip_limit),
+    ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "CoverCheck",
     "check_cover",
     "check_cover_time",
+    "scheme_checks",
     "gaussian_kl",
     "scheme_kl",
     "PsiChi",
@@ -178,11 +179,17 @@ class CoverCheck:
     detail: dict = field(default_factory=dict)
 
 
-def check_cover(scheme: ObservationScheme, declared: Optional[float] = None,
-                *, extra_centers: int = 256) -> CoverCheck:
+def _cover_check(C_hat: float, declared: float, detail: dict) -> CoverCheck:
+    """The one pass rule of both cover constants: C_hat <= declared (1 + 1e-12)."""
+    return CoverCheck(passed=bool(C_hat <= declared * (1.0 + 1e-12)), C_hat=float(C_hat),
+                      declared=float(declared), detail=detail)
+
+
+def check_cover(scheme: ObservationScheme, declared: Optional[float] = None) -> CoverCheck:
     """Ball-counting regularity of the initial conditions.
 
-    C_hat is the max over candidate centers z and radii r in [r_floor, 1]
+    C_hat is the max over candidate centers z (the starts x_j, a 256-point
+    Halton net and the cube center) and radii r in [r_floor, 1]
     of #{j : ||x_j - z|| <= r} / (m r^d); the floor r_floor =
     (declared * m)^(-1/d) is where a single point saturates the budget.
     Candidate radii are the inclusion radii at each center (where the
@@ -196,7 +203,7 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None,
     if declared <= 0:
         raise ValueError(f"declared cover constant {declared} <= 0")
     r_floor = (declared * m) ** (-1.0 / d)
-    net = geometry.halton(extra_centers, d)
+    net = geometry.halton(256, d)
     centers = np.vstack([x, net, np.full((1, d), 0.5)])
     C_hat = 0.0
     where = {}
@@ -210,12 +217,7 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None,
         if ratios[i] > C_hat:
             C_hat = ratios[i]
             where = {"center": z.copy(), "radius": float(radii[i]), "count": int(counts[i])}
-    return CoverCheck(
-        passed=bool(C_hat <= declared * (1.0 + 1e-12)),
-        C_hat=float(C_hat),
-        declared=float(declared),
-        detail=where,
-    )
+    return _cover_check(C_hat, declared, where)
 
 
 def check_cover_time(scheme: ObservationScheme, declared: float = 3.0) -> CoverCheck:
@@ -234,12 +236,20 @@ def check_cover_time(scheme: ObservationScheme, declared: float = 3.0) -> CoverC
         j, i = np.unravel_index(int(np.argmax(c)), c.shape)
         C_hat = float(c[j, i])
         where = {"trajectory": int(j), "window": (float(times[j, a[i]]), float(times[j, b[i]]))}
-    return CoverCheck(
-        passed=bool(C_hat <= declared * (1.0 + 1e-12)),
-        C_hat=float(C_hat),
-        declared=float(declared),
-        detail=where,
-    )
+    return _cover_check(C_hat, declared, where)
+
+
+def scheme_checks(scheme: ObservationScheme, C_cvr: Optional[float] = None,
+                  C_cvrtm: float = 3.0) -> list:
+    """Records ``cover-constant`` (:func:`check_cover`), ``cover-time-constant``
+    (:func:`check_cover_time`) and ``noise-positive`` (C_noise > 0) of a scheme."""
+    cover, cover_time = check_cover(scheme, C_cvr), check_cover_time(scheme, C_cvrtm)
+    C_noise = scheme.noise.C_noise
+    return [
+        ("cover-constant", cover.passed, cover.C_hat, cover.declared),
+        ("cover-time-constant", cover_time.passed, cover_time.C_hat, cover_time.declared),
+        ("noise-positive", C_noise > 0, C_noise, 0.0),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,11 @@ def test_criterion_03_spiral_schedule():
     start = time.perf_counter()
     spec = hypotheses.spiral_build(4)
     assert spec.T == 1.0 + (2.0 + 3.0 * math.pi) * 4.0  # exact equality
-    rep = hypotheses.spiral_verify(spec)
-    assert rep.passed, rep.checks
-    limits = {name: limit for name, _, _, limit in rep.checks}
+    checks = hypotheses.spiral_verify(spec)
+    assert all(ok for _, ok, _, _ in checks), checks
+    limits = {name: limit for name, _, _, limit in checks}
     assert limits == {"schedule": 1e-6 * spec.T,
+                      "horizon": 1.0 + (2.0 + 3.0 * math.pi) * 4.0,
                       "supnorm": math.sqrt(1.0 + 4.0 * 0.25**2),
                       "lipschitz": math.sqrt(1.0 + 20.0 * 0.25**2)}
     assert time.perf_counter() - start < 20.0

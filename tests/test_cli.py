@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from odelab import cli, hypotheses
+from odelab import cli, hypotheses, statmodel
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(cli.__file__),
                                      "report_schema.json")))
@@ -235,6 +235,24 @@ def test_verify_reports_the_library_records(tmp_path):
         beta, 2, *cli._bump_class(beta), 0.1, x0)
     assert _report_checks(tmp_path, {"suite": "tube-cover", "beta": beta}, 7) == \
         _as_dicts(hypotheses.snake_det_checks(pair, initials, horizons))
+
+    assert _report_checks(tmp_path, {"suite": "spiral", "K": 2}, 7) == \
+        _as_dicts(hypotheses.spiral_verify(hypotheses.spiral_build(2), seed=7))
+
+    family = hypotheses.stubble_prob_family(beta, 2, *cli._bump_class(beta))
+    assert _report_checks(tmp_path, {"suite": "smoothness", "beta": beta}, 7) == \
+        _as_dicts(hypotheses.stubble_prob_checks(family, family.rho_plus / 2.0))
+
+    family = hypotheses.snake_prob_family(beta, 2, *cli._bump_class(beta))
+    r = family.rho_plus / 2.0
+    assert _report_checks(tmp_path, {"suite": "symmetry", "beta": beta}, 7) == \
+        _as_dicts(hypotheses.snake_symmetry_checks(family, r))
+    assert _report_checks(tmp_path, {"suite": "gronwall", "beta": beta}, 7) == \
+        _as_dicts(hypotheses.snake_gronwall_checks(family, r, 4, 7))
+
+    scheme = statmodel.build_stubble_scheme(6, 3, 0.1, statmodel.NoiseLaw(dim=2, covariance=1.0))
+    assert _report_checks(tmp_path, {"suite": "assumptions"}, 7) == \
+        _as_dicts(statmodel.scheme_checks(scheme))
 
 
 def test_construct_stubble_det_outputs(tmp_path):
