@@ -6,8 +6,8 @@ Submodules:
   derivatives, periodic/bump/pulse shapes and radius calibration;
 * ``smoothness`` -- anisotropic Hölder classes, numerical membership
   certification, Faà di Bruno machinery, the chain-remainder field;
-* ``flow`` -- adaptive Runge-Kutta flows with dense output and
-  perturbation bounds;
+* ``flow`` -- adaptive Runge-Kutta flows with dense output and the
+  semigroup check;
 * ``hypotheses`` -- the adversarial pair/family constructions;
 * ``geometry`` -- trajectory tubes, coverings, packings, codebooks;
 * ``statmodel`` -- observation schemes, KL budgets, testing reductions

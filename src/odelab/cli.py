@@ -111,12 +111,19 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
     return cfg[key]
 
 
+def _is_number(value) -> bool:
+    """A JSON number (not a boolean) or a list of them, lists nested or not."""
+    if isinstance(value, (list, tuple)):
+        return all(_is_number(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _numbers(cfg: dict, key: str, default=None, required: bool = False) -> np.ndarray:
     """A config number or list of numbers as a float array; all must be finite."""
     value = _get(cfg, key, default, required)
     try:
-        numbers = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        numbers = np.asarray(value, dtype=float) if _is_number(value) else np.array(math.nan)
+    except (OverflowError, ValueError):  # an integer past the float range, a ragged list
         numbers = np.array(math.nan)
     if not np.isfinite(numbers).all():
         raise ConfigError(f"field '{key}' must be numeric and finite, got {value!r}")
@@ -335,8 +342,8 @@ def _suite_assumptions(cfg: dict, seed: int) -> list:
     scheme = statmodel.build_stubble_scheme(
         K_grid, _count(cfg, "n_per", 3), _positive(cfg, "delta_t", 0.1), noise
     )
-    return statmodel.scheme_checks(scheme, _positive(cfg, "C_cvr", 4.0**d),
-                                   _positive(cfg, "C_cvrtm", 3.0))
+    return statmodel.scheme_checks(scheme, _positive(cfg, "C_cvr", statmodel.default_C_cvr(d)),
+                                   _positive(cfg, "C_cvrtm", statmodel.C_CVRTM))
 
 
 _SUITES = {

@@ -30,7 +30,6 @@ __all__ = [
     "flow_at",
     "final_state",
     "flow_semigroup_check",
-    "gronwall_pair_bound",
 ]
 
 
@@ -51,8 +50,9 @@ class ModelFunction:
     that broadcast against ``x.shape[:-1]``, and returns a new array of the
     broadcast shape + (dim,), which callers may write into; it satisfies
     the semigroup property (checked by :func:`flow_semigroup_check`, not
-    assumed).  ``metadata`` carries construction tags and pinned constants
-    used by downstream bounds.
+    assumed).  ``metadata`` carries what a constructor hands to later
+    readers (for instance a drift's velocity or a lattice's centers);
+    nothing in this module reads it.
     """
 
     dim: int
@@ -224,32 +224,3 @@ def flow_semigroup_check(f: ModelFunction, x, s: float, t: float, tol: float) ->
     direct = final_state(integrate(f, x, s + t, tol))
     return float(np.linalg.norm(via - direct))
 
-
-def gronwall_pair_bound(f: ModelFunction, x1, x2, t: float):
-    """Measured separation of two flows of a drift+pulse field vs. two bounds.
-
-    bound_a = ||x1 - x2|| + 4 ||h||_inf L_beta r^(beta+1) / b   (additive),
-    bound_b = ||x1 - x2|| * exp(2 ||Dh||_inf L_beta r^beta / b) (Grönwall),
-
-    with the pulse sup-norms pinned in the field's metadata by its
-    constructor.  Both trajectories are integrated at tol 1e-10.
-    """
-    meta = f.metadata
-    try:
-        b = meta["drift"]
-        L_beta = meta["L_beta"]
-        r = meta["radius"]
-        beta = meta["beta"]
-        h_sup = meta["pulse_sup"]
-        dh_sup = meta["pulse_grad_sup"]
-    except KeyError as missing:
-        raise KeyError(f"field metadata lacks {missing} (not a drift+pulse construction?)")
-    if b <= 0:
-        raise ValueError("drift must be positive")
-    u1 = final_state(integrate(f, x1, t, 1e-10))
-    u2 = final_state(integrate(f, x2, t, 1e-10))
-    measured = float(np.linalg.norm(u1 - u2))
-    base = float(np.linalg.norm(np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)))
-    bound_a = base + 4.0 * h_sup * L_beta * r ** (beta + 1) / b
-    bound_b = base * np.exp(2.0 * dh_sup * L_beta * r**beta / b)
-    return measured, bound_a, bound_b

@@ -121,7 +121,7 @@ class SpiralConstruction:
 # shared helpers
 
 
-def _constant_field(dim: int, velocity: np.ndarray, tag: str) -> ModelFunction:
+def _constant_field(dim: int, velocity: np.ndarray) -> ModelFunction:
     v = np.asarray(velocity, dtype=float)
 
     def evaluate(x):
@@ -135,7 +135,7 @@ def _constant_field(dim: int, velocity: np.ndarray, tag: str) -> ModelFunction:
         dim=dim,
         eval=evaluate,
         closed_form_flow=closed_flow,
-        metadata={"construction": tag, "velocity": v},
+        metadata={"velocity": v},
     )
 
 
@@ -191,8 +191,7 @@ def _prob_family(kind: str, cls: smoothness.SmoothnessClass, spec: kernels.Kerne
                  metadata: dict) -> HypothesisFamily:
     """Null drift with L_beta r^beta-scaled kernel perturbations on one axis.
 
-    Radii are capped at min(1/2, cap); ``metadata`` is copied into the
-    family and into every field it builds.
+    Radii are capped at min(1/2, cap); ``metadata`` becomes the family's.
     """
     if cap < 1e-3:
         raise ClassTooTight(
@@ -200,15 +199,12 @@ def _prob_family(kind: str, cls: smoothness.SmoothnessClass, spec: kernels.Kerne
             f"L_beta={cls.L_beta}"
         )
     rho_plus = min(0.5, cap)
-    beta, L_beta = cls.beta, cls.L_beta
+    L_beta = cls.L_beta
 
     def make_alternative(z, r):
         _check_radius(r, rho_plus)
-        z = np.asarray(z, dtype=float)
-        return _perturbed_field(spec, drift, [z], r, L_beta, axis, 1.0, {
-            "construction": f"{kind}-{spec.kind}", "center": z, "radius": r,
-            "amplitude": L_beta, "beta": beta, "axis": axis, **metadata,
-        })
+        return _perturbed_field(spec, drift, [np.asarray(z, dtype=float)], r, L_beta, axis,
+                                1.0, {})
 
     def combine(centers, r):
         _check_radius(r, rho_plus)
@@ -216,20 +212,17 @@ def _prob_family(kind: str, cls: smoothness.SmoothnessClass, spec: kernels.Kerne
         sep = geometry.min_distance(c)
         if sep < 2.0 * r:
             raise ValueError(f"centers only {sep:.3g} apart; need >= 2r = {2*r:.3g}")
-        return _perturbed_field(spec, drift, c, r, L_beta, axis, 1.0, {
-            "construction": f"{kind}-{spec.kind}s", "centers": c, "radius": r,
-            "amplitude": L_beta, "beta": beta, **metadata,
-        })
+        return _perturbed_field(spec, drift, c, r, L_beta, axis, 1.0, {})
 
     return HypothesisFamily(
         kind=kind,
-        f0=_constant_field(cls.dim_in, drift, f"{kind}-null"),
+        f0=_constant_field(cls.dim_in, drift),
         make_alternative=make_alternative,
         combine=combine,
         rho_plus=rho_plus,
         kernel=spec,
         smoothness_class=cls,
-        metadata={**metadata, "r_cap": cap},
+        metadata=metadata,
     )
 
 
@@ -245,7 +238,7 @@ def stubble_prob_family(beta: float, d: int, L: Sequence[float],
     2r-separated sum) lies in the d -> d class with constants (L, L_beta).
     """
     cls, spec, cap = _calibrated(beta, d, L, L_beta, "bump")
-    h_sup = spec.alpha * math.exp(-1.0)  # bump peak: alpha*K(0)
+    h_sup = spec.alpha * kernels.K_SUP  # bump peak: alpha*K(0)
     return _prob_family("stubble", cls, spec, L, cap, np.zeros(d), 0, {"h_sup": h_sup})
 
 
@@ -294,8 +287,8 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     L0 = L[0]
     x0 = np.asarray(x0, dtype=float)
     r = (2.0 / 3.0) * L0 * delta_t
-    w_star = 0.5 * (1.0 + 3.0**-0.25)  # argmax of |K_per'|, where 1 - 3 (2w - 1)^4 = 0
-    per_prime = abs(float(kernels.periodic_kernel_deriv(w_star, 1)))
+    w_star = 0.5 * (1.0 + kernels.K1_ARGMAX)  # argmax of |K_per'|
+    per_prime = 2.0 * kernels.K1_SUP  # |K_per'(w_star)|, bit for bit
     # the phase (x - z)/r of points within 1 of x0 keeps 26 bits, which the separation
     # claimed at x0 needs (|K_per'| is flat at its maximum); r >= 1.5e-8 also keeps
     # r^beta and the jet's scale r^-(ell+1) finite
@@ -326,7 +319,7 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
         kernels.periodic_kernel(w_star)
     )
     speed = (2.0 / 3.0) * L0
-    f0 = _constant_field(d, speed * np.eye(d)[0], "stubble-det-null")
+    f0 = _constant_field(d, speed * np.eye(d)[0])
     f1 = smoothness.chain_remainder_field(amp, r, z, L0, beta, d)
 
     attained = speed * amp * r**beta * per_prime
@@ -340,7 +333,6 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
         coincidence_spec=f"flows agree for all x at every t in {delta_t}*Z",
         smoothness_class=cls,
         metadata={
-            "kind": "stubble-det",
             "delta_t": delta_t,
             "amplitude": amp,
             "radius": r,
@@ -353,7 +345,10 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
 
 
 def irrational_timestep_falsifier(pair: HypothesisPair, t2: float) -> float:
-    """Max flow mismatch of the pair at time t2 over 100 starts across one period.
+    """Max flow mismatch of the pair at time t2 over 100 starts across two periods.
+
+    The starts are x0 with its first coordinate moved across [x0_1 - r, x0_1 + r],
+    r the period of the perturbation.
 
     On the coincidence grid (t2 a multiple of the pair's delta_t) this is
     zero to solver precision; generic t2 (an irrational multiple) exposes
@@ -418,13 +413,7 @@ def snake_prob_family(beta: float, d: int, L: Sequence[float],
         raise DimensionTooSmall("snake constructions need d >= 2")
     cls, spec, cap = _calibrated(beta, d, L, L_beta, "pulse")
     L0 = float(L[0])
-    metadata = {
-        "drift": L0,
-        "L_beta": L_beta,
-        "pulse_sup": kernels.shape_deriv_supnorm(spec, 0),
-        "pulse_grad_sup": kernels.shape_deriv_supnorm(spec, 1),
-    }
-    return _prob_family("snake", cls, spec, L, cap, L0 * np.eye(d)[0], 1, metadata)
+    return _prob_family("snake", cls, spec, L, cap, L0 * np.eye(d)[0], 1, {"drift": L0})
 
 
 def snake_transverse_envelope(family: HypothesisFamily, r: float) -> float:
@@ -434,7 +423,7 @@ def snake_transverse_envelope(family: HypothesisFamily, r: float) -> float:
     crossing time 2r/L_0 at transverse speed <= L_beta r^beta ||Kt|| ||Kt'||.
     """
     alpha, cls = family.kernel.alpha, family.smoothness_class
-    kt_sup, kt_grad = alpha * math.exp(-1.0), alpha * kernels.sup_abs_kernel_deriv(1)
+    kt_sup, kt_grad = alpha * kernels.K_SUP, alpha * kernels.K1_SUP
     return 2.0 * kt_sup * kt_grad * cls.L_beta * r ** (cls.beta + 1.0) / family.metadata["drift"]
 
 
@@ -475,17 +464,29 @@ def snake_gronwall_checks(family: HypothesisFamily, r: float, trials: int,
 
     Pair i runs for T = 4r/L_0 from x1, the start 2r before z = (0.5, ...) along
     e_1 moved by U(-r/2, r/2) in coordinate 2, and x2 = x1 + U(-r/4, r/4)^d, drawn
-    from ``default_rng(seed)``; it passes within both bounds of
-    :func:`odelab.flow.gronwall_pair_bound` (+1e-12) and reports the smaller.
+    from ``default_rng(seed)``; both flows are integrated at tol 1e-10.  Their
+    end separation passes within both bounds (+1e-12), of which it reports the smaller:
+
+        additive  ||x1 - x2|| + 4 ||h|| L_beta r^(beta+1) / L_0,
+        Grönwall  ||x1 - x2|| exp(2 ||Dh|| L_beta r^beta / L_0),
+
+    with ||h||, ||Dh|| the pulse's measured sup-norms (:func:`kernels.shape_deriv_supnorm`).
     """
     alt, x, T = _pulse_crossing(family, r)
+    cls, L0 = family.smoothness_class, family.metadata["drift"]
+    h_sup, dh_sup = (kernels.shape_deriv_supnorm(family.kernel, k) for k in (0, 1))
+    spread = 4.0 * h_sup * cls.L_beta * r ** (cls.beta + 1) / L0
+    rate = 2.0 * dh_sup * cls.L_beta * r**cls.beta / L0
     rng = np.random.default_rng(seed)
     checks = []
     for trial in range(trials):
         x1 = x.copy()
         x1[1] += rng.uniform(-r / 2, r / 2)
         x2 = x1 + rng.uniform(-r / 4, r / 4, size=len(x1))
-        measured, bound_a, bound_b = flow_mod.gronwall_pair_bound(alt, x1, x2, T)
+        u1, u2 = (flow_mod.final_state(flow_mod.integrate(alt, u, T, 1e-10)) for u in (x1, x2))
+        measured = float(np.linalg.norm(u1 - u2))
+        base = float(np.linalg.norm(x1 - x2))
+        bound_a, bound_b = base + spread, base * np.exp(rate)
         ok = measured <= bound_a + 1e-12 and measured <= bound_b + 1e-12
         checks.append((f"pair-{trial}", ok, measured, min(bound_a, bound_b)))
     return checks
@@ -515,8 +516,7 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     x0 = np.asarray(x0, dtype=float)
 
     # size both lattices in integers before allocating either
-    m0 = math.ceil(math.sqrt(d) / (2.0 * delta))
-    per_axis = m0 + 1
+    per_axis = math.ceil(math.sqrt(d) / (2.0 * delta)) + 1
     m = per_axis ** (d - 1)
     # bump centers: transverse lattice of pitch 2r through the apex x0,
     # wide enough to flank the cube by one pitch on each side
@@ -551,19 +551,13 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
         raise RuntimeError("initial-condition lattice clashes with bump lattice")
 
     drift = L0 * np.eye(d)[0]
-    f0 = _constant_field(d, drift, "snake-det-null")
+    f0 = _constant_field(d, drift)
     amp = L_beta * r**beta
     # bumps subtract so the first-coordinate speed stays within L_0
-    f1 = _perturbed_field(spec, drift, centers, r, L_beta, 0, -1.0, {
-        "construction": "snake-det",
-        "centers": centers,
-        "radius": r,
-        "amplitude": -amp,
-        "beta": beta,
-        "drift": L0,
-    })
+    f1 = _perturbed_field(spec, drift, centers, r, L_beta, 0, -1.0,
+                          {"centers": centers, "radius": r})
 
-    h_sup = spec.alpha * math.exp(-1.0)
+    h_sup = spec.alpha * kernels.K_SUP
     pair = HypothesisPair(
         f0=f0,
         f1=f1,
@@ -574,16 +568,7 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
             f"t in [0, {1.0 / L0:g}]"
         ),
         smoothness_class=cls,
-        metadata={
-            "kind": "snake-det",
-            "delta": delta,
-            "radius": r,
-            "m0": m0,
-            "m": m,
-            "clearance": clearance,
-            "h_sup": h_sup,
-            "L0": L0,
-        },
+        metadata={"delta": delta, "radius": r, "m": m, "clearance": clearance},
     )
     return pair, initials, times
 
@@ -669,12 +654,7 @@ def spiral_build(K: int) -> SpiralConstruction:
     fld = ModelFunction(
         dim=2,
         eval=evaluate,
-        metadata={
-            "construction": "spiral",
-            "K": K,
-            "delta": delta,
-            "supnorm": math.sqrt(1.0 + 4.0 * delta**2),
-        },
+        metadata={"supnorm": math.sqrt(1.0 + 4.0 * delta**2)},
     )
 
     j = np.arange(K)

@@ -53,7 +53,9 @@ __all__ = [
     "calibrate_alpha",
     "r_max",
     "shape_deriv_supnorm",
-    "sup_abs_kernel_deriv",
+    "K_SUP",
+    "K1_ARGMAX",
+    "K1_SUP",
 ]
 
 MAX_DERIV_ORDER = 6
@@ -134,15 +136,11 @@ def periodic_kernel_deriv(x, order: int):
     return (2.0**order) * vals if order else vals
 
 
-@functools.lru_cache(maxsize=None)
-def sup_abs_kernel_deriv(order: int) -> float:
-    """max |K^(order)| on [-1, 1], by grid search with one refinement."""
-    w = np.linspace(-1.0, 1.0, 40001)
-    vals = np.abs(standard_kernel_deriv(w, order))
-    i = int(np.argmax(vals))
-    lo, hi = w[max(i - 1, 0)], w[min(i + 1, len(w) - 1)]
-    w2 = np.linspace(lo, hi, 20001)
-    return float(max(vals[i], np.abs(standard_kernel_deriv(w2, order)).max()))
+# sup K = K(0) = e^-1.  K'' = K P_2 / (1 - w^2)^4 with P_2 = 6 w^4 - 2, so |K'| peaks
+# where 3 w^4 = 1, and sup |K_per'| = 2 K1_SUP at (1 + K1_ARGMAX)/2, bit for bit.
+K_SUP = math.exp(-1.0)
+K1_ARGMAX = 3.0**-0.25
+K1_SUP = abs(standard_kernel_deriv(K1_ARGMAX, 1))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ __all__ = [
     "chain_remainder_field",
     "chain_remainder_u_jet",
     "chain_remainder_bounds",
-    "periodic_sup",
 ]
 
 MAX_PARTITION_ORDER = 8
@@ -368,11 +367,6 @@ def _periodic_grid(order: int) -> np.ndarray:
     return vals
 
 
-def periodic_sup(order: int) -> float:
-    """sup |K_per^(order)| over one period: 2^order sup |K^(order)|, by the refined search."""
-    return 2.0**order * kernels.sup_abs_kernel_deriv(order)
-
-
 def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: float,
                           beta: float, d: int = 1) -> flow.ModelFunction:
     """The field R^d -> R^d moving coordinate 0 at s(x_0) = (2/3) L0 g'(g^{-1}(x_0)).
@@ -390,7 +384,7 @@ def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: flo
     to <= 0.015 radius; there g' >= 1/2 and |g''| <= 9.7/radius put Newton in
     its quadratic basin, and three Newton steps end at rounding level.
     """
-    slope = amplitude * radius**beta * periodic_sup(1)
+    slope = amplitude * radius**beta * (2.0 * kernels.K1_SUP)  # ||K_per'|| = 2 sup |K'|
     if slope > 0.5:
         raise SlopeOutOfRange(
             f"amplitude*radius^beta*||K_per'|| = {slope:.6g} > 1/2"
@@ -438,16 +432,7 @@ def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: flo
         dim=d,
         eval=eval_field,
         closed_form_flow=closed_flow,
-        metadata={
-            "construction": "chain-remainder",
-            "amplitude": amplitude,
-            "radius": radius,
-            "phase": phase,
-            "L0": L0,
-            "beta": beta,
-            "g": g,
-            "g_inv": g_inv,
-        },
+        metadata={"g": g, "g_inv": g_inv},
     )
 
 

@@ -29,6 +29,8 @@ __all__ = [
     "build_stubble_scheme",
     "build_snake_scheme",
     "CoverCheck",
+    "C_CVRTM",
+    "default_C_cvr",
     "check_cover",
     "check_cover_time",
     "scheme_checks",
@@ -179,6 +181,15 @@ class CoverCheck:
     detail: dict = field(default_factory=dict)
 
 
+# the default cover-time constant, which equidistant observation times admit
+C_CVRTM = 3.0
+
+
+def default_C_cvr(d: int) -> float:
+    """The default cover constant C_cvr = 4^d, which a regular grid of starts admits."""
+    return 4.0**d
+
+
 def _cover_check(C_hat: float, declared: float, detail: dict) -> CoverCheck:
     """The one pass rule of both cover constants: C_hat <= declared (1 + 1e-12)."""
     return CoverCheck(passed=bool(C_hat <= declared * (1.0 + 1e-12)), C_hat=float(C_hat),
@@ -199,7 +210,7 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None) -> 
     x = scheme.initials
     m, d = x.shape
     if declared is None:
-        declared = 4.0**d
+        declared = default_C_cvr(d)
     if declared <= 0:
         raise ValueError(f"declared cover constant {declared} <= 0")
     r_floor = (declared * m) ** (-1.0 / d)
@@ -220,7 +231,7 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None) -> 
     return _cover_check(C_hat, declared, where)
 
 
-def check_cover_time(scheme: ObservationScheme, declared: float = 3.0) -> CoverCheck:
+def check_cover_time(scheme: ObservationScheme, declared: float = C_CVRTM) -> CoverCheck:
     """Window-counting regularity of the observation times.
 
     C_hat is the max over trajectories and time windows [t_i, t_j] of
@@ -240,7 +251,7 @@ def check_cover_time(scheme: ObservationScheme, declared: float = 3.0) -> CoverC
 
 
 def scheme_checks(scheme: ObservationScheme, C_cvr: Optional[float] = None,
-                  C_cvrtm: float = 3.0) -> list:
+                  C_cvrtm: float = C_CVRTM) -> list:
     """Records ``cover-constant`` (:func:`check_cover`), ``cover-time-constant``
     (:func:`check_cover_time`) and ``noise-positive`` (C_noise > 0) of a scheme."""
     cover, cover_time = check_cover(scheme, C_cvr), check_cover_time(scheme, C_cvrtm)
@@ -417,12 +428,11 @@ class MasterInstance:
     d_q: int
     rho_minus: float
     rho_plus: float
-    metadata: dict = field(default_factory=dict)
 
 
-def master_instance_stubble(family: HypothesisFamily, scheme: ObservationScheme,
-                            *, C_cvr: Optional[float] = None) -> MasterInstance:
-    """KL budget a_n = (||h|| L_beta T_max)^2 C_cvr m n_max, exponent 2 beta + d.
+def master_instance_stubble(family: HypothesisFamily,
+                            scheme: ObservationScheme) -> MasterInstance:
+    """KL budget a_n = (||h|| L_beta T_max)^2 C_cvr m n_max, exponent 2 beta + d, C_cvr = 4^d.
 
     Valid for r >= rho_minus = (C_cvr m)^{-1/d}: each of the <= C_cvr m r^d
     in-ball trajectories drifts at most ||h|| L_beta r^beta per unit time,
@@ -430,8 +440,7 @@ def master_instance_stubble(family: HypothesisFamily, scheme: ObservationScheme,
     """
     d = scheme.dim
     beta = family.smoothness_class.beta
-    if C_cvr is None:
-        C_cvr = 4.0**d
+    C_cvr = default_C_cvr(d)
     h_sup = family.metadata["h_sup"]
     L_beta = family.smoothness_class.L_beta
     a_n = (h_sup * L_beta * scheme.T_max) ** 2 * C_cvr * scheme.m * scheme.n_max
@@ -445,12 +454,11 @@ def master_instance_stubble(family: HypothesisFamily, scheme: ObservationScheme,
         d_q=d,
         rho_minus=(C_cvr * scheme.m) ** (-1.0 / d),
         rho_plus=family.rho_plus,
-        metadata={"C_cvr": C_cvr, "psi_coeff": h_sup * L_beta * scheme.T_max},
     )
 
 
-def master_instance_snake(family: HypothesisFamily, scheme: ObservationScheme,
-                          *, C_cvrtm: float = 3.0) -> MasterInstance:
+def master_instance_snake(family: HypothesisFamily,
+                          scheme: ObservationScheme) -> MasterInstance:
     """KL budget from closed-form psi/chi envelopes, exponent 2(beta+1) + d.
 
     psi(r) = 2 ||Kt|| ||Kt'|| L_beta r^(beta+1) / L_0 bounds the transverse
@@ -465,19 +473,17 @@ def master_instance_snake(family: HypothesisFamily, scheme: ObservationScheme,
     pitch = geometry.min_distance(scheme.initials[:, 1:])
     gamma = 2.0 * (beta + 1.0) + d
     n, T_sum = scheme.n, scheme.T_sum
-    rho_minus = 0.5 * L0 * T_sum / (C_cvrtm * n)
+    rho_minus = 0.5 * L0 * T_sum / (C_CVRTM * n)
     rho_plus = family.rho_plus
-
-    def psi_cl(r):
-        return snake_transverse_envelope(family, r)
 
     def chi_cl(r):
         lines = (2.0 * r / pitch + 1.0) ** (d - 1)
-        per_line = max(1.0, C_cvrtm * n * (2.0 * r / L0) / T_sum)
+        per_line = max(1.0, C_CVRTM * n * (2.0 * r / L0) / T_sum)
         return lines * per_line
 
     grid = np.geomspace(max(rho_minus, 1e-12), rho_plus, 1000)
-    a_n = float(max(psi_cl(r) ** 2 * chi_cl(r) / r**gamma for r in grid))
+    a_n = float(max(snake_transverse_envelope(family, r) ** 2 * chi_cl(r) / r**gamma
+                    for r in grid))
     return MasterInstance(
         kind="snake",
         family=family,
@@ -488,12 +494,6 @@ def master_instance_snake(family: HypothesisFamily, scheme: ObservationScheme,
         d_q=d,
         rho_minus=rho_minus,
         rho_plus=rho_plus,
-        metadata={
-            "C_cvrtm": C_cvrtm,
-            "pitch": pitch,
-            "psi_cl": psi_cl,
-            "chi_cl": chi_cl,
-        },
     )
 
 

@@ -91,6 +91,14 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("verify", {"suite": "assumptions", "C_cvr": 0}),
     ("verify", {"suite": "assumptions", "C_cvr": -1}),
     ("verify", {"suite": "assumptions", "C_cvrtm": 0}),
+    # config numbers are JSON numbers: no booleans, numeric strings or integers past float range
+    ("verify", {"suite": "assumptions", "d": True, "K_grid": 3}),
+    ("experiment", {"kl": True}),
+    ("verify", {"suite": "assumptions", "d": "2", "K_grid": "3"}),
+    ("verify", {"suite": "coincidence", "beta": 1.5, "d": 2, "x0": [0.5, False]}),
+    ("construct", {"construction": "stubble-det", "beta": 1.5, "L": [2, "300"]}),
+    ("rates", {"beta": 2.0, "n": [1000, "2000"]}),
+    ("experiment", {"kl": 10**400}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)

@@ -98,20 +98,13 @@ def test_semigroup_property_small_error():
 
 
 def test_gronwall_pair_bound_orders():
-    # drift+pulse construction carries the sup-norms the bounds need
+    # each pair of pulse crossings ends within both the additive and the Grönwall bound
     fam = hypotheses.snake_prob_family(2.0, 2, (2.0, 20.0), 100.0)
-    f1 = fam.make_alternative(np.array([0.5, 0.5]), 0.1)
-    x1 = np.array([0.1, 0.45])
-    x2 = np.array([0.1, 0.47])
-    measured, bound_a, bound_b = flow.gronwall_pair_bound(f1, x1, x2, 0.8)
-    assert measured <= bound_a
-    assert measured <= bound_b
-    assert bound_a > 0 and bound_b > 0
-
-
-def test_gronwall_requires_construction_metadata():
-    with pytest.raises(KeyError):
-        flow.gronwall_pair_bound(_linear_field(), np.array([0.0]), np.array([0.1]), 0.5)
+    checks = hypotheses.snake_gronwall_checks(fam, 0.1, trials=4)
+    assert len(checks) == 4
+    for _, ok, measured, limit in checks:
+        assert ok and measured <= limit
+        assert limit > 0
 
 
 def test_closed_form_flow_used_when_present():

@@ -147,7 +147,7 @@ def test_chain_remainder_field_value_and_flow():
 @example(slope=0.5, radius=2.0 / 3.0 * 2.0 * 0.05, phase=0.4393798133121563, beta=2.5)
 def test_chain_remainder_inverse_roundtrip(slope, radius, phase, beta):
     # slope = amplitude * radius^beta * ||K_per'||, up to its cap 1/2
-    per_prime = smoothness.periodic_sup(1)
+    per_prime = 2.0 * kernels.K1_SUP  # the slope guard's ||K_per'||
     amp = slope / (radius**beta * per_prime)
     while amp * radius**beta * per_prime > 0.5:  # rounding past the cap
         amp = np.nextafter(amp, 0.0)
@@ -162,10 +162,10 @@ def test_chain_remainder_slope_guard():
         smoothness.chain_remainder_field(50.0, 0.5, 0.13, 2.0, 2.5)
 
 
-def test_chain_remainder_slope_guard_is_exact():
-    # sup|K_per'| = 1.596859503667199 (mpmath, as in test_periodic_sup_frozen): a slope
-    # 1e-9 relative over the cap 1/2 is rejected, one 1e-9 under it admitted
-    r, beta = 0.5, 2.5
+@pytest.mark.parametrize("r,beta", [(0.5, 2.5), (0.2, 1.5), (1.3, 2.0), (0.07, 4.5)])
+def test_chain_remainder_slope_guard_is_exact(r, beta):
+    # sup|K_per'| = 1.596859503667199 (mpmath, as in test_closed_form_kernel_maxima): a
+    # slope 1e-9 relative over the cap 1/2 is rejected, one 1e-9 under it admitted
     amp = 0.5 / (r**beta * 1.596859503667199)
     with pytest.raises(smoothness.SlopeOutOfRange):
         smoothness.chain_remainder_field(amp * (1.0 + 1e-9), r, 0.13, 2.0, beta)
@@ -188,7 +188,7 @@ def test_chain_remainder_grid_maxima_resolve(beta):
     # max |s^(k)| on the 40,001-point grid of one period against a 400,001-point one,
     # at half the slope cap of the demo period r = (2/3) 2 0.05
     r = 2.0 / 3.0 * 2.0 * 0.05
-    a = 0.25 / smoothness.periodic_sup(1)
+    a = 0.25 / (2.0 * kernels.K1_SUP)
     n = smoothness.strict_floor(beta) + 1
 
     def maxima(points):
@@ -202,17 +202,6 @@ def test_chain_remainder_grid_maxima_resolve(beta):
     # chain_remainder_bounds reads its M_k on the coarse grid
     bounds = smoothness.chain_remainder_bounds(a / r**beta, r, 2.0, beta)
     assert bounds[:n] == pytest.approx(coarse[:n].tolist(), rel=1e-12)
-
-
-def test_periodic_sup_frozen():
-    # 2^j * sup|K^(j)| (mpmath values); grid measurement is slightly low
-    truth = [0.3678794411714423, 1.596859503667199, 30.99881976677658,
-             1491.199370550626, 133054.2411343294]
-    rtol = [1e-12, 1e-7, 1e-6, 1e-6, 1e-5]
-    for j in range(5):
-        v = smoothness.periodic_sup(j)
-        assert v == pytest.approx(truth[j], rel=rtol[j])
-        assert v <= truth[j] * (1 + 1e-12)
 
 
 def test_derivative_supnorm_sine():
