@@ -96,19 +96,21 @@ def test_kernel_deriv_bitwise_equals_reference(order):
         assert isinstance(got, float) and np.float64(got).tobytes() == want.tobytes()
 
 
-def test_closed_form_kernel_maxima():
-    # sup K = K(0) = e^-1; sup |K'| at 3^(-1/4), where K'' = K (6 w^4 - 2) / (1 - w^2)^4
-    # vanishes; mpmath values at 50 digits (golden-section polish of a 4000-point scan)
-    assert np.float64(kernels.K_SUP).tobytes() == np.float64(kernels.standard_kernel(0.0)).tobytes()
-    assert kernels.K_SUP == pytest.approx(0.3678794411714423, rel=1e-15)
-    assert abs(kernels.standard_kernel_deriv(kernels.K1_ARGMAX, 2)) < 1e-14
-    grid = np.abs(kernels.standard_kernel_deriv(np.linspace(-1.0, 1.0, 400001), 1)).max()
-    assert grid <= kernels.K1_SUP <= grid * (1.0 + 1e-10)
-    assert kernels.K1_SUP == pytest.approx(0.7984297518335995, rel=1e-15)
-    # sup |K_per'| = 2 sup |K'|, taken at (1 + 3^(-1/4))/2 bit for bit
-    per_prime = abs(kernels.periodic_kernel_deriv(0.5 * (1.0 + kernels.K1_ARGMAX), 1))
-    assert np.float64(per_prime).tobytes() == np.float64(2.0 * kernels.K1_SUP).tobytes()
-    assert per_prime == pytest.approx(1.596859503667199, rel=1e-15)
+# sup |K^(j)| on (-1, 1) for K(w) = exp(-1/(1-w^2)), computed with mpmath at 50 digits
+# (golden-section polish of a 4000-point scan), against the closed forms: sup K = K(0) =
+# e^-1, sup |K'| at 3^(-1/4), where K'' = K (6 w^4 - 2) / (1 - w^2)^4 vanishes
+SUP_K = [0.3678794411714423, 0.7984297518335995]
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_sup_abs_kernel_deriv_frozen(order):
+    sup, argmax = [(kernels.K_SUP, 0.0), (kernels.K1_SUP, kernels.K1_ARGMAX)][order]
+    at = abs(kernels.standard_kernel_deriv(argmax, order))
+    assert np.float64(sup).tobytes() == np.float64(at).tobytes()
+    assert abs(kernels.standard_kernel_deriv(argmax, order + 1)) < 1e-14
+    grid = np.abs(kernels.standard_kernel_deriv(np.linspace(-1.0, 1.0, 400001), order)).max()
+    assert grid <= sup <= grid * (1.0 + 1e-10)
+    assert sup == pytest.approx(SUP_K[order], rel=1e-15)
 
 
 def test_periodic_kernel_unit_periodic():

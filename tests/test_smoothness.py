@@ -164,7 +164,7 @@ def test_chain_remainder_slope_guard():
 
 @pytest.mark.parametrize("r,beta", [(0.5, 2.5), (0.2, 1.5), (1.3, 2.0), (0.07, 4.5)])
 def test_chain_remainder_slope_guard_is_exact(r, beta):
-    # sup|K_per'| = 1.596859503667199 (mpmath, as in test_closed_form_kernel_maxima): a
+    # sup|K_per'| = 1.596859503667199 (mpmath, as in test_periodic_sup_frozen): a
     # slope 1e-9 relative over the cap 1/2 is rejected, one 1e-9 under it admitted
     amp = 0.5 / (r**beta * 1.596859503667199)
     with pytest.raises(smoothness.SlopeOutOfRange):
@@ -202,6 +202,16 @@ def test_chain_remainder_grid_maxima_resolve(beta):
     # chain_remainder_bounds reads its M_k on the coarse grid
     bounds = smoothness.chain_remainder_bounds(a / r**beta, r, 2.0, beta)
     assert bounds[:n] == pytest.approx(coarse[:n].tolist(), rel=1e-12)
+
+
+def test_periodic_sup_frozen():
+    # 2^j sup|K^(j)| (mpmath values), taken at 1/2 and (1 + 3^(-1/4))/2 bit for bit
+    truth = [0.3678794411714423, 1.596859503667199]
+    sups = [kernels.K_SUP, 2.0 * kernels.K1_SUP]
+    for j, w in enumerate([0.5, 0.5 * (1.0 + kernels.K1_ARGMAX)]):
+        v = abs(kernels.periodic_kernel_deriv(w, j))
+        assert np.float64(v).tobytes() == np.float64(sups[j]).tobytes()
+        assert v == pytest.approx(truth[j], rel=1e-15)
 
 
 def test_derivative_supnorm_sine():
