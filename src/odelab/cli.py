@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -338,7 +339,11 @@ def _suite_assumptions(cfg: dict, seed: int) -> list:
     d, K_grid = _count(cfg, "d", 2), _count(cfg, "K_grid", 6)
     if K_grid**d > hypotheses.MAX_LATTICE:  # sized in integers before the grid is built
         raise ConfigError(f"K_grid^d = {K_grid}^{d} starts, above {hypotheses.MAX_LATTICE}")
-    noise = statmodel.NoiseLaw(dim=d, covariance=_positive(cfg, "sigma2", 1.0))
+    sigma2 = _positive(cfg, "sigma2", 1.0)
+    noise = statmodel.NoiseLaw(dim=d, covariance=sigma2)
+    if not math.isfinite(noise.C_noise):
+        raise ConfigError(f"field 'sigma2' = {sigma2} is so small that the noise constant "
+                          f"1/(2 sigma2) overflows")
     scheme = statmodel.build_stubble_scheme(
         K_grid, _count(cfg, "n_per", 3), _positive(cfg, "delta_t", 0.1), noise
     )
@@ -374,6 +379,12 @@ def _cmd_verify(cfg: dict, out: str, seed: int) -> int:
 # ---------------------------------------------------------------------------
 # rates
 
+# the columns of rates.csv after n: catalogue rates at the balancing step, and two gaps
+# that vanish identically
+_RATE_COLUMNS = ("stubble-onlyn", "stubble-onlyn-sup", "stubble-balancing-step",
+                 "stubble-nice-prob-term", "stubble-nice-det-term", "balance-gap",
+                 "snake-combined-nice", "snake-vs-onlyn-gap", "regression", "regression-sup")
+
 
 def _cmd_rates(cfg: dict, out: str) -> int:
     beta = _require_beta(cfg, certified=False)
@@ -385,45 +396,18 @@ def _cmd_rates(cfg: dict, out: str) -> int:
                           _count(grid_cfg, "num", 13))
     else:
         ns = _numbers(cfg, "n").reshape(-1)
-    header = [
-        "n",
-        "stubble-onlyn",
-        "stubble-onlyn-sup",
-        "stubble-balancing-step",
-        "stubble-nice-prob-term",
-        "stubble-nice-det-term",
-        "balance-gap",
-        "snake-combined-nice",
-        "snake-vs-onlyn-gap",
-        "regression",
-        "regression-sup",
-    ]
     rows = []
     for n_float in ns:
         n = int(round(n_float))
         if n < 2:
             raise ConfigError(f"field 'n' values must be >= 2, got {n}")
         spec = statmodel.RateSpec(beta=beta, d=d, n=n, s=s)
-        step = statmodel.rate_eval(spec, "stubble-balancing-step")
-        spec_b = statmodel.RateSpec(beta=beta, d=d, n=n, step=step, s=s)
-        prob_t = statmodel.rate_eval(spec_b, "stubble-nice-prob-term")
-        det_t = statmodel.rate_eval(spec_b, "stubble-nice-det-term")
-        onlyn = statmodel.rate_eval(spec, "stubble-onlyn")
-        nice = statmodel.rate_eval(spec, "snake-combined-nice")
-        rows.append([
-            n,
-            onlyn,
-            statmodel.rate_eval(spec, "stubble-onlyn-sup"),
-            step,
-            prob_t,
-            det_t,
-            abs(prob_t - det_t),
-            nice,
-            abs(nice - onlyn),
-            statmodel.rate_eval(spec, "regression"),
-            statmodel.rate_eval(spec, "regression-sup"),
-        ])
-    _write_csv(os.path.join(out, "rates.csv"), header, rows,
+        spec = dataclasses.replace(spec, step=statmodel.rate_eval(spec, "stubble-balancing-step"))
+        row = {c: statmodel.rate_eval(spec, c) for c in _RATE_COLUMNS if c in statmodel.RATE_IDS}
+        row["balance-gap"] = abs(row["stubble-nice-prob-term"] - row["stubble-nice-det-term"])
+        row["snake-vs-onlyn-gap"] = abs(row["snake-combined-nice"] - row["stubble-onlyn"])
+        rows.append([n] + [row[c] for c in _RATE_COLUMNS])
+    _write_csv(os.path.join(out, "rates.csv"), ["n", *_RATE_COLUMNS], rows,
                comment=f"rates beta={beta} d={d} s={s}")
     return _EXIT_OK
 

@@ -144,6 +144,18 @@ def _check_radius(r: float, rho_plus: float):
         raise ValueError(f"radius {r} outside (0, {rho_plus}]")
 
 
+def _check_resolved(length: float, x0: np.ndarray, what: str):
+    """Raise :class:`ClassTooTight` if ``length`` is below 2^26 ulp(|x0_c| + 1) at any c.
+
+    Then the phase (x - z)/length of points within 1 of x0 keeps 26 bits.
+    """
+    c = int(np.abs(x0).argmax())  # ulp grows with |x0_c|: the largest coordinate binds
+    resolution = 2.0**26 * math.ulp(abs(float(x0[c])) + 1.0)
+    if length < resolution:
+        raise ClassTooTight(f"{what} {length:.3g}, below the {resolution:.3g} that "
+                            f"x0 = {float(x0[c])} resolves")
+
+
 def _calibrated(beta: float, d: int, L, L_beta: float, shape: str):
     """The d -> d class, the calibrated ``shape`` kernel and its certified radius cap."""
     cls = smoothness.SmoothnessClass(beta, tuple(L), L_beta, d, d)
@@ -289,13 +301,9 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     r = (2.0 / 3.0) * L0 * delta_t
     w_star = 0.5 * (1.0 + kernels.K1_ARGMAX)  # argmax of |K_per'|
     per_prime = 2.0 * kernels.K1_SUP  # |K_per'(w_star)|, bit for bit
-    # the phase (x - z)/r of points within 1 of x0 keeps 26 bits, which the separation
-    # claimed at x0 needs (|K_per'| is flat at its maximum); r >= 1.5e-8 also keeps
-    # r^beta and the jet's scale r^-(ell+1) finite
-    resolution = 2.0**26 * math.ulp(abs(float(x0[0])) + 1.0)
-    if r < resolution:
-        raise ClassTooTight(f"time step {delta_t} gives period {r:.3g}, below the "
-                            f"{resolution:.3g} that x0 = {float(x0[0])} resolves")
+    # the separation claimed at x0 needs 26 bits of phase (|K_per'| is flat at its
+    # maximum); r >= 1.5e-8 also keeps r^beta and the jet's scale r^-(ell+1) finite
+    _check_resolved(r, x0[:1], f"time step {delta_t} gives period")
     limits = L + (L_beta,)
 
     def fits(amp: float) -> bool:
@@ -502,7 +510,9 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     conditions on its half-pitch dual, so every trajectory keeps distance
     at least r from every bump and the two flows are identical on the grid.
     The r-tubes around the trajectories cover the unit cube whenever the
-    transverse pitch resolves delta = r sqrt(d).
+    transverse pitch resolves delta = r sqrt(d).  A pitch below
+    2^26 ulp(|x0_c| + 1) at any coordinate c, too short to resolve there,
+    raises :class:`ClassTooTight`.
     """
     if d < 2:
         raise DimensionTooSmall("snake constructions need d >= 2")
@@ -526,6 +536,8 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     if max(m, n_centers) > MAX_LATTICE:
         raise DeltaTooSmall(f"delta {delta} needs {max(m, n_centers)} lattice points "
                             f"(starts or bump centers), above the limit {MAX_LATTICE}")
+    # both lattices are laid out from x0 at pitch 2r (the centers at x0_1 itself)
+    _check_resolved(2.0 * r, x0, f"delta {delta} gives pitch")
 
     # transverse lattice of initial conditions: pitch 2r, offset exactly r
     # from the bump lattice through x0, shifted into [0, 1] coverage position

@@ -305,10 +305,10 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
 
 
 def scheme_kl(scheme: ObservationScheme, f0: flow_mod.ModelFunction,
-              f1: flow_mod.ModelFunction, *, tol: float = 1e-10) -> float:
-    """Total KL between the observation laws of f0 and f1 under the scheme."""
-    s0 = flow_states(f0, scheme.initials, scheme.times, tol=tol)
-    s1 = flow_states(f1, scheme.initials, scheme.times, tol=tol)
+              f1: flow_mod.ModelFunction) -> float:
+    """Total KL between the observation laws of f0 and f1 under the scheme (flows at tol 1e-10)."""
+    s0 = flow_states(f0, scheme.initials, scheme.times)
+    s1 = flow_states(f1, scheme.initials, scheme.times)
     shift = (s1 - s0).reshape(-1, scheme.dim)
     sol = np.linalg.solve(scheme.noise.covariance, shift.T)
     return 0.5 * float((shift.T * sol).sum())
@@ -465,7 +465,10 @@ def master_instance_snake(family: HypothesisFamily,
     deviation (crossing time 2r/L_0 at transverse speed <= L_beta r^beta
     ||Kt|| ||Kt'||); chi(r) counts the <= (2r/pitch + 1)^(d-1) affected
     sweeps times the observations each can place inside one crossing
-    window.  a_n is the max of psi^2 chi / r^gamma over admissible radii.
+    window.  a_n is the max of psi^2 chi / r^gamma over the admissible radii
+    [max(rho_minus, 1e-12), rho_plus], taken at the smallest: with a = 2 C_cvrtm n / (L_0 T_sum)
+    the ratio is c (2r/pitch + 1)^(d-1) max(1, a r) r^(-d), whose log-derivative
+    (d-1)/(r + pitch/2) + [a r > 1]/r - d/r is negative on both sides of a r = 1.
     """
     d = scheme.dim
     beta = family.smoothness_class.beta
@@ -476,14 +479,9 @@ def master_instance_snake(family: HypothesisFamily,
     rho_minus = 0.5 * L0 * T_sum / (C_CVRTM * n)
     rho_plus = family.rho_plus
 
-    def chi_cl(r):
-        lines = (2.0 * r / pitch + 1.0) ** (d - 1)
-        per_line = max(1.0, C_CVRTM * n * (2.0 * r / L0) / T_sum)
-        return lines * per_line
-
-    grid = np.geomspace(max(rho_minus, 1e-12), rho_plus, 1000)
-    a_n = float(max(snake_transverse_envelope(family, r) ** 2 * chi_cl(r) / r**gamma
-                    for r in grid))
+    r = min(max(rho_minus, 1e-12), rho_plus)
+    chi = (2.0 * r / pitch + 1.0) ** (d - 1) * max(1.0, C_CVRTM * n * (2.0 * r / L0) / T_sum)
+    a_n = float(snake_transverse_envelope(family, r) ** 2 * chi / r**gamma)
     return MasterInstance(
         kind="snake",
         family=family,
@@ -654,78 +652,53 @@ def _onlyn_exponent(beta: float, d: float) -> float:
     return -(2.0 * beta) / (2.0 * (beta + 1.0) + d)
 
 
-def _need(spec: RateSpec, which: str, *names):
-    for name in names:
-        if getattr(spec, name) is None:
-            raise MissingField(f"rate '{which}' needs field '{name}'")
+def _snake_inner(q: RateSpec, d: float) -> float:
+    return q.delta ** (-(d - 1.0)) * q.n / q.T_sum
+
+
+def _snake_combined_nice(q: RateSpec, beta: float, d: float) -> float:
+    delta_star = rate_eval(q, "stubble-balancing-step")
+    T_star = delta_star ** (-(d - 1.0))
+    inner = delta_star ** (-(d - 1.0)) / T_star * q.n  # exactly n
+    return inner ** _onlyn_exponent(beta, d)
+
+
+# The rate catalogue: id -> (the RateSpec fields it needs, its formula(q, beta, d)),
+# evaluated at the spec q with beta = q.beta and d = float(q.d).
+_RATES = {
+    "stubble-prob": (("m", "n_max", "T_max"), lambda q, beta, d:
+                     (q.m * q.n_max * q.T_max**2) ** (-beta / (2.0 * beta + d))),
+    "stubble-nice": ((), lambda q, beta, d: rate_eval(q, "stubble-nice-prob-term")
+                     + rate_eval(q, "stubble-nice-det-term")),
+    "stubble-nice-sup": (("n", "step"), lambda q, beta, d:
+                         (q.n / math.log(q.n) * q.step**2) ** (-(2.0 * beta) / (2.0 * beta + d))
+                         + q.step ** (2.0 * beta)),
+    "stubble-nice-prob-term": (("n", "step"), lambda q, beta, d:
+                               (q.n * q.step**2) ** (-(2.0 * beta) / (2.0 * beta + d))),
+    "stubble-nice-det-term": (("step",), lambda q, beta, d: q.step ** (2.0 * beta)),
+    "stubble-onlyn": (("n",), lambda q, beta, d: q.n ** _onlyn_exponent(beta, d)),
+    "stubble-onlyn-sup": (("n",), lambda q, beta, d:
+                          (q.n / math.log(q.n)) ** _onlyn_exponent(beta, d)),
+    "stubble-balancing-step": (("n",), lambda q, beta, d:
+                               q.n ** (-1.0 / (2.0 * (beta + 1.0) + d))),
+    "snake-prob": (("delta", "n", "T_sum"), lambda q, beta, d:
+                   _snake_inner(q, d) ** (-beta / (2.0 * (beta + 1.0) + d))),
+    "snake-combined": (("delta", "n", "T_sum"), lambda q, beta, d:
+                       q.delta ** (2.0 * beta) + _snake_inner(q, d) ** _onlyn_exponent(beta, d)),
+    "snake-combined-nice": (("n",), _snake_combined_nice),
+    "regression": (("n",), lambda q, beta, d: q.n ** (-(beta - q.s) / (2.0 * beta + d))),
+    "regression-sup": (("n",), lambda q, beta, d:
+                       (q.n / math.log(q.n)) ** (-(beta - q.s) / (2.0 * beta + d))),
+}
+RATE_IDS = tuple(_RATES)
 
 
 def rate_eval(spec: RateSpec, which: str) -> float:
     """Evaluate one pinned rate formula; see RATE_IDS for the catalogue."""
-    beta, d = spec.beta, float(spec.d)
-    if which == "stubble-prob":
-        _need(spec, which, "m", "n_max", "T_max")
-        return (spec.m * spec.n_max * spec.T_max**2) ** (-beta / (2.0 * beta + d))
-    if which == "stubble-nice-prob-term":
-        _need(spec, which, "n", "step")
-        return (spec.n * spec.step**2) ** (-(2.0 * beta) / (2.0 * beta + d))
-    if which == "stubble-nice-det-term":
-        _need(spec, which, "step")
-        return spec.step ** (2.0 * beta)
-    if which == "stubble-nice":
-        return rate_eval(spec, "stubble-nice-prob-term") + rate_eval(
-            spec, "stubble-nice-det-term"
-        )
-    if which == "stubble-nice-sup":
-        _need(spec, which, "n", "step")
-        eff = spec.n / math.log(spec.n)
-        return (eff * spec.step**2) ** (
-            -(2.0 * beta) / (2.0 * beta + d)
-        ) + spec.step ** (2.0 * beta)
-    if which == "stubble-onlyn":
-        _need(spec, which, "n")
-        return spec.n ** _onlyn_exponent(beta, d)
-    if which == "stubble-onlyn-sup":
-        _need(spec, which, "n")
-        return (spec.n / math.log(spec.n)) ** _onlyn_exponent(beta, d)
-    if which == "stubble-balancing-step":
-        _need(spec, which, "n")
-        return spec.n ** (-1.0 / (2.0 * (beta + 1.0) + d))
-    if which == "snake-prob":
-        _need(spec, which, "delta", "n", "T_sum")
-        inner = spec.delta ** (-(d - 1.0)) * spec.n / spec.T_sum
-        return inner ** (-beta / (2.0 * (beta + 1.0) + d))
-    if which == "snake-combined":
-        _need(spec, which, "delta", "n", "T_sum")
-        inner = spec.delta ** (-(d - 1.0)) * spec.n / spec.T_sum
-        return spec.delta ** (2.0 * beta) + inner ** _onlyn_exponent(beta, d)
-    if which == "snake-combined-nice":
-        _need(spec, which, "n")
-        delta_star = spec.n ** (-1.0 / (2.0 * (beta + 1.0) + d))
-        T_star = delta_star ** (-(d - 1.0))
-        inner = delta_star ** (-(d - 1.0)) / T_star * spec.n  # exactly n
-        return inner ** _onlyn_exponent(beta, d)
-    if which == "regression":
-        _need(spec, which, "n")
-        return spec.n ** (-(beta - spec.s) / (2.0 * beta + d))
-    if which == "regression-sup":
-        _need(spec, which, "n")
-        return (spec.n / math.log(spec.n)) ** (-(beta - spec.s) / (2.0 * beta + d))
-    raise ValueError(f"unknown rate id {which!r}; known: {sorted(RATE_IDS)}")
-
-
-RATE_IDS = (
-    "stubble-prob",
-    "stubble-nice",
-    "stubble-nice-sup",
-    "stubble-nice-prob-term",
-    "stubble-nice-det-term",
-    "stubble-onlyn",
-    "stubble-onlyn-sup",
-    "stubble-balancing-step",
-    "snake-prob",
-    "snake-combined",
-    "snake-combined-nice",
-    "regression",
-    "regression-sup",
-)
+    if which not in _RATES:
+        raise ValueError(f"unknown rate id {which!r}; known: {sorted(RATE_IDS)}")
+    needs, formula = _RATES[which]
+    for name in needs:
+        if getattr(spec, name) is None:
+            raise MissingField(f"rate '{which}' needs field '{name}'")
+    return formula(spec, spec.beta, float(spec.d))

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file outputs, schema, determinism."""
 
+import dataclasses
 import json
 import os
 
@@ -99,6 +100,8 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("construct", {"construction": "stubble-det", "beta": 1.5, "L": [2, "300"]}),
     ("rates", {"beta": 2.0, "n": [1000, "2000"]}),
     ("experiment", {"kl": 10**400}),
+    # a sigma2 whose noise constant 1/(2 sigma2) overflows
+    ("verify", {"suite": "assumptions", "sigma2": 1e-320}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)
@@ -112,9 +115,14 @@ def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     ("construct", {"construction": "stubble-det", "beta": 2.5, "delta_t": 1e-300}),
     ("verify", {"suite": "coincidence", "beta": 1.5, "delta_t": 1e-300}),
     ("construct", {"construction": "stubble-det", "beta": 1.5, "delta_t": 1e-12}),
+    ("construct", {"construction": "snake-det", "beta": 2.0, "x0": [0.5, 1e12]}),
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "x0": [0.5, 1e12]}),
+    ("construct", {"construction": "snake-det", "beta": 2.0, "x0": [1e300, 0.5]}),
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "x0": [1e300, 0.5]}),
 ])
 def test_underflowing_period_is_a_construction_error(tmp_path, capsys, command, payload):
-    # periods this short leave the phase at x0 no digits (and at 1e-300 r^beta = 0)
+    # periods and lattice pitches this short leave the phase at x0 no digits (and at
+    # 1e-300 r^beta = 0); at 1e12 the snake lattices clashed, at 1e300 the field overflowed
     cfg = _cfg(tmp_path, payload)
     assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
@@ -305,6 +313,36 @@ def test_rates_csv_grid(tmp_path):
     assert header[0] == "n"
     assert "stubble-onlyn" in header and "snake-combined-nice" in header
     assert len(lines) == 2 + 8  # comment + header + grid rows
+
+
+_RATE_GAPS = {"balance-gap": ("stubble-nice-prob-term", "stubble-nice-det-term"),
+              "snake-vs-onlyn-gap": ("snake-combined-nice", "stubble-onlyn")}
+
+
+@pytest.mark.parametrize("payload", [
+    {"beta": 2.0, "d": 2, "n": {"start": 1e3, "stop": 1e8, "num": 40}},
+    {"beta": 1.5, "d": 3, "s": 0.5, "n": [2, 10, 1000, 12345]},
+    {"beta": 3.7, "d": 1},
+])
+def test_rates_table_reads_the_catalogue(tmp_path, payload):
+    # every catalogue column is rate_eval of its id at the balancing-step spec, and each
+    # gap column the difference of its two columns, bit for bit as written
+    out = tmp_path / "out"
+    assert _run(["rates", "--config", _cfg(tmp_path, payload), "--out", out]) == 0
+    lines = (out / "rates.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    assert header[0] == "n" and set(header[1:]) - set(statmodel.RATE_IDS) == set(_RATE_GAPS)
+    for line in lines[2:]:
+        row = dict(zip(header, line.split(",")))
+        spec = statmodel.RateSpec(beta=payload["beta"], d=payload.get("d", 2), n=int(row["n"]),
+                                  s=payload.get("s", 0.0))
+        spec = dataclasses.replace(spec, step=statmodel.rate_eval(spec, "stubble-balancing-step"))
+        for column in header[1:]:
+            if column in _RATE_GAPS:
+                a, b = _RATE_GAPS[column]
+                assert row[column] == repr(abs(float(row[a]) - float(row[b])))
+            else:
+                assert row[column] == repr(statmodel.rate_eval(spec, column))
 
 
 def test_experiment_outputs_and_flag(tmp_path):

@@ -374,6 +374,25 @@ def test_master_instance_stubble_frozen(stubble_master):
     assert inst.rho_plus > inst.rho_minus
 
 
+@pytest.mark.parametrize("d,delta", [(2, 0.05), (3, 0.2), (2, 0.1)])
+def test_snake_a_n_is_the_radius_grid_maximum(d, delta):
+    # psi^2 chi / r^gamma decreases in r, so a_n, its value at the smallest admissible
+    # radius, is bit for bit its maximum over 1,000 geometric radii of the whole range
+    inst = _snake_instance(d, delta)
+    L0, n, T_sum = inst.family.metadata["drift"], inst.scheme.n, inst.scheme.T_sum
+    pitch = geometry.min_distance(inst.scheme.initials[:, 1:])
+
+    def ratio(r):
+        lines = (2.0 * r / pitch + 1.0) ** (d - 1)
+        per_line = max(1.0, statmodel.C_CVRTM * n * (2.0 * r / L0) / T_sum)
+        psi = hypotheses.snake_transverse_envelope(inst.family, r)
+        return psi**2 * (lines * per_line) / r**inst.gamma
+
+    values = [ratio(r) for r in np.geomspace(max(inst.rho_minus, 1e-12), inst.rho_plus, 1000)]
+    assert int(np.argmax(values)) == 0
+    assert inst.a_n == float(max(values))
+
+
 def test_choose_master_radius_pointwise(stubble_master):
     mr = statmodel.choose_master_radius(stubble_master)
     assert mr.variant == "pointwise"
