@@ -390,6 +390,8 @@ def _cmd_rates(cfg: dict, out: str) -> int:
     beta = _require_beta(cfg, certified=False)
     d = _count(cfg, "d", 2)
     s = _number(cfg, "s", 0.0)
+    if not 0.0 <= s < beta:
+        raise ConfigError(f"field 's' must satisfy 0 <= s < beta = {beta}, got {s}")
     grid_cfg = _get(cfg, "n", {"start": 1e3, "stop": 1e6, "num": 13})
     if isinstance(grid_cfg, dict):
         ns = np.geomspace(_positive(grid_cfg, "start", 1e3), _positive(grid_cfg, "stop", 1e6),

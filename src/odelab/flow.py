@@ -104,9 +104,22 @@ _A_ROWS = [_A[i, :i] for i in range(7)]
 _MAX_STEPS = 5_000_000
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """L2 norm of each row of an (m, dim) array (bitwise ``norm(x, axis=-1)``)."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+def _row_sumsq(x: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last axis of a float array (..., d); its sqrt is the row norm.
+
+    Bitwise ``np.add.reduce(x * x, axis=-1)``, so its sqrt is bitwise
+    ``np.linalg.norm(x, axis=-1)``, for any d and layout: below 8 columns
+    numpy adds the squares in column order, as the column loop does (2-5x
+    faster from a few hundred rows); from 8 on it sums pairwise, and there
+    and on small arrays this is numpy's reduce.
+    """
+    d = x.shape[-1]
+    if d >= 8 or x.size < 256:
+        return np.add.reduce(x * x, axis=-1)
+    out = x[..., 0] * x[..., 0]
+    for j in range(1, d):
+        out += x[..., j] * x[..., j]
+    return out
 
 
 def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
@@ -140,7 +153,7 @@ def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
         direction = 1.0 if T > 0 else -1.0
         t = 0.0
         h = direction * max(1e-8, float(np.min(
-            0.01 * (1.0 + _row_norms(y)) / (_row_norms(K[0]) + 1e-12))))
+            0.01 * (1.0 + np.sqrt(_row_sumsq(y))) / (np.sqrt(_row_sumsq(K[0])) + 1e-12))))
         while (T - t) * direction > 0:
             if n_accepted + n_rejected >= _MAX_STEPS:
                 raise RuntimeError("step budget exhausted; field badly scaled?")
@@ -155,7 +168,7 @@ def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
                 yi = y + h * np.add.reduce(_A_ROWS[i] * K[:i], axis=0)
                 K[i] = np.asarray(f.eval(yi), dtype=float).reshape(y.shape)
             y_new = y + h * np.add.reduce(_B5 * K, axis=0)
-            err = abs(h) * float(np.max(_row_norms(np.add.reduce(_ERR * K, axis=0))))
+            err = abs(h) * float(np.max(np.sqrt(_row_sumsq(np.add.reduce(_ERR * K, axis=0)))))
 
             if err <= tol:
                 n_accepted += 1

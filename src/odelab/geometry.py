@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import flow as flow_mod
-from .flow import Trajectory
+from .flow import Trajectory, _row_sumsq
 
 __all__ = [
     "EmptyTube",
@@ -111,7 +111,7 @@ def min_distance(a, b=None) -> float:
     block_mins = []
     for lo in range(0, len(a), _MIN_DISTANCE_ROWS):
         rows = a[lo:lo + _MIN_DISTANCE_ROWS]
-        dist = np.sqrt(((rows[:, None, :] - other[None, :, :]) ** 2).sum(axis=-1))
+        dist = np.sqrt(_row_sumsq(rows[:, None, :] - other[None, :, :]))
         if b is None:
             dist[np.arange(len(rows)), lo + np.arange(len(rows))] = math.inf
         if dist.size:
@@ -137,7 +137,7 @@ def _slices(traj: Trajectory, times: Optional[np.ndarray] = None):
         times = np.union1d(traj.ts, np.linspace(traj.ts[0], traj.ts[-1], _DENSE))
     states = flow_mod.flow_at(traj, times)
     derivs = np.stack([np.interp(times, traj.ts, col) for col in traj.derivs.T], axis=1)
-    speeds = np.linalg.norm(derivs, axis=1)
+    speeds = np.sqrt(_row_sumsq(derivs))
     vmax = speeds.max()
     if vmax <= 0.0:
         raise EmptyTube("trajectory is stationary; tube slices undefined")
@@ -158,7 +158,7 @@ def _slice_distances(points: np.ndarray, states: np.ndarray, units: np.ndarray,
     for lo in range(0, len(points), _MIN_DISTANCE_ROWS):
         w = points[lo:lo + _MIN_DISTANCE_ROWS, None, :] - states[None, :, :]  # (P, S, d)
         par = np.einsum("psd,sd->ps", w, units)
-        perp = np.sqrt(np.maximum((w**2).sum(axis=-1) - par**2, 0.0))
+        perp = np.sqrt(np.maximum(_row_sumsq(w) - par**2, 0.0))
         out[lo:lo + _MIN_DISTANCE_ROWS] = np.sqrt(par**2 + np.maximum(perp - radius, 0.0)**2)
     return out
 
@@ -197,8 +197,8 @@ def _union_distance(points: np.ndarray, tubes: Sequence[TubeSpec]):
     """
     slices = [_slices(tube.trajectory)[1:] for tube in tubes]
     radii = np.array([tube.radius for tube in tubes])
-    box = np.array([np.linalg.norm(points - np.clip(points, states.min(axis=0),
-                                                    states.max(axis=0)), axis=1)
+    box = np.array([np.sqrt(_row_sumsq(points - np.clip(points, states.min(axis=0),
+                                                        states.max(axis=0))))
                     for states, _, _ in slices]).reshape(len(tubes), len(points)).T
     bound, margin = box - radii, 1e-12 * (box + radii)
     best = np.full(len(points), np.inf)

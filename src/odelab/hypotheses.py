@@ -23,7 +23,7 @@ import numpy as np
 
 from . import flow as flow_mod
 from . import geometry, kernels, smoothness
-from .flow import ModelFunction
+from .flow import ModelFunction, _row_sumsq
 
 __all__ = [
     "ClassTooTight",
@@ -189,7 +189,7 @@ def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: fl
         z = zs[0]
         if len(zs) > 1:  # each point's nearest center, a block of rows at a time
             pts = x.reshape(-1, x.shape[-1])
-            near = [((pts[lo:lo + rows, None] - zs) ** 2).sum(axis=-1).argmin(axis=1)
+            near = [_row_sumsq(pts[lo:lo + rows, None] - zs).argmin(axis=1)
                     for lo in range(0, len(pts), rows)]
             z = zs[np.concatenate(near)].reshape(x.shape)
         out[..., axis] += coef * (scale * kernels.kernel_shape_eval(spec, (x - z) / r))
@@ -372,7 +372,7 @@ def _flow_gap(pair: HypothesisPair, xs: np.ndarray, t: float) -> float:
     """Largest norm of the f0 - f1 closed-form flow difference over the starts xs (n, d)."""
     u0 = pair.f0.closed_form_flow(xs, t)
     u1 = pair.f1.closed_form_flow(xs, t)
-    return float(np.linalg.norm(u0 - u1, axis=-1).max())
+    return float(np.sqrt(_row_sumsq(u0 - u1)).max())
 
 
 def stubble_det_checks(pair: HypothesisPair, xs: np.ndarray, tol: float = 1e-9) -> list:
@@ -600,7 +600,7 @@ def snake_det_checks(pair: HypothesisPair, initials: np.ndarray, horizons: np.nd
     for x, T in zip(initials, horizons):
         t0, t1 = (flow_mod.integrate(f, x, float(T), 1e-10) for f in (pair.f0, pair.f1))
         s = np.linspace(0.0, float(T), 33)
-        gap = np.linalg.norm(flow_mod.flow_at(t1, s) - flow_mod.flow_at(t0, s), axis=1)
+        gap = np.sqrt(_row_sumsq(flow_mod.flow_at(t1, s) - flow_mod.flow_at(t0, s)))
         worst = max(worst, float(gap.max()))
         tubes.append(geometry.TubeSpec(trajectory=t1, radius=delta))
     region = [(0.0, 1.0)] * pair.f0.dim
@@ -649,7 +649,7 @@ def spiral_build(K: int) -> SpiralConstruction:
         for mask, z in ((left, z_left), (right, z_right)):
             if mask.any():
                 v = (X[mask] - z) @ rot.T
-                n = np.linalg.norm(v, axis=1)
+                n = np.sqrt(_row_sumsq(v))
                 scale = np.where(n > 1.0, 1.0 / np.maximum(n, 1e-300), 1.0)
                 out[mask] = v * scale[:, None]
 
@@ -702,13 +702,13 @@ def spiral_verify(spec: SpiralConstruction, seed: int = 0) -> list:
     pts = box_lo + (box_hi - box_lo) * rng.random((100000, 2))
     # the sup-norm is attained on the mid-ramp line below the turning band
     pts[0] = (0.5, -2.5)
-    supnorm = float(np.linalg.norm(spec.field(pts), axis=1).max())
+    supnorm = float(np.sqrt(_row_sumsq(spec.field(pts))).max())
     sup_exact = spec.field.metadata["supnorm"]
 
     a = box_lo + (box_hi - box_lo) * rng.random((100000, 2))
     b = np.clip(a + rng.normal(scale=0.05, size=a.shape), box_lo, box_hi)
-    num = np.linalg.norm(spec.field(a) - spec.field(b), axis=1)
-    den = np.linalg.norm(a - b, axis=1)
+    num = np.sqrt(_row_sumsq(spec.field(a) - spec.field(b)))
+    den = np.sqrt(_row_sumsq(a - b))
     keep = den > 1e-12
     lip = float((num[keep] / den[keep]).max())
     lip_limit = math.sqrt(1.0 + 20.0 * spec.delta**2)

@@ -42,6 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .flow import _row_sumsq
+
 __all__ = [
     "CalibrationFailed",
     "KernelSpec",
@@ -176,7 +178,7 @@ def kernel_shape_eval(spec: KernelSpec, w):
       where K(||w||) can be non-zero; elsewhere h is an unsigned 0.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    nrm = np.sqrt(np.add.reduce(w * w, axis=-1)).reshape(-1)
+    nrm = np.sqrt(_row_sumsq(w)).reshape(-1)
     val = np.zeros(nrm.shape)
     live = (1.0 - nrm * nrm > _EDGE).nonzero()[0]
     if len(live):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import flow as flow_mod
 from . import geometry
+from .flow import _row_sumsq
 from .hypotheses import HypothesisFamily, snake_transverse_envelope
 
 __all__ = [
@@ -219,7 +220,7 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None) -> 
     C_hat = 0.0
     where = {}
     for z in centers:
-        dist = np.sort(np.linalg.norm(x - z, axis=1))
+        dist = np.sort(np.sqrt(_row_sumsq(x - z)))
         radii = np.concatenate([[r_floor], dist[(dist > r_floor) & (dist <= 1.0)]])
         counts = np.searchsorted(dist, radii * (1.0 + 1e-12), side="right")
         # scalar r**d: numpy's array power can round differently in the last bit
@@ -330,7 +331,7 @@ def _default_centers(scheme: ObservationScheme, r: float) -> np.ndarray:
     d = scheme.dim
     mid = np.full(d, 0.5)
     x = scheme.initials
-    nearest = x[np.linalg.norm(x - mid, axis=1).argmin()]
+    nearest = x[np.sqrt(_row_sumsq(x - mid)).argmin()]
     cands = [mid, mid + r / 2.0 * np.eye(d)[0], nearest,
              nearest + r / 2.0 * np.ones(d) / math.sqrt(d)]
     net = geometry.halton(3, d)
@@ -341,7 +342,7 @@ def _entry_times(offsets: np.ndarray, v: np.ndarray, r: float) -> np.ndarray:
     """First t >= 0 with ||p + v t|| <= r for each offset p in (..., d); NaN where none."""
     a = float(v @ v)
     b = offsets @ v
-    c = (offsets * offsets).sum(axis=-1) - r * r
+    c = _row_sumsq(offsets) - r * r
     t_in = np.where(c <= 0.0, 0.0, np.nan)
     if a > 0.0:
         disc = b * b - a * c
@@ -389,7 +390,7 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
     psi = np.zeros(len(centers))
     chi = np.zeros(len(centers), dtype=int)
     if family.kind == "stubble":
-        hits = np.linalg.norm(offsets, axis=-1) <= r * (1.0 + 1e-9)
+        hits = np.sqrt(_row_sumsq(offsets)) <= r * (1.0 + 1e-9)
         chi = hits.sum(axis=1) * scheme.n_max
     if c_idx.size:
         t0 = t_in[c_idx, j_idx]
@@ -400,10 +401,10 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
         s_alt = flow_states(alt, family.f0.closed_form_flow(x[j_idx], t0), local, tol=tol)
         s_null = flow_states(family.f0, x[j_idx], times[j_idx])
         s_alt[before] = s_null[before]
-        dev = np.linalg.norm(s_alt - s_null, axis=-1).max(axis=1)
+        dev = np.sqrt(_row_sumsq(s_alt - s_null)).max(axis=1)
         np.maximum.at(psi, c_idx, dev)
         if family.kind != "stubble":
-            inside = np.linalg.norm(s_alt - centers[c_idx, None], axis=-1) <= r * (1.0 + 1e-12)
+            inside = np.sqrt(_row_sumsq(s_alt - centers[c_idx, None])) <= r * (1.0 + 1e-12)
             np.add.at(chi, c_idx, inside.sum(axis=1))
     # the first maximal center, as a strict > scan over the centers keeps
     detail = {}

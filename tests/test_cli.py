@@ -345,6 +345,18 @@ def test_rates_table_reads_the_catalogue(tmp_path, payload):
                 assert row[column] == repr(statmodel.rate_eval(spec, column))
 
 
+@pytest.mark.parametrize("beta,s", [(2.0, 2.0), (2.0, 3.0), (2.0, -0.1), (3.7, 3.7)],
+                         ids=["s-is-beta", "s-3-beta-2", "s-negative", "s-is-beta-3.7"])
+def test_rates_rejects_s_outside_0_beta(tmp_path, capsys, beta, s):
+    # the regression rate n^(-(beta-s)/(2beta+d)) decays only for s < beta; s >= 0 is a norm order
+    out = tmp_path / "out"
+    assert _run(["rates", "--config", _cfg(tmp_path, {"beta": beta, "s": s}), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"odelab: config error: field 's' must satisfy 0 <= s < beta = {beta}, got {s}" in err
+    assert "Traceback" not in err
+    assert not (out / "rates.csv").exists()
+
+
 def test_experiment_outputs_and_flag(tmp_path):
     cfg = _cfg(tmp_path, {"kl": 0.5, "trials": 20000})
     out = tmp_path / "out"

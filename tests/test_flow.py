@@ -213,3 +213,33 @@ def test_span_below_rounding_is_one_step(T):
     traj = flow.integrate(_unit_drift(), np.array([0.3]), T, 1e-10)
     assert (traj.n_accepted, traj.n_rejected) == (1, 0)
     assert flow.final_state(traj)[0] == 0.3 + T
+
+
+def _layout(x: np.ndarray, layout: str, rng) -> np.ndarray:
+    """x (rows, d) as a C-contiguous array, a strided view, an F-ordered copy or a stack."""
+    if layout == "strided":
+        wide = np.repeat(x, 2, axis=1)
+        wide[:, 1::2] = rng.normal(size=x.shape)
+        return wide[:, ::2]
+    if layout == "transposed":
+        return x.T.copy().T
+    if layout == "stack":
+        return np.stack([x, -x[::-1], 0.5 * x], axis=1)  # (P, S, d), S = 3
+    return x
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+@settings(max_examples=25, deadline=None)
+@given(rows=st.sampled_from([0, 1, 7, 64, 5000]),
+       layout=st.sampled_from(["contiguous", "strided", "transposed", "stack"]),
+       decades=st.integers(0, 150), seed=st.integers(0, 2**32 - 1))
+def test_row_sumsq_is_bitwise_numpy_reduce_and_norm(d, rows, layout, decades, seed):
+    # the column loop below 8 columns, numpy's pairwise reduce from 8 on
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-decades, decades, size=(rows, d))
+    x = _layout(x, layout, rng)
+    got = flow._row_sumsq(x)
+    want = np.add.reduce(x * x, axis=-1)
+    assert got.shape == want.shape == x.shape[:-1]
+    assert got.tobytes() == want.tobytes()
+    assert np.sqrt(got).tobytes() == np.linalg.norm(x, axis=-1).tobytes()

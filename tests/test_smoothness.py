@@ -411,6 +411,29 @@ def test_certify_is_bitwise_the_per_component_loop(case):
         assert _bits(comp.holder_measured) == _bits(holder)
 
 
+def _wavy(x):
+    """A scalar field of any d whose value at a point depends on that point only."""
+    x = np.asarray(x, dtype=float)
+    return np.sin(3.0 * x[..., 0]) * np.cos(2.0 * x[..., -1]) + x[..., 0] * x[..., -1] ** 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("pairs", [2 * smoothness.HOLDER_BLOCK + 3, 1001],
+                         ids=["two-blocks-and-3", "below-one-block"])
+def test_holder_blocks_are_bitwise_the_single_pass(d, pairs):
+    # the running maximum over pair blocks is the maximum over all pairs, bit for bit
+    seen = []
+
+    def counted(x):
+        seen.append(len(x))
+        return _wavy(x)
+
+    reg = np.array([(-0.5, 1.0)] * d)
+    got = smoothness.holder_quotient(counted, 2, 2.5, reg, pairs=pairs)
+    assert sum(seen) == 2 * (2 + 1) * pairs
+    assert _bits(got) == _bits([_reference_holder(_wavy, 2, 2.5, reg, pairs)])
+
+
 def test_certify_evaluates_each_point_set_once_for_all_components():
     f, cls, region = _alternative("bump", 2.0, 3)
     calls = []
