@@ -329,10 +329,13 @@ def _suite_symmetry(cfg: dict, seed: int) -> list:
 
 
 def _suite_gronwall(cfg: dict, seed: int) -> list:
+    trials = _count(cfg, "trials", 4)
+    if trials > hypotheses.MAX_TRIALS:  # every trial's trajectories are held at once
+        raise ConfigError(f"field 'trials' = {trials} is above {hypotheses.MAX_TRIALS}")
     family, r = _prob_family(cfg, hypotheses.snake_prob_family)
     if 0.5 + r / 4 == 0.5:  # the start offsets would vanish and every pair pass as 0 <= 0
         raise ConfigError(f"field 'r' = {r} is so small that offsets up to r/4 vanish at 0.5")
-    return hypotheses.snake_gronwall_checks(family, r, _count(cfg, "trials", 4), seed)
+    return hypotheses.snake_gronwall_checks(family, r, trials, seed)
 
 
 def _suite_assumptions(cfg: dict, seed: int) -> list:

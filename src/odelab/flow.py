@@ -1,16 +1,21 @@
 """Flows of autonomous vector fields, u' = f(u), with dense output.
 
 The integrator is an embedded Dormand-Prince 5(4) pair (FSAL) with the
-estimated local error kept below ``tol`` on every accepted step.  It takes
-one start (dim,) or m starts (m, dim) through the same code: the state is
-(m, dim), every row's L2 local error must stay below ``tol``, and the
-stage sums are elementwise over the stage axis, so a row's arithmetic does
-not depend on how many rows ride along.  Accepted nodes store the state
-*and* its derivative, and queries between nodes use cubic Hermite
-interpolation — O(h^4), comfortably below every verification tolerance
-used downstream.  Kinks of piecewise-smooth fields are handled by step
-rejection.  Fields that come with a closed-form flow keep it in
-:class:`ModelFunction` and the integrator is still available as an
+estimated local error kept below ``tol`` on every accepted step.  One RK
+loop serves two modes.  :func:`integrate` takes one start (dim,) or m
+starts (m, dim) in shared steps: the rows move with one step, accepted
+when every row's L2 local error passes, so each row of identical starts is
+bit for bit its lone run.  :func:`integrate_rows` gives every row its own
+time, step and error test and evaluates only the rows still running, so
+each row of distinct starts is bit for bit its lone run.  Both hold for a
+field that evaluates its rows independently: the stage sums are
+elementwise over the stage axis and the step factor is a Python-float
+power, so a row's arithmetic does not depend on the rows riding along.
+Accepted nodes store the state *and* its derivative, and queries between
+nodes use cubic Hermite interpolation — O(h^4), comfortably below every
+verification tolerance used downstream.  Kinks of piecewise-smooth fields
+are handled by step rejection.  Fields that come with a closed-form flow
+keep it in :class:`ModelFunction` and the integrator is still available as an
 independent cross-check.
 """
 
@@ -27,8 +32,10 @@ __all__ = [
     "ModelFunction",
     "Trajectory",
     "integrate",
+    "integrate_rows",
     "flow_at",
     "final_state",
+    "semigroup_residual",
     "flow_semigroup_check",
 ]
 
@@ -66,12 +73,14 @@ class ModelFunction:
 
 @dataclass
 class Trajectory:
-    """Accepted RK nodes of one trajectory, or of m trajectories in step.
+    """Accepted RK nodes of one trajectory, or of m trajectories in shared steps.
 
-    ``states`` and ``derivs`` are (n, dim) for a (dim,) start and
-    (n, m, dim) for an (m, dim) start.  The counters are exact work counts:
+    ``states`` and ``derivs`` are (n, dim) for a (dim,) start or a row of
+    :func:`integrate_rows`, and (n, m, dim) for an (m, dim) start of
+    :func:`integrate`.  The counters are exact work counts:
     ``nfev`` = 1 + 6 (``n_accepted`` + ``n_rejected``) field evaluations,
-    each on the whole (m, dim) batch.
+    each on the whole (m, dim) batch in shared steps and on the row alone
+    for a row of :func:`integrate_rows`.
     """
 
     t_span: tuple
@@ -122,76 +131,155 @@ def _row_sumsq(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float, shared: bool) -> list:
+    """The RK loop from starts y (m, dim): one group of all m rows in shared steps, or m groups of one.
+
+    Group k runs over [0, T[k]] with its own time, step and accept/reject
+    decision, kept as Python floats, and only the groups still running are
+    evaluated.  A shared group's initial step is the smallest of its rows'
+    own and its error the largest of its rows' L2 errors, so a step passes
+    when every row does.  The stage sums run elementwise over the stage
+    axis, so a group's arithmetic does not depend on the others.  Returns
+    ``(ts, states (n, rows, dim), derivs, attempted steps)`` per group.
+    """
+    if not 1e-13 <= tol <= 1e-3:
+        raise ValueError(f"tol = {tol} outside [1e-13, 1e-3]")
+    m, dim = y.shape
+    K = np.empty((7, m, dim))
+    K[0] = np.asarray(f.eval(y), dtype=float).reshape(y.shape)
+    h0 = 0.01 * (1.0 + np.sqrt(_row_sumsq(y))) / (np.sqrt(_row_sumsq(K[0])) + 1e-12)
+    h0 = [float(np.min(h0))] if shared else h0.tolist()
+    g = len(h0)
+    # accepted nodes, one record per step: group ids, times, states, derivatives
+    gids, ts, ys, ds = list(range(g)), [0.0] * g, [y], [K[0].copy()]
+    attempted = [0] * g
+    direction = [1.0 if Tk > 0 else -1.0 for Tk in T.tolist()]
+    run = [k for k, Tk in enumerate(T.tolist()) if Tk * direction[k] > 0]
+    if not shared:
+        y, K = y[run], K[:, run]
+    h = [direction[k] * max(1e-8, h0[k]) for k in run]
+    T, direction = [float(T[k]) for k in run], [direction[k] for k in run]
+    t = [0.0] * len(run)
+    steps = 0
+    while run:
+        if steps >= _MAX_STEPS:
+            raise RuntimeError("step budget exhausted; field badly scaled?")
+        for k, (tk, hk) in enumerate(zip(t, h)):
+            # the step the error control asks for; clipping it to a leftover
+            # T - t below rounding level of t is no stall
+            if abs(hk) < 1e-14 * max(1.0, abs(tk)):
+                raise StepsizeUnderflow(f"step {hk:.3e} at t = {tk:.6g}")
+            if abs(hk) > abs(T[k] - tk):
+                h[k] = T[k] - tk
+
+        hy = h[0] if shared else np.array(h)[:, None]
+        for i in range(1, 7):
+            yi = y + hy * np.add.reduce(_A_ROWS[i] * K[:i], axis=0)
+            K[i] = np.asarray(f.eval(yi), dtype=float).reshape(y.shape)
+        y_new = y + hy * np.add.reduce(_B5 * K, axis=0)
+        norms = np.sqrt(_row_sumsq(np.add.reduce(_ERR * K, axis=0)))
+        norms = [float(np.max(norms))] if shared else norms.tolist()
+        steps += 1
+
+        ok = []
+        for k, norm in enumerate(norms):
+            err = abs(h[k]) * norm
+            ok.append(err <= tol)
+            if ok[k]:
+                t[k] += h[k]
+            h[k] *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+        if all(ok):
+            y = y_new
+            K[0] = K[6]  # FSAL: stage 7 is f at the accepted state
+            gids += run
+            ts += t
+            ys.append(y)
+            ds.append(K[0].copy())
+        elif any(ok):  # some rows of a row-wise batch
+            y = np.where(np.array(ok)[:, None], y_new, y)  # y may be a record
+            K[0][ok] = K[6][ok]
+            gids += [k for k, passed in zip(run, ok) if passed]
+            ts += [tk for tk, passed in zip(t, ok) if passed]
+            ys.append(y[ok])
+            ds.append(K[0][ok])
+        going = [(Tk - tk) * dk > 0 for Tk, tk, dk in zip(T, t, direction)]
+        if not all(going):
+            for k, on in zip(run, going):
+                attempted[k] = attempted[k] if on else steps
+            run, T, direction, t, h = ([a for a, on in zip(v, going) if on]
+                                       for v in (run, T, direction, t, h))
+            if run:  # a row-wise batch goes on with the rows still running
+                y, K = y[going], K[:, going]
+
+    # each group's nodes in step order, the records released as they are merged
+    gids = np.array(gids)
+    order = np.argsort(gids, kind="stable") if g > 1 else slice(None)  # no copy when shared
+    cuts = np.cumsum(np.bincount(gids, minlength=g))[:-1]
+    nodes = [np.split(np.array(ts)[order], cuts)]
+    for records in (ys, ds):
+        stacked = np.concatenate(records).reshape(len(gids), -1, dim)
+        records.clear()
+        nodes.append(np.split(stacked[order], cuts))
+    return list(zip(*nodes, attempted))
+
+
+def _trajectory(T: float, ts, ys, ds, attempted: int, squeeze: bool) -> Trajectory:
+    """A group's nodes as a Trajectory over [0, T], its row axis dropped if ``squeeze``."""
+    if squeeze:
+        ys, ds = ys[:, 0], ds[:, 0]
+    if T < 0:
+        ts, ys, ds = ts[::-1].copy(), ys[::-1].copy(), ds[::-1].copy()
+    n_accepted = len(ts) - 1
+    return Trajectory((0.0, float(T)), ts, ys, ds,
+                      n_accepted, attempted - n_accepted, 1 + 6 * attempted)
+
+
+def _starts(f: ModelFunction, y: np.ndarray, shape: tuple) -> np.ndarray:
+    """y (m, dim) checked against the field; ``shape`` is how the caller gave it."""
+    if y.shape[1] != f.dim:
+        raise ValueError(f"x0 has dim {y.shape[1]}, field has dim {f.dim}")
+    if y.shape[0] == 0:
+        raise ValueError(f"x0 has shape {shape}; need at least one start")
+    return y
+
+
 def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
-    """Flow from x0 over [0, T] (T < 0 integrates backwards).
+    """Flow from x0 over [0, T] (T < 0 integrates backwards), in shared steps.
 
     x0 is one start (dim,) or m starts (m, dim), integrated in step as an
     (m, dim) state; the nodes are (n, dim) or (n, m, dim) accordingly.
     tol must lie in [1e-13, 1e-3] and bounds the estimated L2 local error
-    of every row on every accepted step.  The stage sums run elementwise
-    over the stage axis and the initial step is the smallest of the rows'
-    own, so each row of a batch of identical starts is bit for bit the lone
-    trajectory, whatever m is.  A step across a kink of a piecewise-smooth
-    field fails the error test and is retried shorter; there is no step cap.
+    of every row on every accepted step.  The rows share one step: the
+    initial step is the smallest of the rows' own and a step is accepted
+    when every row passes, so each row of a batch of identical starts is
+    bit for bit the lone trajectory, whatever m is (for distinct starts,
+    :func:`integrate_rows` keeps that).  A step across a kink of a
+    piecewise-smooth field fails the error test and is retried shorter;
+    there is no step cap.
     """
-    if not 1e-13 <= tol <= 1e-3:
-        raise ValueError(f"tol = {tol} outside [1e-13, 1e-3]")
     x0 = np.array(x0, dtype=float)
     if x0.ndim > 2:
         raise ValueError(f"x0 has shape {x0.shape}; need (dim,) or (m, dim)")
-    single = x0.ndim < 2
-    y = x0.reshape(1, -1) if single else x0
-    if y.shape[1] != f.dim:
-        raise ValueError(f"x0 has dim {y.shape[1]}, field has dim {f.dim}")
-    if y.shape[0] == 0:
-        raise ValueError(f"x0 has shape {x0.shape}; need at least one start")
-    K = np.empty((7,) + y.shape)
-    K[0] = np.asarray(f.eval(y), dtype=float).reshape(y.shape)
-    n_accepted = n_rejected = 0
-    ts, ys, ds = [0.0], [y.copy()], [K[0].copy()]
-    if T != 0:
-        direction = 1.0 if T > 0 else -1.0
-        t = 0.0
-        h = direction * max(1e-8, float(np.min(
-            0.01 * (1.0 + np.sqrt(_row_sumsq(y))) / (np.sqrt(_row_sumsq(K[0])) + 1e-12))))
-        while (T - t) * direction > 0:
-            if n_accepted + n_rejected >= _MAX_STEPS:
-                raise RuntimeError("step budget exhausted; field badly scaled?")
-            # the step the error control asks for; clipping it to a leftover
-            # T - t below rounding level of t is no stall
-            if abs(h) < 1e-14 * max(1.0, abs(t)):
-                raise StepsizeUnderflow(f"step {h:.3e} at t = {t:.6g}")
-            if abs(h) > abs(T - t):
-                h = T - t
+    y = _starts(f, x0.reshape(1, -1) if x0.ndim < 2 else x0, x0.shape)
+    (nodes,) = _dopri(f, y, np.array([T], dtype=float), tol, shared=True)
+    return _trajectory(T, *nodes, squeeze=x0.ndim < 2)
 
-            for i in range(1, 7):
-                yi = y + h * np.add.reduce(_A_ROWS[i] * K[:i], axis=0)
-                K[i] = np.asarray(f.eval(yi), dtype=float).reshape(y.shape)
-            y_new = y + h * np.add.reduce(_B5 * K, axis=0)
-            err = abs(h) * float(np.max(np.sqrt(_row_sumsq(np.add.reduce(_ERR * K, axis=0)))))
 
-            if err <= tol:
-                n_accepted += 1
-                t += h
-                y = y_new
-                K[0] = K[6]  # FSAL: stage 7 is f at the accepted state
-                ts.append(t)
-                ys.append(y)
-                ds.append(K[0].copy())
-            else:
-                n_rejected += 1
-            factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-            h *= factor
+def integrate_rows(f: ModelFunction, starts, T, tol: float) -> list:
+    """Flows from each start (m, dim) over [0, T_i], one :class:`Trajectory` per row.
 
-    ts = np.asarray(ts)
-    ys = np.asarray(ys)
-    ds = np.asarray(ds)
-    if single:
-        ys, ds = ys[:, 0], ds[:, 0]
-    if T < 0:
-        ts, ys, ds = ts[::-1].copy(), ys[::-1].copy(), ds[::-1].copy()
-    return Trajectory((0.0, float(T)), ts, ys, ds,
-                      n_accepted, n_rejected, 1 + 6 * (n_accepted + n_rejected))
+    T is one time or one per row (0 gives the start alone, < 0 runs
+    backwards).  Every row keeps its own time, step and error test, and
+    only the rows still running are evaluated, so for a field that
+    evaluates its rows independently, row i is bit for bit
+    ``integrate(f, starts[i], T_i, tol)``, counters included.
+    """
+    y = np.array(starts, dtype=float)
+    if y.ndim != 2:
+        raise ValueError(f"starts have shape {y.shape}; need (m, dim)")
+    T = np.broadcast_to(np.asarray(T, dtype=float), y.shape[:1])
+    rows = _dopri(f, _starts(f, y, y.shape), T, tol, shared=False)
+    return [_trajectory(Ti, *row, squeeze=True) for Ti, row in zip(T.tolist(), rows)]
 
 
 def flow_at(traj: Trajectory, t) -> np.ndarray:
@@ -230,10 +318,14 @@ def final_state(traj: Trajectory) -> np.ndarray:
     return traj.states[-1].copy() if traj.t_span[1] >= 0 else traj.states[0].copy()
 
 
-def flow_semigroup_check(f: ModelFunction, x, s: float, t: float, tol: float) -> float:
-    """|| U(f, U(f,x,s), t) - U(f, x, s+t) ||, all three legs integrated (T = 0 gives x)."""
-    mid = final_state(integrate(f, x, s, tol))
-    via = final_state(integrate(f, mid, t, tol))
-    direct = final_state(integrate(f, x, s + t, tol))
-    return float(np.linalg.norm(via - direct))
+def semigroup_residual(f: ModelFunction, mid: Trajectory, direct: Trajectory, t: float,
+                       tol: float) -> float:
+    """|| U(f, U(f,x,s), t) - U(f, x, s+t) || from the legs x -> s (``mid``) and x -> s+t."""
+    via = final_state(integrate(f, final_state(mid), t, tol))
+    return float(np.linalg.norm(via - final_state(direct)))
 
+
+def flow_semigroup_check(f: ModelFunction, x, s: float, t: float, tol: float) -> float:
+    """|| U(f, U(f,x,s), t) - U(f, x, s+t) || of a start x (dim,), all three legs
+    integrated (T = 0 gives x); the two legs from x run as one row-wise batch."""
+    return semigroup_residual(f, *integrate_rows(f, [x, x], [s, s + t], tol), t, tol)

@@ -68,6 +68,8 @@ class DeltaTooSmall(Exception):
 # points of one lattice: snake-det starts or bump centers (1,331 is the largest tested),
 # or the K_grid^d starts of the CLI's assumptions suite
 MAX_LATTICE = 10**5
+# pairs of one Gronwall suite: its 2 * trials trajectories are integrated as one batch
+MAX_TRIALS = 10**3
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +452,18 @@ def snake_symmetry_checks(family: HypothesisFamily, r: float,
     The pass starts 2r before z = (0.5, ...) along e_1 and runs for T = 4r/L_0
     at tol 1e-11.  Its transverse displacement ends within ``tol_net`` (default
     max(1e-9, 1e-4 psi(r))) and stays within psi(r) (1 + 1e-6) at every node;
-    :func:`odelab.flow.flow_semigroup_check` at (T/3, T/2) is at most 1e-8.
+    the semigroup residual (:func:`odelab.flow.semigroup_residual`) at (T/3, T/2)
+    is at most 1e-8.  The pass and the residual's legs to T/3 and 5T/6 are one
+    row-wise batch.
     """
     alt, x, T = _pulse_crossing(family, r)
     psi = snake_transverse_envelope(family, r)
     tol_net = max(1e-9, 1e-4 * psi) if tol_net is None else tol_net
-    traj = flow_mod.integrate(alt, x, T, 1e-11)
+    traj, mid, direct = flow_mod.integrate_rows(alt, [x] * 3, [T, T / 3.0, T / 3.0 + T / 2.0],
+                                                1e-11)
     net = float(abs(flow_mod.final_state(traj)[1] - x[1]))
     during = float(np.abs(traj.states[:, 1] - x[1]).max())
-    sg = flow_mod.flow_semigroup_check(alt, x, T / 3.0, T / 2.0, 1e-11)
+    sg = flow_mod.semigroup_residual(alt, mid, direct, T / 2.0, 1e-11)
     return [
         ("zero-net-transverse", net <= tol_net, net, tol_net),
         ("transverse-within-envelope", during <= psi * (1.0 + 1e-6), during, psi),
@@ -472,7 +477,8 @@ def snake_gronwall_checks(family: HypothesisFamily, r: float, trials: int,
 
     Pair i runs for T = 4r/L_0 from x1, the start 2r before z = (0.5, ...) along
     e_1 moved by U(-r/2, r/2) in coordinate 2, and x2 = x1 + U(-r/4, r/4)^d, drawn
-    from ``default_rng(seed)``; both flows are integrated at tol 1e-10.  Their
+    from ``default_rng(seed)``; all 2 * trials flows are integrated at tol 1e-10
+    as one row-wise batch (:func:`odelab.flow.integrate_rows`).  Their
     end separation passes within both bounds (+1e-12), of which it reports the smaller:
 
         additive  ||x1 - x2|| + 4 ||h|| L_beta r^(beta+1) / L_0,
@@ -486,12 +492,17 @@ def snake_gronwall_checks(family: HypothesisFamily, r: float, trials: int,
     spread = 4.0 * h_sup * cls.L_beta * r ** (cls.beta + 1) / L0
     rate = 2.0 * dh_sup * cls.L_beta * r**cls.beta / L0
     rng = np.random.default_rng(seed)
-    checks = []
-    for trial in range(trials):
+    starts = []
+    for _ in range(trials):
         x1 = x.copy()
         x1[1] += rng.uniform(-r / 2, r / 2)
-        x2 = x1 + rng.uniform(-r / 4, r / 4, size=len(x1))
-        u1, u2 = (flow_mod.final_state(flow_mod.integrate(alt, u, T, 1e-10)) for u in (x1, x2))
+        starts += [x1, x1 + rng.uniform(-r / 4, r / 4, size=len(x1))]
+    ends = [flow_mod.final_state(traj)
+            for traj in flow_mod.integrate_rows(alt, starts, T, 1e-10)]
+    checks = []
+    for trial in range(trials):
+        x1, x2 = starts[2 * trial:2 * trial + 2]
+        u1, u2 = ends[2 * trial:2 * trial + 2]
         measured = float(np.linalg.norm(u1 - u2))
         base = float(np.linalg.norm(x1 - x2))
         bound_a, bound_b = base + spread, base * np.exp(rate)
@@ -590,15 +601,16 @@ def snake_det_checks(pair: HypothesisPair, initials: np.ndarray, horizons: np.nd
     """(name, ok, measured, limit) records of the snake-det pair's claims.
 
     * ``identical-trajectories``: from every initial condition the f0 and
-      f1 flows (tol 1e-10) agree to ``tol_agree`` at 33 times in [0, T];
+      f1 flows (tol 1e-10, each field's rows as one row-wise batch) agree to
+      ``tol_agree`` at 33 times in [0, T];
     * ``cover-at-delta``: the delta-tubes around the f1 trajectories cover
       the unit cube, delta from the pair's metadata;
     * ``no-cover-at-half-delta``: the delta/2-tubes do not.
     """
     delta = pair.metadata["delta"]
     tubes, worst = [], 0.0
-    for x, T in zip(initials, horizons):
-        t0, t1 = (flow_mod.integrate(f, x, float(T), 1e-10) for f in (pair.f0, pair.f1))
+    flows = (flow_mod.integrate_rows(f, initials, horizons, 1e-10) for f in (pair.f0, pair.f1))
+    for T, t0, t1 in zip(horizons, *flows):
         s = np.linspace(0.0, float(T), 33)
         gap = np.sqrt(_row_sumsq(flow_mod.flow_at(t1, s) - flow_mod.flow_at(t0, s)))
         worst = max(worst, float(gap.max()))
@@ -633,35 +645,45 @@ def spiral_build(K: int) -> SpiralConstruction:
     z_left = np.array([0.0, -1.0])
     z_right = np.array([1.0, -1.0])
 
+    # each region's field on rows (k, 2) of that region
+    def turn(z):
+        def around(X):
+            v = (X - z) @ rot.T
+            n = np.sqrt(_row_sumsq(v))
+            return v * np.where(n > 1.0, 1.0 / np.maximum(n, 1e-300), 1.0)[:, None]
+        return around
+
+    def top(X):
+        out = np.zeros_like(X)
+        out[:, 0] = np.minimum(1.0, np.abs(X[:, 1] + 1.0))
+        return out
+
+    def bottom(X):
+        out = np.empty_like(X)
+        speed = np.minimum(1.0, np.abs(X[:, 1] + 1.0))
+        out[:, 0] = -speed
+        out[:, 1] = speed * (-4.0 * delta * (0.5 - np.abs(X[:, 0] - 0.5)))
+        return out
+
+    regions = (turn(z_left), turn(z_right), top, bottom)
+
+    def region(x1, x2):
+        """Index into ``regions`` of points (x1, x2), floats or arrays."""
+        return np.where(x1 <= 0.0, 0, np.where(x1 >= 1.0, 1, np.where(x2 >= -1.0, 2, 3)))
+
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
         X = np.atleast_2d(x)
-        x1, x2 = X[:, 0], X[:, 1]
-        out = np.zeros_like(X)
-
-        left = x1 <= 0.0
-        right = (~left) & (x1 >= 1.0)
-        mid = ~(left | right)
-        top = mid & (x2 >= -1.0)
-        bottom = mid & ~top
-
-        for mask, z in ((left, z_left), (right, z_right)):
-            if mask.any():
-                v = (X[mask] - z) @ rot.T
-                n = np.sqrt(_row_sumsq(v))
-                scale = np.where(n > 1.0, 1.0 / np.maximum(n, 1e-300), 1.0)
-                out[mask] = v * scale[:, None]
-
-        speed = np.minimum(1.0, np.abs(x2 + 1.0))
-        if top.any():
-            out[top, 0] = speed[top]
-        if bottom.any():
-            ramp = -4.0 * delta * (0.5 - np.abs(x1[bottom] - 0.5))
-            out[bottom, 0] = -speed[bottom]
-            out[bottom, 1] = speed[bottom] * ramp
-
-        return out[0] if single else out
+        if len(X) == 1:  # the integrator's one-row state: no masks
+            out = regions[int(region(*X[0].tolist()))](X)
+        else:
+            which = region(X[:, 0], X[:, 1])
+            out = np.empty_like(X)
+            for k, piece in enumerate(regions):
+                rows = which == k
+                if rows.any():
+                    out[rows] = piece(X[rows])
+        return out[0] if x.ndim == 1 else out
 
     fld = ModelFunction(
         dim=2,

@@ -217,19 +217,33 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None) -> 
     r_floor = (declared * m) ** (-1.0 / d)
     net = geometry.halton(256, d)
     centers = np.vstack([x, net, np.full((1, d), 0.5)])
-    C_hat = 0.0
-    where = {}
-    for z in centers:
+
+    # C_hat uses the scalar r**d, as numpy's array power can round differently
+    # in the last bit.  While every power is a normal float (r_floor^d >= 1e-280)
+    # the array power only screens: it is within a few ulp of r**d, so a ratio
+    # it puts more than 1e-9 below the largest cannot be C_hat.  The others are
+    # kept as the scan goes (its running maximum only grows) and raised with r**d.
+    screened = r_floor**d >= 1e-280
+    top, kept = 0.0, []
+    for c, z in enumerate(centers):
         dist = np.sort(np.sqrt(_row_sumsq(x - z)))
         radii = np.concatenate([[r_floor], dist[(dist > r_floor) & (dist <= 1.0)]])
         counts = np.searchsorted(dist, radii * (1.0 + 1e-12), side="right")
-        # scalar r**d: numpy's array power can round differently in the last bit
+        power = np.power(radii, d) if screened else np.array([r**d for r in radii.tolist()])
+        ratios = counts / (m * power)
+        top = max(top, ratios.max())
+        near = ratios >= top * (1.0 - 1e-9)
+        kept += zip([c] * int(near.sum()), radii[near], counts[near], ratios[near])
+    kept = [k for k in kept if k[3] >= top * (1.0 - 1e-9)]
+    if kept:
+        c, radii, counts, _ = (np.array(v) for v in zip(*kept))
         ratios = counts / (m * np.array([r**d for r in radii.tolist()]))
-        i = int(np.argmax(ratios))  # first maximum, as a strict > scan keeps
-        if ratios[i] > C_hat:
-            C_hat = ratios[i]
-            where = {"center": z.copy(), "radius": float(radii[i]), "count": int(counts[i])}
-    return _cover_check(C_hat, declared, where)
+        i = int(np.argmax(ratios))  # the first maximum, as a strict > scan keeps
+        if ratios[i] > 0.0:
+            where = {"center": centers[c[i]].copy(), "radius": float(radii[i]),
+                     "count": int(counts[i])}
+            return _cover_check(ratios[i], declared, where)
+    return _cover_check(0.0, declared, {})
 
 
 def check_cover_time(scheme: ObservationScheme, declared: float = C_CVRTM) -> CoverCheck:

@@ -102,6 +102,8 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("experiment", {"kl": 10**400}),
     # a sigma2 whose noise constant 1/(2 sigma2) overflows
     ("verify", {"suite": "assumptions", "sigma2": 1e-320}),
+    # the gronwall pairs are integrated as one batch, held at once
+    ("verify", {"suite": "gronwall", "beta": 2.0, "trials": hypotheses.MAX_TRIALS + 1}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)

@@ -189,6 +189,104 @@ def test_batched_start_shapes():
         flow.integrate(f, starts[None], 1.0, 1e-9)
 
 
+def _diagonal_linear_field():
+    a = np.array([-0.7, 0.4])
+    return flow.ModelFunction(dim=2, eval=lambda x: a * np.asarray(x, dtype=float))
+
+
+_ROW_FIELDS = {"linear": (_diagonal_linear_field(), 2.0), "pulse": _snake_pulse_alternative()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_ROW_FIELDS)),
+       offsets=st.lists(st.tuples(st.floats(-0.2, 0.2), st.floats(-0.02, 0.02)),
+                        min_size=1, max_size=6, unique=True),
+       spans=st.lists(st.sampled_from([1.0, -1.0, 0.5, 0.3, 1e-3]), min_size=6, max_size=6),
+       tol=st.sampled_from([1e-10, 1e-7]))
+def test_rows_are_bitwise_their_lone_runs(name, offsets, spans, tol):
+    # distinct starts with per-row spans (row 0 has T = 0), so rows finish at different steps
+    f, span = _ROW_FIELDS[name]
+    starts = np.array([0.0, 0.5]) + np.array(offsets)
+    T = span * np.array([0.0] + spans[1:len(offsets)])
+    rows = flow.integrate_rows(f, starts, T, tol)
+    assert len(rows) == len(starts)
+    for x, Ti, row in zip(starts, T, rows):
+        lone = flow.integrate(f, x, Ti, tol)
+        assert row.t_span == lone.t_span
+        for got, want in ((row.ts, lone.ts), (row.states, lone.states), (row.derivs, lone.derivs)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ((row.n_accepted, row.n_rejected, row.nfev)
+                == (lone.n_accepted, lone.n_rejected, lone.nfev))
+
+
+def _scalar_loop(f, x0, T, tol):
+    """Reference: shared steps with a Python-float time, step and step factor.
+
+    x0 is (dim,) or (m, dim); the initial step is the smallest of the rows', the
+    error the largest.
+    """
+    y = np.atleast_2d(np.array(x0, dtype=float))
+    k = np.empty((7,) + y.shape)
+    k[0] = f.eval(y)
+    ts, ys, ds, rejected = [0.0], [y], [k[0].copy()], 0
+    A, b5, e = flow._A, flow._B5, flow._ERR
+    if T != 0:
+        direction, t = (1.0 if T > 0 else -1.0), 0.0
+        h = direction * max(1e-8, float(np.min(0.01 * (1.0 + np.sqrt(flow._row_sumsq(y)))
+                                               / (np.sqrt(flow._row_sumsq(k[0])) + 1e-12))))
+        while (T - t) * direction > 0:
+            h = T - t if abs(h) > abs(T - t) else h
+            for i in range(1, 7):
+                k[i] = f.eval(y + h * np.add.reduce(A[i, :i] * k[:i], axis=0))
+            y_new = y + h * np.add.reduce(b5 * k, axis=0)
+            err = abs(h) * float(np.max(np.sqrt(flow._row_sumsq(np.add.reduce(e * k, axis=0)))))
+            if err <= tol:
+                t, y = t + h, y_new
+                k[0] = k[6]
+                ts.append(t), ys.append(y), ds.append(k[0].copy())
+            else:
+                rejected += 1
+            h *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+    order = slice(None, None, -1 if T < 0 else 1)
+    ys, ds = np.array(ys)[order], np.array(ds)[order]
+    if np.ndim(x0) == 1:
+        ys, ds = ys[:, 0], ds[:, 0]
+    return np.array(ts)[order], ys, ds, rejected
+
+
+@pytest.mark.parametrize("name,x0,T,tol", [
+    ("linear", [1.0, -0.5], 2.0, 1e-10), ("linear", [0.3, 0.2], -1.5, 1e-7),
+    ("pulse", [0.0, 0.5], 1.0, 1e-10), ("pulse", [0.05, 0.5], -1.0, 1e-9),
+    ("linear", [[1.0, -0.5], [0.1, 2.0], [-3.0, 0.5]], 2.0, 1e-10),
+    ("pulse", [[0.0, 0.5], [0.1, 0.51], [0.2, 0.49]], 1.0, 1e-10)])
+def test_one_loop_is_bitwise_the_scalar_loop(name, x0, T, tol):
+    # the merged loop keeps the shared-step arithmetic: a Python-float step factor, not
+    # numpy's array power (which rounds differently in about 5% of values on AVX-512)
+    f, span = _ROW_FIELDS[name]
+    ts, ys, ds, rejected = _scalar_loop(f, x0, T * span, tol)
+    trajs = [flow.integrate(f, x0, T * span, tol)]
+    if np.ndim(x0) == 1:
+        trajs += flow.integrate_rows(f, [x0], T * span, tol)
+    for traj in trajs:
+        assert traj.n_rejected == rejected and traj.n_accepted == len(ts) - 1
+        for got, want in ((traj.ts, ts), (traj.states, ys), (traj.derivs, ds)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_rows_take_one_or_per_row_spans():
+    f = _diagonal_linear_field()
+    starts = np.array([[1.0, 0.5], [0.5, 1.0], [-0.5, 0.25]])
+    rows = flow.integrate_rows(f, starts, 1.5, 1e-9)
+    assert [r.t_span for r in rows] == [(0.0, 1.5)] * 3
+    assert len({r.n_accepted + r.n_rejected for r in rows}) > 1  # each row its own steps
+    with pytest.raises(ValueError):
+        flow.integrate_rows(f, starts[0], 1.5, 1e-9)
+    with pytest.raises(ValueError):
+        flow.integrate_rows(f, starts, [1.0, 2.0], 1e-9)
+    with pytest.raises(ValueError, match=r"shape \(0, 2\); need at least one start"):
+        flow.integrate_rows(f, np.empty((0, 2)), 1.0, 1e-9)
+
+
 def test_empty_batch_names_its_shape():
     with pytest.raises(ValueError, match=r"shape \(0, 2\); need at least one start"):
         flow.integrate(_rotation_field(), np.empty((0, 2)), 1.0, 1e-9)

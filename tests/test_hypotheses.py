@@ -411,3 +411,32 @@ def test_spiral_schedule_tight_with_few_steps(K, monkeypatch):
 def test_spiral_build_rejects_nonpositive():
     with pytest.raises(ValueError):
         hypotheses.spiral_build(0)
+
+
+def _counting(monkeypatch, name):
+    """Record the number of starts of every flow.<name> call."""
+    calls, run = [], getattr(flow, name)
+
+    def counted(f, x0, *args, **kwargs):
+        calls.append(len(np.atleast_2d(x0)))
+        return run(f, x0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, name, counted)
+    return calls
+
+
+def test_snake_suites_integrate_their_starts_as_one_batch(monkeypatch):
+    rows, lone = _counting(monkeypatch, "integrate_rows"), _counting(monkeypatch, "integrate")
+    fam = hypotheses.snake_prob_family(**SNAKE_CLASS, d=2)
+    checks = hypotheses.snake_gronwall_checks(fam, fam.rho_plus / 2.0, trials=5)
+    assert len(checks) == 5 and (rows, lone) == ([10], [])
+    rows.clear()
+    checks = hypotheses.snake_symmetry_checks(fam, fam.rho_plus / 2.0)
+    assert all(ok for _, ok, _, _ in checks)
+    # the pass and the semigroup's two legs from x; the leg from the midpoint alone
+    assert (rows, lone) == ([3], [1])
+    rows.clear(), lone.clear()
+    pair, initials, times = hypotheses.snake_det_pair(
+        SNAKE_CLASS["beta"], 2, SNAKE_CLASS["L"], SNAKE_CLASS["L_beta"], 0.1, np.array([0.5, 0.5]))
+    hypotheses.snake_det_checks(pair, initials, times)
+    assert (rows, lone) == ([9, 9], [])

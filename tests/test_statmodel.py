@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odelab import flow, geometry, hypotheses, statmodel
 
@@ -114,6 +115,43 @@ def test_check_cover_equals_loop_reference(d, K_grid, declared):
     assert rep.detail["center"].tobytes() == where["center"].tobytes()
     assert (rep.detail["radius"], rep.detail["count"]) == (where["radius"], where["count"])
     assert type(rep.detail["radius"]) is float and type(rep.detail["count"]) is int
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), m=st.integers(1, 60), snap=st.sampled_from([0, 3, 7]),
+       declared=st.sampled_from([None, 0.5, 3.0, 1e300]), seed=st.integers(0, 2**32 - 1))
+def test_check_cover_screen_is_bitwise_the_scan(d, m, snap, declared, seed):
+    # random starts, or starts snapped to a coarse grid (tied distances and repeated
+    # starts); at declared 1e300 the floor radius's power is below 1e-290 and every
+    # ratio takes the scalar power
+    x = np.random.default_rng(seed).random((m, d))
+    if snap:
+        x = np.round(x * snap) / snap
+    sch = statmodel.ObservationScheme("stubble", x, np.full((m, 1), 0.1),
+                                      statmodel.NoiseLaw(dim=d, covariance=1.0))
+    rep = statmodel.check_cover(sch, declared)
+    C_hat, where = _check_cover_loop(sch, declared)
+    assert np.float64(rep.C_hat).tobytes() == np.float64(C_hat).tobytes()
+    assert rep.detail.keys() == where.keys()
+    if where:
+        assert rep.detail["center"].tobytes() == where["center"].tobytes()
+        assert (rep.detail["radius"], rep.detail["count"]) == (where["radius"], where["count"])
+
+
+def test_check_cover_takes_the_scalar_power_where_numpy_differs():
+    # two starts r apart win at radius r (C_hat = 1 / r^3 at declared 6e5, the floor
+    # radius below r); r is one where numpy's array power and r**3 differ, if any does
+    rs = (0.51 + 1e-9 * np.arange(4000)) - 0.5
+    differs = rs[np.power(rs, 3) != np.array([r**3 for r in rs.tolist()])]
+    r = float(differs[0]) if differs.size else float(rs[0])
+    x = np.array([[0.5, 0.5, 0.5], [0.5 + r, 0.5, 0.5]])
+    assert x[1, 0] - x[0, 0] == r
+    sch = statmodel.ObservationScheme("stubble", x, np.full((2, 1), 0.1),
+                                      statmodel.NoiseLaw(dim=3, covariance=1.0))
+    rep = statmodel.check_cover(sch, 6e5)
+    assert np.float64(rep.C_hat).tobytes() == np.float64(2 / (2 * r**3)).tobytes()
+    assert (rep.detail["center"].tolist(), rep.detail["radius"], rep.detail["count"]) == (
+        x[0].tolist(), r, 2)
 
 
 @pytest.mark.parametrize("declared", [0.0, -1.0])
