@@ -347,11 +347,15 @@ def _suite_assumptions(cfg: dict, seed: int) -> list:
     if not math.isfinite(noise.C_noise):
         raise ConfigError(f"field 'sigma2' = {sigma2} is so small that the noise constant "
                           f"1/(2 sigma2) overflows")
+    C_cvr = _positive(cfg, "C_cvr", statmodel.default_C_cvr(d))
+    try:
+        statmodel.cover_floor(C_cvr, K_grid**d, d)
+    except ValueError as exc:
+        raise ConfigError(f"field 'C_cvr': {exc}")
     scheme = statmodel.build_stubble_scheme(
         K_grid, _count(cfg, "n_per", 3), _positive(cfg, "delta_t", 0.1), noise
     )
-    return statmodel.scheme_checks(scheme, _positive(cfg, "C_cvr", statmodel.default_C_cvr(d)),
-                                   _positive(cfg, "C_cvrtm", statmodel.C_CVRTM))
+    return statmodel.scheme_checks(scheme, C_cvr, _positive(cfg, "C_cvrtm", statmodel.C_CVRTM))
 
 
 _SUITES = {

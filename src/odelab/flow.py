@@ -2,15 +2,15 @@
 
 The integrator is an embedded Dormand-Prince 5(4) pair (FSAL) with the
 estimated local error kept below ``tol`` on every accepted step.  One RK
-loop serves two modes.  :func:`integrate` takes one start (dim,) or m
-starts (m, dim) in shared steps: the rows move with one step, accepted
-when every row's L2 local error passes, so each row of identical starts is
-bit for bit its lone run.  :func:`integrate_rows` gives every row its own
-time, step and error test and evaluates only the rows still running, so
-each row of distinct starts is bit for bit its lone run.  Both hold for a
-field that evaluates its rows independently: the stage sums are
-elementwise over the stage axis and the step factor is a Python-float
-power, so a row's arithmetic does not depend on the rows riding along.
+loop takes its starts as groups of rows: the rows of a group move with one
+time and step, accepted when every row's L2 local error passes, and groups
+share nothing, only those still running being evaluated.  :func:`integrate`
+makes its start (dim,) or starts (m, dim) one group, so each row of
+identical starts is bit for bit its lone run; :func:`integrate_rows` makes
+each start a group, so each row of distinct starts is bit for bit its lone
+run.  Both hold for a field that evaluates its rows independently: the
+stage sums are elementwise over the stage axis and the step factor is a
+Python-float power, so a group's arithmetic does not depend on the others.
 Accepted nodes store the state *and* its derivative, and queries between
 nodes use cubic Hermite interpolation — O(h^4), comfortably below every
 verification tolerance used downstream.  Kinks of piecewise-smooth fields
@@ -73,14 +73,14 @@ class ModelFunction:
 
 @dataclass
 class Trajectory:
-    """Accepted RK nodes of one trajectory, or of m trajectories in shared steps.
+    """Accepted RK nodes of one group of rows that share a step.
 
     ``states`` and ``derivs`` are (n, dim) for a (dim,) start or a row of
     :func:`integrate_rows`, and (n, m, dim) for an (m, dim) start of
-    :func:`integrate`.  The counters are exact work counts:
+    :func:`integrate`.  The counters are exact work counts of the group:
     ``nfev`` = 1 + 6 (``n_accepted`` + ``n_rejected``) field evaluations,
-    each on the whole (m, dim) batch in shared steps and on the row alone
-    for a row of :func:`integrate_rows`.
+    each on the group's rows, so on the whole (m, dim) start of
+    :func:`integrate` and on the row alone for :func:`integrate_rows`.
     """
 
     t_span: tuple
@@ -131,37 +131,43 @@ def _row_sumsq(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float, shared: bool) -> list:
-    """The RK loop from starts y (m, dim): one group of all m rows in shared steps, or m groups of one.
+def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float) -> list:
+    """The RK loop from a block of starts y (groups, rows, dim), group k over [0, T[k]].
 
-    Group k runs over [0, T[k]] with its own time, step and accept/reject
-    decision, kept as Python floats, and only the groups still running are
-    evaluated.  A shared group's initial step is the smallest of its rows'
-    own and its error the largest of its rows' L2 errors, so a step passes
-    when every row does.  The stage sums run elementwise over the stage
-    axis, so a group's arithmetic does not depend on the others.  Returns
-    ``(ts, states (n, rows, dim), derivs, attempted steps)`` per group.
+    The rows of a group share one time, step and accept/reject decision,
+    kept as Python floats: the initial step is the smallest of its rows'
+    own and the error the largest of its rows' L2 errors, so a step passes
+    when every row does.  Groups share nothing, and only the groups still
+    running are evaluated, stacked as one (groups * rows, dim) state.  The
+    stage sums run elementwise over the stage axis, so a group's arithmetic
+    does not depend on the others.  Returns ``(ts, states (n, rows, dim),
+    derivs, attempted steps)`` per group.
     """
+    g, r, dim = y.shape
+    if dim != f.dim:
+        raise ValueError(f"x0 has dim {dim}, field has dim {f.dim}")
+    if g * r == 0:
+        raise ValueError(f"x0 has shape ({g * r}, {dim}); need at least one start")
     if not 1e-13 <= tol <= 1e-3:
         raise ValueError(f"tol = {tol} outside [1e-13, 1e-3]")
-    m, dim = y.shape
-    K = np.empty((7, m, dim))
+    y = y.reshape(-1, dim)  # group k is rows k r .. k r + r - 1
+    K = np.empty((7,) + y.shape)
     K[0] = np.asarray(f.eval(y), dtype=float).reshape(y.shape)
     h0 = 0.01 * (1.0 + np.sqrt(_row_sumsq(y))) / (np.sqrt(_row_sumsq(K[0])) + 1e-12)
-    h0 = [float(np.min(h0))] if shared else h0.tolist()
-    g = len(h0)
-    # accepted nodes, one record per step: group ids, times, states, derivatives
+    h0 = h0.reshape(g, r).min(axis=1).tolist()
+    # accepted nodes, one record per step: group ids, times, (rows, dim) states and derivatives
     gids, ts, ys, ds = list(range(g)), [0.0] * g, [y], [K[0].copy()]
     attempted = [0] * g
     direction = [1.0 if Tk > 0 else -1.0 for Tk in T.tolist()]
-    run = [k for k, Tk in enumerate(T.tolist()) if Tk * direction[k] > 0]
-    if not shared:
-        y, K = y[run], K[:, run]
+    going = [Tk * dk > 0 for Tk, dk in zip(T.tolist(), direction)]
+    run = [k for k, on in enumerate(going) if on]
     h = [direction[k] * max(1e-8, h0[k]) for k in run]
-    T, direction = [float(T[k]) for k in run], [direction[k] for k in run]
-    t = [0.0] * len(run)
+    T, direction, t = [float(T[k]) for k in run], [direction[k] for k in run], [0.0] * len(run)
     steps = 0
     while run:
+        if not all(going):  # the rows of the groups still running
+            rows = np.repeat(going, r)
+            y, K = y[rows], K[:, rows]
         if steps >= _MAX_STEPS:
             raise RuntimeError("step budget exhausted; field badly scaled?")
         for k, (tk, hk) in enumerate(zip(t, h)):
@@ -172,52 +178,46 @@ def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float, shared: b
             if abs(hk) > abs(T[k] - tk):
                 h[k] = T[k] - tk
 
-        hy = h[0] if shared else np.array(h)[:, None]
+        # each row's group step; a lone group steps by its Python float
+        hy = h[0] if len(h) == 1 else np.array(h).repeat(r)[:, None]
         for i in range(1, 7):
             yi = y + hy * np.add.reduce(_A_ROWS[i] * K[:i], axis=0)
             K[i] = np.asarray(f.eval(yi), dtype=float).reshape(y.shape)
         y_new = y + hy * np.add.reduce(_B5 * K, axis=0)
-        norms = np.sqrt(_row_sumsq(np.add.reduce(_ERR * K, axis=0)))
-        norms = [float(np.max(norms))] if shared else norms.tolist()
+        norms = np.sqrt(_row_sumsq(np.add.reduce(_ERR * K, axis=0))).reshape(-1, r).max(axis=1)
         steps += 1
 
         ok = []
-        for k, norm in enumerate(norms):
+        for k, norm in enumerate(norms.tolist()):
             err = abs(h[k]) * norm
             ok.append(err <= tol)
             if ok[k]:
                 t[k] += h[k]
             h[k] *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-        if all(ok):
-            y = y_new
+        if any(ok):
+            passed = slice(None)  # every group passed: the record is y_new itself
+            if not all(ok):  # a group that failed its step keeps its state and derivative
+                passed = np.array(ok).repeat(r)
+                y_new[~passed], K[6][~passed] = y[~passed], K[0][~passed]
+            y = y_new  # never written again: it may be a record
             K[0] = K[6]  # FSAL: stage 7 is f at the accepted state
-            gids += run
-            ts += t
-            ys.append(y)
-            ds.append(K[0].copy())
-        elif any(ok):  # some rows of a row-wise batch
-            y = np.where(np.array(ok)[:, None], y_new, y)  # y may be a record
-            K[0][ok] = K[6][ok]
-            gids += [k for k, passed in zip(run, ok) if passed]
-            ts += [tk for tk, passed in zip(t, ok) if passed]
-            ys.append(y[ok])
-            ds.append(K[0][ok])
+            gids += [k for k, on in zip(run, ok) if on]
+            ts += [tk for tk, on in zip(t, ok) if on]
+            ys.append(y[passed])
+            ds.append(K[0][passed].copy())
         going = [(Tk - tk) * dk > 0 for Tk, tk, dk in zip(T, t, direction)]
         if not all(going):
             for k, on in zip(run, going):
                 attempted[k] = attempted[k] if on else steps
             run, T, direction, t, h = ([a for a, on in zip(v, going) if on]
                                        for v in (run, T, direction, t, h))
-            if run:  # a row-wise batch goes on with the rows still running
-                y, K = y[going], K[:, going]
 
     # each group's nodes in step order, the records released as they are merged
-    gids = np.array(gids)
-    order = np.argsort(gids, kind="stable") if g > 1 else slice(None)  # no copy when shared
+    order = np.argsort(gids, kind="stable")
     cuts = np.cumsum(np.bincount(gids, minlength=g))[:-1]
     nodes = [np.split(np.array(ts)[order], cuts)]
     for records in (ys, ds):
-        stacked = np.concatenate(records).reshape(len(gids), -1, dim)
+        stacked = np.concatenate(records).reshape(-1, r, dim)
         records.clear()
         nodes.append(np.split(stacked[order], cuts))
     return list(zip(*nodes, attempted))
@@ -234,17 +234,8 @@ def _trajectory(T: float, ts, ys, ds, attempted: int, squeeze: bool) -> Trajecto
                       n_accepted, attempted - n_accepted, 1 + 6 * attempted)
 
 
-def _starts(f: ModelFunction, y: np.ndarray, shape: tuple) -> np.ndarray:
-    """y (m, dim) checked against the field; ``shape`` is how the caller gave it."""
-    if y.shape[1] != f.dim:
-        raise ValueError(f"x0 has dim {y.shape[1]}, field has dim {f.dim}")
-    if y.shape[0] == 0:
-        raise ValueError(f"x0 has shape {shape}; need at least one start")
-    return y
-
-
 def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
-    """Flow from x0 over [0, T] (T < 0 integrates backwards), in shared steps.
+    """Flow from x0 over [0, T] (T < 0 integrates backwards), its rows one group.
 
     x0 is one start (dim,) or m starts (m, dim), integrated in step as an
     (m, dim) state; the nodes are (n, dim) or (n, m, dim) accordingly.
@@ -260,13 +251,13 @@ def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
     x0 = np.array(x0, dtype=float)
     if x0.ndim > 2:
         raise ValueError(f"x0 has shape {x0.shape}; need (dim,) or (m, dim)")
-    y = _starts(f, x0.reshape(1, -1) if x0.ndim < 2 else x0, x0.shape)
-    (nodes,) = _dopri(f, y, np.array([T], dtype=float), tol, shared=True)
+    y = x0.reshape(1, -1) if x0.ndim < 2 else x0
+    (nodes,) = _dopri(f, y[None], np.array([T], dtype=float), tol)
     return _trajectory(T, *nodes, squeeze=x0.ndim < 2)
 
 
 def integrate_rows(f: ModelFunction, starts, T, tol: float) -> list:
-    """Flows from each start (m, dim) over [0, T_i], one :class:`Trajectory` per row.
+    """Flows from each start (m, dim) over [0, T_i], each row its own group.
 
     T is one time or one per row (0 gives the start alone, < 0 runs
     backwards).  Every row keeps its own time, step and error test, and
@@ -278,7 +269,7 @@ def integrate_rows(f: ModelFunction, starts, T, tol: float) -> list:
     if y.ndim != 2:
         raise ValueError(f"starts have shape {y.shape}; need (m, dim)")
     T = np.broadcast_to(np.asarray(T, dtype=float), y.shape[:1])
-    rows = _dopri(f, _starts(f, y, y.shape), T, tol, shared=False)
+    rows = _dopri(f, y[:, None], T, tol)
     return [_trajectory(Ti, *row, squeeze=True) for Ti, row in zip(T.tolist(), rows)]
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -275,8 +274,8 @@ def varshamov_gilbert(eta: int, *, seed: int = 0, budget: int = 200000) -> np.nd
     """M = 2^ceil(eta/8) binary words of length eta, pairwise Hamming
     distance >= ceil(eta/8), zero word first.
 
-    Randomized greedy (the volume bound leaves exponential room); short
-    lengths fall back to a lexicographic scan before giving up.
+    Randomized greedy (the volume bound leaves exponential room); raises
+    SearchFailed if ``budget`` draws do not find M words.
     """
     if eta < 1:
         raise ValueError("eta must be >= 1")
@@ -291,14 +290,6 @@ def varshamov_gilbert(eta: int, *, seed: int = 0, budget: int = 200000) -> np.nd
         if (np.abs(arr - cand).sum(axis=1) >= dmin).all():
             code.append(cand)
         tries += 1
-    if len(code) < M and eta <= 16:
-        for bits in itertools.product((0, 1), repeat=eta):
-            cand = np.array(bits, dtype=np.int8)
-            arr = np.array(code)
-            if (np.abs(arr - cand).sum(axis=1) >= dmin).all():
-                code.append(cand)
-                if len(code) == M:
-                    break
     if len(code) < M:
         raise SearchFailed(f"found {len(code)} of {M} words at distance {dmin}")
     return np.array(code, dtype=np.int8)

@@ -201,15 +201,14 @@ def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: fl
 
 
 def _prob_family(kind: str, cls: smoothness.SmoothnessClass, spec: kernels.KernelSpec,
-                 L, cap: float, drift: np.ndarray, axis: int,
-                 metadata: dict) -> HypothesisFamily:
+                 cap: float, drift: np.ndarray, axis: int, metadata: dict) -> HypothesisFamily:
     """Null drift with L_beta r^beta-scaled kernel perturbations on one axis.
 
     Radii are capped at min(1/2, cap); ``metadata`` becomes the family's.
     """
     if cap < 1e-3:
         raise ClassTooTight(
-            f"certified {spec.kind} radius {cap:.3g} < 1e-3 for constants L={tuple(L)}, "
+            f"certified {spec.kind} radius {cap:.3g} < 1e-3 for constants L={tuple(cls.L)}, "
             f"L_beta={cls.L_beta}"
         )
     rho_plus = min(0.5, cap)
@@ -253,7 +252,7 @@ def stubble_prob_family(beta: float, d: int, L: Sequence[float],
     """
     cls, spec, cap = _calibrated(beta, d, L, L_beta, "bump")
     h_sup = spec.alpha * kernels.K_SUP  # bump peak: alpha*K(0)
-    return _prob_family("stubble", cls, spec, L, cap, np.zeros(d), 0, {"h_sup": h_sup})
+    return _prob_family("stubble", cls, spec, cap, np.zeros(d), 0, {"h_sup": h_sup})
 
 
 def stubble_prob_checks(family: HypothesisFamily, r: float) -> list:
@@ -423,7 +422,7 @@ def snake_prob_family(beta: float, d: int, L: Sequence[float],
         raise DimensionTooSmall("snake constructions need d >= 2")
     cls, spec, cap = _calibrated(beta, d, L, L_beta, "pulse")
     L0 = float(L[0])
-    return _prob_family("snake", cls, spec, L, cap, L0 * np.eye(d)[0], 1, {"drift": L0})
+    return _prob_family("snake", cls, spec, cap, L0 * np.eye(d)[0], 1, {"drift": L0})
 
 
 def snake_transverse_envelope(family: HypothesisFamily, r: float) -> float:

@@ -32,6 +32,7 @@ __all__ = [
     "CoverCheck",
     "C_CVRTM",
     "default_C_cvr",
+    "cover_floor",
     "check_cover",
     "check_cover_time",
     "scheme_checks",
@@ -107,7 +108,7 @@ class NoiseLaw:
 
 @dataclass(frozen=True, eq=False)
 class ObservationScheme:
-    """Initial conditions (m, d) and per-trajectory observation times (m, n).
+    """Initial conditions (m, d) and per-trajectory observation times (m, n), neither empty.
 
     Times must be finite, positive and strictly increasing along each row.
     """
@@ -122,6 +123,9 @@ class ObservationScheme:
         object.__setattr__(self, "times", np.atleast_2d(np.asarray(self.times, float)))
         if len(self.times) != len(self.initials):
             raise ValueError("one row of times per initial condition")
+        if self.initials.size == 0 or self.times.size == 0:
+            raise ValueError(f"initials have shape {self.initials.shape} and times "
+                             f"{self.times.shape}; need a start and an observation time")
         if not np.isfinite(self.times).all():
             raise ValueError("times must be finite")
         if np.any(self.times <= 0) or np.any(np.diff(self.times, axis=1) <= 0):
@@ -197,6 +201,20 @@ def _cover_check(C_hat: float, declared: float, detail: dict) -> CoverCheck:
                       declared=float(declared), detail=detail)
 
 
+def cover_floor(declared: float, m: int, d: int) -> float:
+    """(declared m)^(-1/d), the radius where one of m starts fills :func:`check_cover`'s budget.
+
+    ValueError for a declared constant <= 0, subnormal (1 / (m r^d) would
+    overflow) or so large that declared * m overflows (r would be 0).
+    """
+    if declared <= 0:
+        raise ValueError(f"declared cover constant {declared} <= 0")
+    if not (declared >= np.finfo(float).tiny and math.isfinite(declared * m)):
+        raise ValueError(f"declared cover constant {declared} with {m} starts puts the floor "
+                         f"radius (C m)^(-1/d) out of float range")
+    return (declared * m) ** (-1.0 / d)
+
+
 def check_cover(scheme: ObservationScheme, declared: Optional[float] = None) -> CoverCheck:
     """Ball-counting regularity of the initial conditions.
 
@@ -206,15 +224,13 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None) -> 
     (declared * m)^(-1/d) is where a single point saturates the budget.
     Candidate radii are the inclusion radii at each center (where the
     count jumps), which is where the ratio is locally maximal.  A declared
-    constant <= 0 raises ValueError.
+    constant that :func:`cover_floor` rejects raises ValueError.
     """
     x = scheme.initials
     m, d = x.shape
     if declared is None:
         declared = default_C_cvr(d)
-    if declared <= 0:
-        raise ValueError(f"declared cover constant {declared} <= 0")
-    r_floor = (declared * m) ** (-1.0 / d)
+    r_floor = cover_floor(declared, m, d)
     net = geometry.halton(256, d)
     centers = np.vstack([x, net, np.full((1, d), 0.5)])
 
@@ -234,16 +250,13 @@ def check_cover(scheme: ObservationScheme, declared: Optional[float] = None) -> 
         top = max(top, ratios.max())
         near = ratios >= top * (1.0 - 1e-9)
         kept += zip([c] * int(near.sum()), radii[near], counts[near], ratios[near])
+    # every start is a center that counts itself at r_floor, so top > 0
     kept = [k for k in kept if k[3] >= top * (1.0 - 1e-9)]
-    if kept:
-        c, radii, counts, _ = (np.array(v) for v in zip(*kept))
-        ratios = counts / (m * np.array([r**d for r in radii.tolist()]))
-        i = int(np.argmax(ratios))  # the first maximum, as a strict > scan keeps
-        if ratios[i] > 0.0:
-            where = {"center": centers[c[i]].copy(), "radius": float(radii[i]),
-                     "count": int(counts[i])}
-            return _cover_check(ratios[i], declared, where)
-    return _cover_check(0.0, declared, {})
+    c, radii, counts, _ = (np.array(v) for v in zip(*kept))
+    ratios = counts / (m * np.array([r**d for r in radii.tolist()]))
+    i = int(np.argmax(ratios))  # the first maximum, as a strict > scan keeps
+    where = {"center": centers[c[i]].copy(), "radius": float(radii[i]), "count": int(counts[i])}
+    return _cover_check(ratios[i], declared, where)
 
 
 def check_cover_time(scheme: ObservationScheme, declared: float = C_CVRTM) -> CoverCheck:
@@ -283,12 +296,14 @@ def scheme_checks(scheme: ObservationScheme, C_cvr: Optional[float] = None,
 
 
 def gaussian_kl(shift, cov) -> float:
-    """KL(N(mu, cov) || N(mu + shift, cov)) = shift' cov^{-1} shift / 2."""
+    """KL(N(mu, cov) || N(mu + shift, cov)) = shift' cov^{-1} shift / 2, summed over
+    shifts (..., d)."""
     if isinstance(cov, NoiseLaw):
         cov = cov.covariance
-    shift = np.asarray(shift, dtype=float)
-    sol = np.linalg.solve(np.asarray(cov, dtype=float), shift)
-    return 0.5 * float(shift @ sol)
+    cov = np.asarray(cov, dtype=float)
+    shift = np.asarray(shift, dtype=float).reshape(-1, cov.shape[0])
+    sol = np.linalg.solve(cov, shift.T)
+    return 0.5 * float((shift.T * sol).sum())
 
 
 def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarray,
@@ -324,9 +339,7 @@ def scheme_kl(scheme: ObservationScheme, f0: flow_mod.ModelFunction,
     """Total KL between the observation laws of f0 and f1 under the scheme (flows at tol 1e-10)."""
     s0 = flow_states(f0, scheme.initials, scheme.times)
     s1 = flow_states(f1, scheme.initials, scheme.times)
-    shift = (s1 - s0).reshape(-1, scheme.dim)
-    sol = np.linalg.solve(scheme.noise.covariance, shift.T)
-    return 0.5 * float((shift.T * sol).sum())
+    return gaussian_kl(s1 - s0, scheme.noise)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,9 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("verify", {"suite": "assumptions", "sigma2": 1e-320}),
     # the gronwall pairs are integrated as one batch, held at once
     ("verify", {"suite": "gronwall", "beta": 2.0, "trials": hypotheses.MAX_TRIALS + 1}),
+    # a cover constant whose C_cvr m overflows, or whose floor ratio 1/(m r_floor^d) does
+    ("verify", {"suite": "assumptions", "d": 2, "K_grid": 6, "C_cvr": 1e308}),
+    ("verify", {"suite": "assumptions", "d": 2, "K_grid": 6, "C_cvr": 1e-320}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)

@@ -1,6 +1,7 @@
 """Tube coverings, packings, and the greedy binary codebook."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -215,10 +216,16 @@ def test_varshamov_gilbert_guarantee():
     assert dmin == 6  # frozen for the default seed
 
 
-def test_varshamov_gilbert_small_eta_exhaustive():
-    book = geometry.varshamov_gilbert(8)
-    assert book.shape[0] == 2
-    assert int((book[0] != book[1]).sum()) >= 1
+@pytest.mark.parametrize("eta", range(1, 17))
+def test_varshamov_gilbert_small_eta_exhaustive(eta):
+    # at most 4 words at distance <= 2: the random greedy finds them in a few draws
+    book = geometry.varshamov_gilbert(eta)
+    dmin = math.ceil(eta / 8)
+    assert book.shape == (2 ** dmin, eta)
+    assert not book[0].any()
+    for i in range(len(book)):
+        for j in range(i):
+            assert int((book[i] != book[j]).sum()) >= dmin
 
 
 def test_varshamov_gilbert_deterministic():

@@ -161,6 +161,23 @@ def test_check_cover_rejects_nonpositive_constant(declared):
         statmodel.check_cover(sch, declared)
 
 
+@pytest.mark.parametrize("declared", [1e308, 1e-320])
+def test_check_cover_rejects_a_floor_radius_out_of_float_range(declared):
+    # 1e308 * 16 overflows, so r_floor would be 0; at 1e-320 m r_floor^d overflows
+    sch = statmodel.build_stubble_scheme(4, 2, 0.1, _noise2())
+    with pytest.raises(ValueError, match="out of float range"):
+        statmodel.check_cover(sch, declared)
+
+
+@pytest.mark.parametrize("initials,times", [
+    (np.zeros((0, 2)), np.zeros((0, 3))), (np.zeros((2, 2)), np.zeros((2, 0))),
+    (np.zeros((2, 0)), np.full((2, 1), 0.1))])
+def test_scheme_rejects_no_start_or_no_time(initials, times):
+    # an empty scheme made check_cover divide by 0 and T_max reduce an empty array
+    with pytest.raises(ValueError, match=r"shape \(\d+, \d+\)"):
+        statmodel.ObservationScheme("snake", initials, times, _noise2())
+
+
 def test_check_cover_time_equidistant():
     sch = statmodel.build_stubble_scheme(20, 3, 0.1, _noise2())
     rep = statmodel.check_cover_time(sch)
