@@ -37,7 +37,7 @@ class ConfigError(Exception):
 
 # sensible demo smoothness constants per beta; at the slope cap the
 # chain-remainder jet breaks both classes' bounds, so stubble_det_pair
-# bisects its amplitude below the cap for both
+# finds its amplitude below the cap (Brent's method, 1e-12 relative) for both
 _DEMO_CLASSES = {
     1.5: {"L": (2.0, 300.0), "L_beta": 6500.0},
     2.5: {"L": (2.0, 300.0, 60000.0), "L_beta": 1.6e6},
@@ -282,6 +282,8 @@ def _suite_coincidence(cfg: dict, seed: int) -> list:
     delta_t = _positive(cfg, "delta_t", 0.05)
     tol = _number(cfg, "tol", 1e-9)
     n_points = _count(cfg, "n_points", 50)
+    if n_points > hypotheses.MAX_LATTICE:  # every start is held at once
+        raise ConfigError(f"field 'n_points' = {n_points} is above {hypotheses.MAX_LATTICE}")
     L, L_beta = _class_constants(cfg, beta, _demo_class(beta))
     x0 = _start(cfg, d)
     pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
@@ -401,8 +403,11 @@ def _cmd_rates(cfg: dict, out: str) -> int:
         raise ConfigError(f"field 's' must satisfy 0 <= s < beta = {beta}, got {s}")
     grid_cfg = _get(cfg, "n", {"start": 1e3, "stop": 1e6, "num": 13})
     if isinstance(grid_cfg, dict):
-        ns = np.geomspace(_positive(grid_cfg, "start", 1e3), _positive(grid_cfg, "stop", 1e6),
-                          _count(grid_cfg, "num", 13))
+        start, stop = _positive(grid_cfg, "start", 1e3), _positive(grid_cfg, "stop", 1e6)
+        num = _count(grid_cfg, "num", 13)
+        if num > hypotheses.MAX_LATTICE:  # sized before the grid is built
+            raise ConfigError(f"field 'num' = {num} is above {hypotheses.MAX_LATTICE}")
+        ns = np.geomspace(start, stop, num)
     else:
         ns = _numbers(cfg, "n").reshape(-1)
     rows = []

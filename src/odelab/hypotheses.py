@@ -66,7 +66,7 @@ class DeltaTooSmall(Exception):
 
 
 # points of one lattice: snake-det starts or bump centers (1,331 is the largest tested),
-# or the K_grid^d starts of the CLI's assumptions suite
+# or the CLI's K_grid^d assumptions starts, coincidence n_points or rates grid num
 MAX_LATTICE = 10**5
 # pairs of one Gronwall suite: its 2 * trials trajectories are integrated as one batch
 MAX_TRIALS = 10**3
@@ -274,6 +274,68 @@ def stubble_prob_checks(family: HypothesisFamily, r: float) -> list:
             ("oversized-radius-rejected", rejected, None, None)]
 
 
+def _largest_fitting(bounds: Callable[[float], list], limits: Sequence[float], cap: float,
+                     margin0: float) -> float:
+    """The largest amplitude in [0, cap] whose ``bounds(amp)`` meet ``limits``, to 1e-12.
+
+    Brent's bracketing method on the worst margin max_k b_k / L_k - 1, whose
+    value at amplitude 0 (taken to fit) is ``margin0`` and is not evaluated.
+    Each trial is an inverse-quadratic or secant step, or a bisection where
+    that step would leave the bracket or not halve the step before last.  It
+    is placed on the fitting or failing side by the exact test b_k <= L_k,
+    never by the margin, as b / L can round to 1 where b > L.  The cap is
+    returned if it fits; else the search stops once the fitting end lo and
+    the failing end hi meet hi - lo <= 1e-12 hi, or no float lies between
+    them, and returns lo (0 if no trial fitted).
+    """
+    limits = [float(v) for v in limits]
+
+    def probe(amp: float) -> tuple:
+        b = [float(v) for v in bounds(amp)]
+        ratios = [v / lim for v, lim in zip(b, limits)]  # float division: inf, not a warning
+        return amp, max(ratios) - 1.0, all(v <= lim for v, lim in zip(b, limits))
+
+    cur = probe(cap)
+    if cur[2]:
+        return cap
+    # (amplitude, margin, fits) of the latest trial, the one before and the bracket's
+    # other end; spre, scur are the steps before last and last (Brent's names)
+    pre = (0.0, margin0, True)
+    while True:
+        if pre[2] != cur[2]:
+            blk, spre, scur = pre, cur[0] - pre[0], cur[0] - pre[0]
+        if abs(blk[1]) < abs(cur[1]):  # cur: the end with the smaller margin
+            pre, cur, blk = cur, blk, cur
+        lo, hi = (cur, blk) if cur[2] else (blk, cur)
+        if hi[0] - lo[0] <= 1e-12 * hi[0]:
+            break
+        delta = 0.5e-12 * hi[0]  # the least step: past the root it closes the bracket
+        sbis = 0.5 * (blk[0] - cur[0])
+        (xc, fc, _), (xp, fp, _), (xb, fb, _) = cur, pre, blk
+        if abs(spre) > delta and abs(fc) < abs(fp) and math.isfinite(fp) and math.isfinite(fb):
+            try:
+                if xp == xb:  # secant
+                    stry = -fc * (xc - xp) / (fc - fp)
+                else:  # inverse quadratic
+                    dp, db = (fp - fc) / (xp - xc), (fb - fc) / (xb - xc)
+                    stry = -fc * (fb * db - fp * dp) / (db * dp * (fb - fp))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        x = xc + (scur if abs(scur) > delta else math.copysign(delta, sbis))
+        if not lo[0] < x < hi[0]:  # rounded onto an end: bisect, or stop if that does too
+            x = xc + sbis
+            if not lo[0] < x < hi[0]:
+                break
+        pre, cur = cur, probe(x)
+    return lo[0]
+
+
 def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
                      delta_t: float, x0) -> HypothesisPair:
     """Two fields whose flows agree at every multiple of delta_t from every x.
@@ -284,16 +346,18 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     the identity with period r = (2/3) L_0 delta_t, so one step of the time
     grid advances the conjugating map by exactly one period; coordinates
     2..d do not move under either field.  Both closed-form flows broadcast
-    starts against times.  The amplitude is bisected in
-    (0, slope cap] against the closed-form jet of the chain-remainder field
+    starts against times.  The amplitude is the slope cap if that fits, else
+    the largest fitting one below it to 1e-12 relative, found by Brent's
+    bracketing method on the worst bound margin (about ten evaluations) of
+    the closed-form jet of the chain-remainder field
     (:func:`odelab.smoothness.chain_remainder_bounds`): M_k = max |s^(k)|
     <= L_k on a 40,001-point grid of one period, and the Hölder bound
     (2 M_ell)^(1-gamma) M_{ell+1}^gamma <= L_beta, gamma = beta - ell.  The
-    lower end always meets every bound, so the result meets them even where
-    they are not monotone.  The phase puts g^{-1}(x0_1) on the argmax
-    (1 + 3^(-1/4))/2 of |K_per'|, where the gap at x0 is the largest.  A
-    period below 2^26 ulp(|x0_1| + 1), too short to resolve there, raises
-    :class:`ClassTooTight`.
+    fitting end of the bracket always meets every bound exactly, so the
+    result meets them even where they are not monotone.  The phase puts
+    g^{-1}(x0_1) on the argmax (1 + 3^(-1/4))/2 of |K_per'|, where the gap
+    at x0 is the largest.  A period below 2^26 ulp(|x0_1| + 1), too short to
+    resolve there, raises :class:`ClassTooTight`.
     """
     L = tuple(float(v) for v in L)
     cls = smoothness.SmoothnessClass(beta, L, L_beta, d, d)
@@ -307,19 +371,9 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     _check_resolved(r, x0[:1], f"time step {delta_t} gives period")
     limits = L + (L_beta,)
 
-    def fits(amp: float) -> bool:
-        bounds = smoothness.chain_remainder_bounds(amp, r, L0, beta)
-        return all(b <= lim for b, lim in zip(bounds, limits))
-
-    amp, hi = 0.0, 0.5 / (r**beta * per_prime) * (1.0 - 1e-12)  # hi: the exact slope cap
-    if fits(hi):
-        amp = hi
-    while hi - amp > 1e-12 * hi:  # amp meets every bound (or is 0), hi misses one
-        mid = 0.5 * (amp + hi)
-        if fits(mid):
-            amp = mid
-        else:
-            hi = mid
+    # at amplitude 0, M_0 = (2/3) L_0 and every other bound is 0
+    amp = _largest_fitting(lambda a: smoothness.chain_remainder_bounds(a, r, L0, beta),
+                           limits, 0.5 / (r**beta * per_prime) * (1.0 - 1e-12), -1.0 / 3.0)
     if amp <= 0.0:
         raise ClassTooTight(f"no perturbation amplitude fits into L={L}, L_beta={L_beta}")
 

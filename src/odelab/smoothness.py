@@ -52,8 +52,9 @@ __all__ = [
 MAX_PARTITION_ORDER = 8
 MAX_SUPNORM_ORDER = 4
 MEMBERSHIP_SLACK = 0.05
-# pairs per block of holder_quotient: a block's temporaries stay cache-sized
-HOLDER_BLOCK = 8192
+# pairs per block of holder_quotient, grid points per block of chain_remainder_bounds:
+# a block's temporaries stay cache-sized
+BLOCK = 8192
 
 
 class TooLarge(Exception):
@@ -281,7 +282,7 @@ def holder_quotient(f, ell: int, beta: float, region, *, pairs: int = 10**5) -> 
     Half the pairs are global, half are short-range perturbations (the sup
     frequently sits at moderate separations; both regimes are covered).
     The pairs and directions are drawn with seed 0, all at once; f then
-    sees them in blocks of HOLDER_BLOCK = 8,192 pairs, whose quotients
+    sees them in blocks of BLOCK = 8,192 pairs, whose quotients
     update a running per-component maximum.  A maximum is exact, so the
     result does not depend on the block size.
     """
@@ -308,8 +309,8 @@ def holder_quotient(f, ell: int, beta: float, region, *, pairs: int = 10**5) -> 
         dirs /= np.sqrt(_row_sumsq(dirs))[:, None]
 
     best = 0.0
-    for lo in range(0, pairs, HOLDER_BLOCK):
-        blk = slice(lo, lo + HOLDER_BLOCK)
+    for lo in range(0, pairs, BLOCK):
+        blk = slice(lo, lo + BLOCK)
         dx = _directional_fd(f, xs[blk], dirs[blk], ell, h)
         dy = _directional_fd(f, ys[blk], dirs[blk], ell, h)
         sep = np.sqrt(_row_sumsq(xs[blk] - ys[blk]))
@@ -465,13 +466,19 @@ def chain_remainder_bounds(amplitude: float, radius: float, L0: float, beta: flo
     """[M_0, ..., M_ell, H]: the class constants the chain-remainder field s needs.
 
     M_k = max |s^(k)| on the 40,001-point grid of one period (within 3e-6
-    relative of a ten times finer grid).  H = (2 M_ell)^(1-gamma)
+    relative of a ten times finer grid).  The jet is evaluated in blocks of
+    BLOCK = 8,192 grid points under a running maximum per order; a maximum
+    is exact, so M_k does not depend on the block size.  H = (2 M_ell)^(1-gamma)
     M_{ell+1}^gamma, gamma = beta - ell, bounds the Hölder seminorm of
     s^(ell), as |s^(ell)(x) - s^(ell)(y)| <= min(2 M_ell, M_{ell+1} |x - y|).
     """
     ell = strict_floor(beta)
     gamma = beta - ell
     kper = [_periodic_grid(j) for j in range(1, ell + 3)]
-    M = [float(np.abs(v).max())
-         for v in chain_remainder_u_jet(kper, amplitude * radius**beta, radius, L0)]
+    a = amplitude * radius**beta
+    M = np.zeros(ell + 2)
+    for lo in range(0, kper[0].size, BLOCK):
+        jet = chain_remainder_u_jet([k[lo:lo + BLOCK] for k in kper], a, radius, L0)
+        M = np.maximum(M, [np.abs(v).max() for v in jet])
+    M = M.tolist()
     return M[: ell + 1] + [(2.0 * M[ell]) ** (1.0 - gamma) * M[ell + 1] ** gamma]

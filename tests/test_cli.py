@@ -107,6 +107,10 @@ def test_missing_required_beta_is_config_error(tmp_path):
     # a cover constant whose C_cvr m overflows, or whose floor ratio 1/(m r_floor^d) does
     ("verify", {"suite": "assumptions", "d": 2, "K_grid": 6, "C_cvr": 1e308}),
     ("verify", {"suite": "assumptions", "d": 2, "K_grid": 6, "C_cvr": 1e-320}),
+    # counts that size arrays: refused before any allocation
+    ("verify", {"suite": "coincidence", "beta": 1.5, "n_points": hypotheses.MAX_LATTICE + 1}),
+    ("rates", {"beta": 2.0, "n": {"start": 1e3, "stop": 1e6,
+                                  "num": hypotheses.MAX_LATTICE + 1}}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)
@@ -133,6 +137,20 @@ def test_underflowing_period_is_a_construction_error(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert "odelab: construction error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("L_beta", [1e-300, 1e-320])
+def test_tiny_holder_constant_ends_quietly(tmp_path, capsys, L_beta):
+    # the stubble-det amplitude search ends on a subnormal bracket too; the pair is so
+    # faint that f1 rounds to f0 at x0, and the coincidence report says so
+    cfg = _cfg(tmp_path, {"construction": "stubble-det", "beta": 2.5, "L_beta": L_beta})
+    assert _run(["construct", "--config", cfg, "--out", tmp_path / "c"]) == 0
+    cfg = _cfg(tmp_path, {"suite": "coincidence", "beta": 1.5, "L_beta": L_beta}, "v.json")
+    assert _run(["verify", "--config", cfg, "--out", tmp_path / "v"]) == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert {c["name"]: c["passed"] for c in report["checks"]}["separation-attained"] is False
 
 
 @pytest.mark.parametrize("command,payload", [

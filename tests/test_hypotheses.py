@@ -1,5 +1,7 @@
 """Adversarial pair/family constructions: coincidence, separation, spacing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,19 +65,45 @@ def _slope_cap(r, beta):
     return 0.5 / (r**beta * abs(kernels.periodic_kernel_deriv(W_STAR, 1))) * (1.0 - 1e-12)
 
 
+def _fits(amp, r, beta, L, L_beta):
+    bounds = smoothness.chain_remainder_bounds(amp, r, L[0], beta)
+    return all(b <= lim for b, lim in zip(bounds, tuple(L) + (L_beta,)))
+
+
+def _bisected_amplitude(beta, L, L_beta, r):
+    """Reference: the largest fitting amplitude below the slope cap, bisected to 1e-12."""
+    amp, hi = 0.0, _slope_cap(r, beta)
+    if _fits(hi, r, beta, L, L_beta):
+        amp = hi
+    while hi - amp > 1e-12 * hi:
+        mid = 0.5 * (amp + hi)
+        if _fits(mid, r, beta, L, L_beta):
+            amp = mid
+        else:
+            hi = mid
+    return amp
+
+
+def _limit_bounds_calls(monkeypatch, limit):
+    """Fail (rather than spin) past ``limit`` chain_remainder_bounds calls."""
+    calls = []
+    bounds = smoothness.chain_remainder_bounds
+
+    def counted(*args):
+        calls.append(1)
+        assert len(calls) <= limit, f"amplitude search took more than {limit} evaluations"
+        return bounds(*args)
+
+    monkeypatch.setattr(smoothness, "chain_remainder_bounds", counted)
+
+
 @pytest.mark.parametrize("beta", [1.5, 2.0, 2.5, 3.5, 4.5])
 def test_stubble_det_amplitude_is_the_largest_fitting(beta):
     L, L_beta = cli._demo_class(beta)
     pair = hypotheses.stubble_det_pair(beta, 1, L, L_beta, 0.05, np.array([0.5]))
     amp, r = pair.metadata["amplitude"], pair.metadata["radius"]
-    limits = L + (L_beta,)
-
-    def fits(a):
-        bounds = smoothness.chain_remainder_bounds(a, r, L[0], beta)
-        return all(b <= lim for b, lim in zip(bounds, limits))
-
-    assert fits(amp)
-    assert amp == _slope_cap(r, beta) or not fits(amp * (1.0 + 1e-9))
+    assert _fits(amp, r, beta, L, L_beta)
+    assert amp == _slope_cap(r, beta) or not _fits(amp * (1.0 + 1e-9), r, beta, L, L_beta)
     assert amp >= 1.0
     rep = smoothness.certify_membership(pair.f1, pair.smoothness_class, [(0.0, 2.0 * r)])
     assert rep.passed
@@ -104,6 +132,38 @@ def test_stubble_det_builds_at_unit_time_step():
               hypotheses.stubble_det_checks(pair, np.array([[0.4], [0.9]]))}
     assert checks["grid-coincidence"] and checks["separation-attained"]
     assert checks["membership"]
+
+
+@pytest.mark.parametrize("dt", [0.003, 0.01, 0.05, 0.2])
+@pytest.mark.parametrize("beta", [1.5, 2.0, 2.5, 3.5, 4.5])
+def test_stubble_det_amplitude_in_few_bound_evaluations(monkeypatch, beta, dt):
+    # Brent's method on the worst bound margin lands within a reference bisection's
+    # 1e-12 in at most 14 jet evaluations; the bisection takes 42-69
+    L, L_beta = cli._demo_class(beta)
+    _limit_bounds_calls(monkeypatch, 14)
+    pair = hypotheses.stubble_det_pair(beta, 1, L, L_beta, dt, np.array([0.5]))
+    monkeypatch.undo()
+    amp, r = pair.metadata["amplitude"], pair.metadata["radius"]
+    assert amp == pytest.approx(_bisected_amplitude(beta, L, L_beta, r), rel=1e-12)
+    assert _fits(amp, r, beta, L, L_beta)
+    assert amp == _slope_cap(r, beta) or not _fits(amp * (1.0 + 1e-9), r, beta, L, L_beta)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("L_beta", [1e-300, 1e-320])
+@pytest.mark.parametrize("beta", [1.5, 2.5])
+def test_stubble_det_tiny_holder_constant_ends(monkeypatch, beta, L_beta):
+    # the bracket shrinks into the subnormals, where 1e-12 hi is 0 and a midpoint rounds
+    # onto an end; the search still ends (after 33-126 evaluations), on an amplitude
+    # that meets every bound, and the margin's b / L_beta overflows to inf without a warning
+    L, _ = cli._demo_class(beta)
+    _limit_bounds_calls(monkeypatch, 300)
+    pair = hypotheses.stubble_det_pair(beta, 1, L, L_beta, 0.05, np.array([0.5]))
+    monkeypatch.undo()
+    amp, r = pair.metadata["amplitude"], pair.metadata["radius"]
+    assert 0.0 < amp and _fits(amp, r, beta, L, L_beta)
+    above = max(amp * (1.0 + 1e-9), math.nextafter(amp, math.inf))  # subnormal: next float
+    assert not _fits(above, r, beta, L, L_beta)
 
 
 def test_stubble_det_certifies_only_in_its_checks(monkeypatch):

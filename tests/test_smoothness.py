@@ -198,10 +198,29 @@ def test_chain_remainder_grid_maxima_resolve(beta):
                          for v in smoothness.chain_remainder_u_jet(kper, a, r, 2.0)])
 
     coarse, fine = maxima(40001), maxima(400001)
-    assert np.all(np.abs(coarse / fine - 1.0) <= 1e-5)
+    assert np.all(np.abs(coarse / fine - 1.0) <= 3e-6)
     # chain_remainder_bounds reads its M_k on the coarse grid
     bounds = smoothness.chain_remainder_bounds(a / r**beta, r, 2.0, beta)
     assert bounds[:n] == pytest.approx(coarse[:n].tolist(), rel=1e-12)
+
+
+@pytest.mark.parametrize("block", [4096, smoothness.BLOCK, 20000, 40000, 40001, 40002])
+@pytest.mark.parametrize("beta", [1.5, 2.0, 2.5, 3.5, 4.5])
+def test_chain_remainder_blocks_are_bitwise_the_single_pass(monkeypatch, beta, block):
+    # blocks that end one point before, at and one point past the 40,001-point grid's end
+    r = 2.0 / 3.0 * 2.0 * 0.05
+    cap = 0.5 / (r**beta * 2.0 * kernels.K1_SUP)
+    ell = smoothness.strict_floor(beta)
+    gamma = beta - ell
+    kper = [kernels.periodic_kernel_deriv(np.linspace(0.0, 1.0, 40001), j)
+            for j in range(1, ell + 3)]
+    monkeypatch.setattr(smoothness, "BLOCK", block)
+    for amp in [0.0, 1e-3 * cap, 0.37 * cap, cap]:
+        M = [float(np.abs(v).max())
+             for v in smoothness.chain_remainder_u_jet(kper, amp * r**beta, r, 2.0)]
+        single = M[: ell + 1] + [(2.0 * M[ell]) ** (1.0 - gamma) * M[ell + 1] ** gamma]
+        blocked = smoothness.chain_remainder_bounds(amp, r, 2.0, beta)
+        assert np.array(blocked).tobytes() == np.array(single).tobytes()
 
 
 def test_periodic_sup_frozen():
@@ -418,7 +437,7 @@ def _wavy(x):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("pairs", [2 * smoothness.HOLDER_BLOCK + 3, 1001],
+@pytest.mark.parametrize("pairs", [2 * smoothness.BLOCK + 3, 1001],
                          ids=["two-blocks-and-3", "below-one-block"])
 def test_holder_blocks_are_bitwise_the_single_pass(d, pairs):
     # the running maximum over pair blocks is the maximum over all pairs, bit for bit
