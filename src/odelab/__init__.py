@@ -13,9 +13,12 @@ Submodules:
 * ``statmodel`` -- observation schemes, KL budgets, testing reductions
   and the pinned minimax rate formulas;
 * ``cli`` -- the ``odelab`` command line tool.
-"""
 
-from . import flow, geometry, hypotheses, kernels, smoothness, statmodel
+``import odelab`` loads none of them, nor numpy: each is imported on first
+use (``odelab.flow``, ``from odelab import flow``), so a process compiles
+and runs only the modules it calls.  Every guard that refuses to build a
+construction from its constants is a :class:`ConstructionError` (exit 2).
+"""
 
 __version__ = "0.1.0"
 
@@ -28,3 +31,19 @@ __all__ = [
     "statmodel",
     "__version__",
 ]
+
+
+class ConstructionError(Exception):
+    """The constants leave no object of the requested construction to build."""
+
+
+def __getattr__(name: str):
+    if name in __all__:  # a submodule: importing it also binds it here
+        from importlib import import_module
+
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

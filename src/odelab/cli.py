@@ -9,7 +9,8 @@ Usage::
 
 Outputs are deterministic for a fixed seed: JSON is written with sorted
 keys and canonical float reprs, CSV with LF line endings.  Exit codes:
-0 success, 1 a verification check failed, 2 bad configuration.
+0 success, 1 a verification check failed, 2 bad configuration or flags,
+or an :class:`odelab.ConstructionError`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import sys
 
 import numpy as np
 
-from . import geometry, hypotheses, kernels, smoothness, statmodel
+# each command imports the modules it runs, so a process loads no others
+from . import ConstructionError
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -45,6 +47,7 @@ _DEMO_CLASSES = {
 
 
 def _demo_class(beta: float):
+    from . import smoothness
     if beta in _DEMO_CLASSES:
         c = _DEMO_CLASSES[beta]
         return tuple(c["L"]), float(c["L_beta"])
@@ -55,6 +58,7 @@ def _demo_class(beta: float):
 
 def _bump_class(beta: float):
     """Moderate ladder for bump/pulse perturbations (keeps r_max usable)."""
+    from . import smoothness
     ell = smoothness.strict_floor(beta)
     return tuple(2.0 * 10.0**k for k in range(ell + 1)), 10.0 ** (ell + 1)
 
@@ -151,9 +155,11 @@ def _require_beta(cfg: dict, certified: bool = True) -> float:
     beta = _number(cfg, "beta", required=True)
     if not beta > 1.0:
         raise ConfigError(f"field 'beta' must be > 1, got {beta}")
-    top = smoothness.MAX_SUPNORM_ORDER + 1.0
-    if certified and beta > top:
-        raise ConfigError(f"field 'beta' must be <= {top} to be certified, got {beta}")
+    if certified:
+        from . import smoothness
+        top = smoothness.MAX_SUPNORM_ORDER + 1.0
+        if beta > top:
+            raise ConfigError(f"field 'beta' must be <= {top} to be certified, got {beta}")
     return beta
 
 
@@ -173,6 +179,7 @@ def _start(cfg: dict, d: int) -> np.ndarray:
 
 def _class_constants(cfg: dict, beta: float, default: tuple) -> tuple:
     """(L, L_beta) from the config: L_0..L_ell with ell = strict_floor(beta), all > 0."""
+    from . import smoothness
     L, L_beta = _numbers(cfg, "L", default[0]), _number(cfg, "L_beta", default[1])
     ell = smoothness.strict_floor(beta)
     if L.shape != (ell + 1,) or not ((L > 0.0).all() and L_beta > 0.0):
@@ -186,6 +193,7 @@ def _class_constants(cfg: dict, beta: float, default: tuple) -> tuple:
 
 
 def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
+    from . import geometry, hypotheses
     which = _get(cfg, "construction", "stubble-det")
     if which == "spiral":
         K = _count(cfg, "K", 4)
@@ -277,13 +285,14 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
 
 
 def _suite_coincidence(cfg: dict, seed: int) -> list:
+    from . import geometry, hypotheses
     beta = _require_beta(cfg)
     d = _count(cfg, "d", 1)
     delta_t = _positive(cfg, "delta_t", 0.05)
     tol = _number(cfg, "tol", 1e-9)
     n_points = _count(cfg, "n_points", 50)
-    if n_points > hypotheses.MAX_LATTICE:  # every start is held at once
-        raise ConfigError(f"field 'n_points' = {n_points} is above {hypotheses.MAX_LATTICE}")
+    if n_points > geometry.MAX_LATTICE:  # every start is held at once
+        raise ConfigError(f"field 'n_points' = {n_points} is above {geometry.MAX_LATTICE}")
     L, L_beta = _class_constants(cfg, beta, _demo_class(beta))
     x0 = _start(cfg, d)
     pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
@@ -294,6 +303,7 @@ def _suite_coincidence(cfg: dict, seed: int) -> list:
 
 
 def _suite_tube_cover(cfg: dict, seed: int) -> list:
+    from . import hypotheses
     beta = _require_beta(cfg)
     d = _count(cfg, "d", 2)
     delta = _positive(cfg, "delta", 0.1)
@@ -305,6 +315,7 @@ def _suite_tube_cover(cfg: dict, seed: int) -> list:
 
 
 def _suite_spiral(cfg: dict, seed: int) -> list:
+    from . import hypotheses
     return hypotheses.spiral_verify(hypotheses.spiral_build(_count(cfg, "K", 4)), seed=seed)
 
 
@@ -319,10 +330,12 @@ def _prob_family(cfg: dict, build) -> tuple:
 
 
 def _suite_smoothness(cfg: dict, seed: int) -> list:
+    from . import hypotheses
     return hypotheses.stubble_prob_checks(*_prob_family(cfg, hypotheses.stubble_prob_family))
 
 
 def _suite_symmetry(cfg: dict, seed: int) -> list:
+    from . import hypotheses
     family, r = _prob_family(cfg, hypotheses.snake_prob_family)
     if hypotheses.snake_transverse_envelope(family, r) == 0.0:  # checks would pass as 0 <= 0
         raise ConfigError(f"field 'r' = {r} is so small that the envelope psi(r) is 0")
@@ -331,6 +344,7 @@ def _suite_symmetry(cfg: dict, seed: int) -> list:
 
 
 def _suite_gronwall(cfg: dict, seed: int) -> list:
+    from . import hypotheses
     trials = _count(cfg, "trials", 4)
     if trials > hypotheses.MAX_TRIALS:  # every trial's trajectories are held at once
         raise ConfigError(f"field 'trials' = {trials} is above {hypotheses.MAX_TRIALS}")
@@ -341,9 +355,10 @@ def _suite_gronwall(cfg: dict, seed: int) -> list:
 
 
 def _suite_assumptions(cfg: dict, seed: int) -> list:
+    from . import geometry, statmodel
     d, K_grid = _count(cfg, "d", 2), _count(cfg, "K_grid", 6)
-    if K_grid**d > hypotheses.MAX_LATTICE:  # sized in integers before the grid is built
-        raise ConfigError(f"K_grid^d = {K_grid}^{d} starts, above {hypotheses.MAX_LATTICE}")
+    if K_grid**d > geometry.MAX_LATTICE:  # sized in integers before the grid is built
+        raise ConfigError(f"K_grid^d = {K_grid}^{d} starts, above {geometry.MAX_LATTICE}")
     sigma2 = _positive(cfg, "sigma2", 1.0)
     noise = statmodel.NoiseLaw(dim=d, covariance=sigma2)
     if not math.isfinite(noise.C_noise):
@@ -396,6 +411,7 @@ _RATE_COLUMNS = ("stubble-onlyn", "stubble-onlyn-sup", "stubble-balancing-step",
 
 
 def _cmd_rates(cfg: dict, out: str) -> int:
+    from . import geometry, statmodel
     beta = _require_beta(cfg, certified=False)
     d = _count(cfg, "d", 2)
     s = _number(cfg, "s", 0.0)
@@ -405,8 +421,8 @@ def _cmd_rates(cfg: dict, out: str) -> int:
     if isinstance(grid_cfg, dict):
         start, stop = _positive(grid_cfg, "start", 1e3), _positive(grid_cfg, "stop", 1e6)
         num = _count(grid_cfg, "num", 13)
-        if num > hypotheses.MAX_LATTICE:  # sized before the grid is built
-            raise ConfigError(f"field 'num' = {num} is above {hypotheses.MAX_LATTICE}")
+        if num > geometry.MAX_LATTICE:  # sized before the grid is built
+            raise ConfigError(f"field 'num' = {num} is above {geometry.MAX_LATTICE}")
         ns = np.geomspace(start, stop, num)
     else:
         ns = _numbers(cfg, "n").reshape(-1)
@@ -431,6 +447,7 @@ def _cmd_rates(cfg: dict, out: str) -> int:
 
 
 def _cmd_experiment(cfg: dict, out: str, seed: int) -> int:
+    from . import statmodel
     kl = _number(cfg, "kl", 0.5)
     if kl < 0:
         raise ConfigError(f"field 'kl' must be >= 0, got {kl}")
@@ -477,7 +494,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        if args.seed < 0:  # numpy's generators take seeds >= 0
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # an existing file, a parent that is a file
+            raise ConfigError(f"cannot create output directory: {exc}")
         if args.command == "construct":
             return _cmd_construct(cfg, args.out, args.seed)
         if args.command == "verify":
@@ -488,15 +510,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"odelab: config error: {exc}", file=sys.stderr)
         return _EXIT_BAD_CONFIG
-    except (
-        hypotheses.ClassTooTight,
-        hypotheses.DimensionTooSmall,
-        hypotheses.DeltaTooLarge,
-        hypotheses.DeltaTooSmall,
-        kernels.CalibrationFailed,
-        smoothness.SlopeOutOfRange,
-        statmodel.RadiusOutOfRange,
-    ) as exc:
+    except ConstructionError as exc:
         print(f"odelab: construction error: {exc}", file=sys.stderr)
         return _EXIT_BAD_CONFIG
 

@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+# points of one lattice: snake-det starts or bump centers (1,331 is the largest tested),
+# or the CLI's K_grid^d assumptions starts, coincidence n_points or rates grid num
+MAX_LATTICE = 10**5
+
+
 class EmptyTube(Exception):
     """Trajectory has no usable (moving) nodes to define tube slices."""
 

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import ConstructionError, geometry, kernels, smoothness
 from . import flow as flow_mod
-from . import geometry, kernels, smoothness
 from .flow import ModelFunction, _row_sumsq
 
 __all__ = [
@@ -49,25 +49,22 @@ __all__ = [
 ]
 
 
-class ClassTooTight(Exception):
+class ClassTooTight(ConstructionError):
     """The smoothness constants leave no usable perturbation radius."""
 
 
-class DimensionTooSmall(Exception):
+class DimensionTooSmall(ConstructionError):
     """The construction needs at least one transverse coordinate."""
 
 
-class DeltaTooLarge(Exception):
+class DeltaTooLarge(ConstructionError):
     """Requested tube radius exceeds what the class constants support."""
 
 
-class DeltaTooSmall(Exception):
-    """Requested tube radius needs more lattice points than MAX_LATTICE."""
+class DeltaTooSmall(ConstructionError):
+    """Requested tube radius needs more lattice points than geometry.MAX_LATTICE."""
 
 
-# points of one lattice: snake-det starts or bump centers (1,331 is the largest tested),
-# or the CLI's K_grid^d assumptions starts, coincidence n_points or rates grid num
-MAX_LATTICE = 10**5
 # pairs of one Gronwall suite: its 2 * trials trajectories are integrated as one batch
 MAX_TRIALS = 10**3
 
@@ -357,7 +354,8 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     result meets them even where they are not monotone.  The phase puts
     g^{-1}(x0_1) on the argmax (1 + 3^(-1/4))/2 of |K_per'|, where the gap
     at x0 is the largest.  A period below 2^26 ulp(|x0_1| + 1), too short to
-    resolve there, raises :class:`ClassTooTight`.
+    resolve there, raises :class:`ClassTooTight`, as does an amplitude so
+    small that 1 + amp r^beta sup|K_per'| rounds to 1, where f1 would be f0.
     """
     L = tuple(float(v) for v in L)
     cls = smoothness.SmoothnessClass(beta, L, L_beta, d, d)
@@ -374,8 +372,9 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     # at amplitude 0, M_0 = (2/3) L_0 and every other bound is 0
     amp = _largest_fitting(lambda a: smoothness.chain_remainder_bounds(a, r, L0, beta),
                            limits, 0.5 / (r**beta * per_prime) * (1.0 - 1e-12), -1.0 / 3.0)
-    if amp <= 0.0:
-        raise ClassTooTight(f"no perturbation amplitude fits into L={L}, L_beta={L_beta}")
+    if 1.0 + amp * r**beta * per_prime == 1.0:  # g' rounds to 1 everywhere: f1 is f0
+        raise ClassTooTight(f"no perturbation amplitude fits into L={L}, L_beta={L_beta} "
+                            f"(the largest, {amp!r}, vanishes in floating point)")
 
     # place the phase so g^{-1}(x0_1) lands exactly on the argmax of |K_per'|
     z = float(x0[0]) - r * w_star - amp * r ** (beta + 1) * float(
@@ -597,9 +596,9 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     spans = [(math.floor((-2.0 * r - x0[c]) / (2.0 * r)),
               math.ceil((1.0 + 2.0 * r - x0[c]) / (2.0 * r))) for c in range(1, d)]
     n_centers = math.prod(hi - lo + 1 for lo, hi in spans)
-    if max(m, n_centers) > MAX_LATTICE:
+    if max(m, n_centers) > geometry.MAX_LATTICE:
         raise DeltaTooSmall(f"delta {delta} needs {max(m, n_centers)} lattice points "
-                            f"(starts or bump centers), above the limit {MAX_LATTICE}")
+                            f"(starts or bump centers), above the limit {geometry.MAX_LATTICE}")
     # both lattices are laid out from x0 at pitch 2r (the centers at x0_1 itself)
     _check_resolved(2.0 * r, x0, f"delta {delta} gives pitch")
 

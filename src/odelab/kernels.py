@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import ConstructionError
 from .flow import _row_sumsq
 
 __all__ = [
@@ -65,7 +66,7 @@ MAX_DERIV_ORDER = 6
 _EDGE = 1e-12
 
 
-class CalibrationFailed(Exception):
+class CalibrationFailed(ConstructionError):
     """No alpha on the search grid certifies, or no measured sup-norm bounds r_max."""
 
 

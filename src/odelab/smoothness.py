@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import flow, kernels
+from . import ConstructionError, flow, kernels
 from .flow import _row_sumsq
 from .geometry import _as_region, halton, product_grid
 
@@ -61,7 +61,7 @@ class TooLarge(Exception):
     """Partition order beyond the combinatorial guard (k > 8)."""
 
 
-class SlopeOutOfRange(Exception):
+class SlopeOutOfRange(ConstructionError):
     """Periodic perturbation too steep: g' is not pinned inside [1/2, 3/2]."""
 
 

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from . import ConstructionError, geometry
 from . import flow as flow_mod
-from . import geometry
 from .flow import _row_sumsq
-from .hypotheses import HypothesisFamily, snake_transverse_envelope
+
+if TYPE_CHECKING:
+    from .hypotheses import HypothesisFamily
 
 __all__ = [
     "SingularCovariance",
@@ -63,7 +65,7 @@ class SingularCovariance(Exception):
     """Noise covariance is not positive definite."""
 
 
-class RadiusOutOfRange(Exception):
+class RadiusOutOfRange(ConstructionError):
     """Chosen master radius leaves the admissible [rho_minus, rho_plus]."""
 
 
@@ -498,6 +500,7 @@ def master_instance_snake(family: HypothesisFamily,
     the ratio is c (2r/pitch + 1)^(d-1) max(1, a r) r^(-d), whose log-derivative
     (d-1)/(r + pitch/2) + [a r > 1]/r - d/r is negative on both sides of a r = 1.
     """
+    from .hypotheses import snake_transverse_envelope
     d = scheme.dim
     beta = family.smoothness_class.beta
     L0 = family.metadata["drift"]

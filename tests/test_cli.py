@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from odelab import cli, hypotheses, statmodel
+from odelab import cli, geometry, hypotheses, statmodel
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(cli.__file__),
                                      "report_schema.json")))
@@ -108,9 +108,9 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("verify", {"suite": "assumptions", "d": 2, "K_grid": 6, "C_cvr": 1e308}),
     ("verify", {"suite": "assumptions", "d": 2, "K_grid": 6, "C_cvr": 1e-320}),
     # counts that size arrays: refused before any allocation
-    ("verify", {"suite": "coincidence", "beta": 1.5, "n_points": hypotheses.MAX_LATTICE + 1}),
+    ("verify", {"suite": "coincidence", "beta": 1.5, "n_points": geometry.MAX_LATTICE + 1}),
     ("rates", {"beta": 2.0, "n": {"start": 1e3, "stop": 1e6,
-                                  "num": hypotheses.MAX_LATTICE + 1}}),
+                                  "num": geometry.MAX_LATTICE + 1}}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)
@@ -142,15 +142,17 @@ def test_underflowing_period_is_a_construction_error(tmp_path, capsys, command, 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("L_beta", [1e-300, 1e-320])
 def test_tiny_holder_constant_ends_quietly(tmp_path, capsys, L_beta):
-    # the stubble-det amplitude search ends on a subnormal bracket too; the pair is so
-    # faint that f1 rounds to f0 at x0, and the coincidence report says so
+    # the stubble-det amplitude search ends on a subnormal bracket too; the largest
+    # fitting pair is so faint that f1 rounds to f0, so both commands refuse it
     cfg = _cfg(tmp_path, {"construction": "stubble-det", "beta": 2.5, "L_beta": L_beta})
-    assert _run(["construct", "--config", cfg, "--out", tmp_path / "c"]) == 0
+    assert _run(["construct", "--config", cfg, "--out", tmp_path / "c"]) == 2
     cfg = _cfg(tmp_path, {"suite": "coincidence", "beta": 1.5, "L_beta": L_beta}, "v.json")
-    assert _run(["verify", "--config", cfg, "--out", tmp_path / "v"]) == 1
-    assert capsys.readouterr().err == ""
-    report = json.loads((tmp_path / "v" / "report.json").read_text())
-    assert {c["name"]: c["passed"] for c in report["checks"]}["separation-attained"] is False
+    assert _run(["verify", "--config", cfg, "--out", tmp_path / "v"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("odelab: construction error: no perturbation amplitude")
+               for line in err)
+    assert os.listdir(tmp_path / "c") == [] and os.listdir(tmp_path / "v") == []
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -163,7 +165,7 @@ def test_tiny_delta_is_a_construction_error(tmp_path, capsys, command, payload):
     assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert "odelab: construction error: delta 1e-09 needs 707106785 lattice points" in err
-    assert f"above the limit {hypotheses.MAX_LATTICE}" in err
+    assert f"above the limit {geometry.MAX_LATTICE}" in err
     assert "Traceback" not in err
 
 
@@ -208,6 +210,25 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["transmogrify"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"suite": "spiral", "K": 1},
+    {"suite": "gronwall", "beta": 2.0, "trials": 1},
+])
+def test_negative_seed_is_config_error(tmp_path, capsys, payload):
+    # numpy's default_rng refuses it; main returns 2 with one line, no traceback
+    cfg = _cfg(tmp_path, payload)
+    assert _run(["verify", "--config", cfg, "--out", tmp_path / "o", "--seed", -1]) == 2
+    assert capsys.readouterr().err == "odelab: config error: --seed must be >= 0, got -1\n"
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"kl": 0.5, "trials": 10})
+    assert _run(["experiment", "--config", cfg, "--out", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("odelab: config error: cannot create output directory: ")
+    assert err.count("\n") == 1
 
 
 def test_verify_assumptions_report_matches_schema(tmp_path):

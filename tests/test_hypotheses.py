@@ -157,13 +157,19 @@ def test_stubble_det_tiny_holder_constant_ends(monkeypatch, beta, L_beta):
     # onto an end; the search still ends (after 33-126 evaluations), on an amplitude
     # that meets every bound, and the margin's b / L_beta overflows to inf without a warning
     L, _ = cli._demo_class(beta)
+    r = (2.0 / 3.0) * L[0] * 0.05
     _limit_bounds_calls(monkeypatch, 300)
-    pair = hypotheses.stubble_det_pair(beta, 1, L, L_beta, 0.05, np.array([0.5]))
+    amp = hypotheses._largest_fitting(
+        lambda a: smoothness.chain_remainder_bounds(a, r, L[0], beta), L + (L_beta,),
+        _slope_cap(r, beta), -1.0 / 3.0)
     monkeypatch.undo()
-    amp, r = pair.metadata["amplitude"], pair.metadata["radius"]
     assert 0.0 < amp and _fits(amp, r, beta, L, L_beta)
     above = max(amp * (1.0 + 1e-9), math.nextafter(amp, math.inf))  # subnormal: next float
     assert not _fits(above, r, beta, L, L_beta)
+    # that amplitude leaves g' = 1 + a K_per' at 1 in floating point, so f1 would be f0
+    assert 1.0 + amp * r**beta * 2.0 * kernels.K1_SUP == 1.0
+    with pytest.raises(hypotheses.ClassTooTight, match="vanishes in floating point"):
+        hypotheses.stubble_det_pair(beta, 1, L, L_beta, 0.05, np.array([0.5]))
 
 
 def test_stubble_det_certifies_only_in_its_checks(monkeypatch):
