@@ -251,9 +251,15 @@ def test_halton_first_rows_frozen():
     assert net[:, 1].tolist() == [0.0, 1 / 3, 2 / 3, 1 / 9]
 
 
+# ``import odelab`` loads no submodule, so the import guards load every one
+_IMPORT_ALL = ("import sys, importlib, odelab; "
+               "[importlib.import_module('odelab.' + m) "
+               "for m in odelab.__all__ + ['cli'] if not m.startswith('_')]; ")
+
+
 def test_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(odelab.__file__)))
-    code = "import sys, odelab; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = _IMPORT_ALL + "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
@@ -261,7 +267,7 @@ def test_import_does_not_load_scipy():
 
 def test_import_does_not_load_numpy_polynomial():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(odelab.__file__)))
-    code = ("import sys, odelab; "
+    code = (_IMPORT_ALL +
             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
