@@ -131,7 +131,7 @@ def _row_sumsq(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float) -> list:
+def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float, cap=None) -> list:
     """The RK loop from a block of starts y (groups, rows, dim), group k over [0, T[k]].
 
     The rows of a group share one time, step and accept/reject decision,
@@ -140,8 +140,8 @@ def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float) -> list:
     when every row does.  Groups share nothing, and only the groups still
     running are evaluated, stacked as one (groups * rows, dim) state.  The
     stage sums run elementwise over the stage axis, so a group's arithmetic
-    does not depend on the others.  Returns ``(ts, states (n, rows, dim),
-    derivs, attempted steps)`` per group.
+    does not depend on the others; ``cap`` is :func:`integrate`'s.  Returns
+    ``(ts, states (n, rows, dim), derivs, attempted steps)`` per group.
     """
     g, r, dim = y.shape
     if dim != f.dim:
@@ -175,6 +175,8 @@ def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float) -> list:
             # T - t below rounding level of t is no stall
             if abs(hk) < 1e-14 * max(1.0, abs(tk)):
                 raise StepsizeUnderflow(f"step {hk:.3e} at t = {tk:.6g}")
+            if cap is not None and abs(tk) < cap[1] and abs(hk) > cap[0]:
+                h[k] = hk = direction[k] * cap[0]
             if abs(hk) > abs(T[k] - tk):
                 h[k] = T[k] - tk
 
@@ -234,7 +236,7 @@ def _trajectory(T: float, ts, ys, ds, attempted: int, squeeze: bool) -> Trajecto
                       n_accepted, attempted - n_accepted, 1 + 6 * attempted)
 
 
-def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
+def integrate(f: ModelFunction, x0, T: float, tol: float, *, cap=None) -> Trajectory:
     """Flow from x0 over [0, T] (T < 0 integrates backwards), its rows one group.
 
     x0 is one start (dim,) or m starts (m, dim), integrated in step as an
@@ -245,14 +247,18 @@ def integrate(f: ModelFunction, x0, T: float, tol: float) -> Trajectory:
     when every row passes, so each row of a batch of identical starts is
     bit for bit the lone trajectory, whatever m is (for distinct starts,
     :func:`integrate_rows` keeps that).  A step across a kink of a
-    piecewise-smooth field fails the error test and is retried shorter;
-    there is no step cap.
+    piecewise-smooth field fails the error test and is retried shorter, but
+    one narrower than a step can pass unseen: rows crossing the snake pulse
+    balls at rho_minus = 4.17e-3 (d = 2) read psi 4.4e-2 (tol 1e-12) and
+    0.47 (tol 1e-8) relative below rows run in 1/64ths of each crossing.
+    ``cap`` = (h_max, t_until) keeps |h| <= h_max while |t| < t_until; at
+    1/16 of the crossing those rows read 6.1e-5 at both tols.
     """
     x0 = np.array(x0, dtype=float)
     if x0.ndim > 2:
         raise ValueError(f"x0 has shape {x0.shape}; need (dim,) or (m, dim)")
     y = x0.reshape(1, -1) if x0.ndim < 2 else x0
-    (nodes,) = _dopri(f, y[None], np.array([T], dtype=float), tol)
+    (nodes,) = _dopri(f, y[None], np.array([T], dtype=float), tol, cap)
     return _trajectory(T, *nodes, squeeze=x0.ndim < 2)
 
 

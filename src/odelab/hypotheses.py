@@ -256,18 +256,22 @@ def stubble_prob_checks(family: HypothesisFamily, r: float) -> list:
     """(name, ok, measured, limit) records of a stubble bump family at radius r.
 
     ``bump-membership``: the alternative at z = (0.5, ...) passes
-    :func:`odelab.smoothness.certify_membership` on prod [z_i - r, z_i + r];
+    :func:`odelab.smoothness.certify_membership` on prod [z_i - r, z_i + r] (the
+    perturbed coordinate's measured sup-norms against L), and fails where no
+    mesh point sees the bump (sup |f| reads 0, as at d = 12);
     ``oversized-radius-rejected``: ``make_alternative`` refuses 4 rho_plus.
     """
     z = np.full(family.f0.dim, 0.5)
     alt = family.make_alternative(z, r)
     rep = smoothness.certify_membership(alt, family.smoothness_class, [(c - r, c + r) for c in z])
+    sups = rep.components[0].sup_measured
     try:
         family.make_alternative(z, 4.0 * family.rho_plus)
         rejected = False
     except ValueError:
         rejected = True
-    return [("bump-membership", rep.passed, None, None),
+    return [("bump-membership", rep.passed and sups[0] > 0.0, sups,
+             list(family.smoothness_class.L)),
             ("oversized-radius-rejected", rejected, None, None)]
 
 
@@ -280,10 +284,13 @@ def _largest_fitting(bounds: Callable[[float], list], limits: Sequence[float], c
     Each trial is an inverse-quadratic or secant step, or a bisection where
     that step would leave the bracket or not halve the step before last.  It
     is placed on the fitting or failing side by the exact test b_k <= L_k,
-    never by the margin, as b / L can round to 1 where b > L.  The cap is
-    returned if it fits; else the search stops once the fitting end lo and
-    the failing end hi meet hi - lo <= 1e-12 hi, or no float lies between
-    them, and returns lo (0 if no trial fitted).
+    never by the margin, as b / L can round to 1 where b > L.  Where the root
+    lies decades below the failing end hi (its margin is inf, hi subnormal, or
+    nothing fitted and the trial is within 1e-12 hi of 0), the trial is the
+    geometric mean of the ends (0 read as 5e-324), halving their exponent
+    range.  The cap is returned if it fits; else the search stops once the
+    fitting end lo and the failing end hi meet hi - lo <= 1e-12 hi, or no
+    float lies between them, and returns lo (0 if no trial fitted).
     """
     limits = [float(v) for v in limits]
 
@@ -325,6 +332,8 @@ def _largest_fitting(bounds: Callable[[float], list], limits: Sequence[float], c
         else:
             spre = scur = sbis
         x = xc + (scur if abs(scur) > delta else math.copysign(delta, sbis))
+        if math.isinf(hi[1]) or hi[0] < 2.2250738585072014e-308 or (lo[0] == 0.0 and x <= delta):
+            x = math.sqrt(max(lo[0], 5e-324)) * math.sqrt(hi[0])  # bisect the exponent
         if not lo[0] < x < hi[0]:  # rounded onto an end: bisect, or stop if that does too
             x = xc + sbis
             if not lo[0] < x < hi[0]:
@@ -536,7 +545,7 @@ def snake_gronwall_checks(family: HypothesisFamily, r: float, trials: int,
         additive  ||x1 - x2|| + 4 ||h|| L_beta r^(beta+1) / L_0,
         Grönwall  ||x1 - x2|| exp(2 ||Dh|| L_beta r^beta / L_0),
 
-    with ||h||, ||Dh|| the pulse's measured sup-norms (:func:`kernels.shape_deriv_supnorm`).
+    with ||h||, ||Dh|| upper bounds on the pulse's sup-norms (:func:`kernels.shape_deriv_supnorm`).
     """
     alt, x, T = _pulse_crossing(family, r)
     cls, L0 = family.smoothness_class, family.metadata["drift"]

@@ -14,10 +14,10 @@ on R^d are derived from it:
 
 where ``alpha`` is a calibration constant chosen so that the shape sits
 inside the unit smoothness ball of its class (:func:`calibrate_alpha`).
-Calibration certifies the alpha = 1 shape once per (beta, dim, kind) and
-scales its measurements by alpha (bump) or alpha^2 (pulse); for alpha =
-2^-k that is exact bit for bit, as a power of two commutes with IEEE
-rounding and no measured maximum is subnormal.
+Calibration reads upper bounds on the class constants of the alpha = 1
+shape from the closed-form derivatives below, once per (beta, kind) and
+for every dim, and scales them by alpha (bump) or alpha^2 (pulse); no
+finite difference is taken.
 
 Derivatives of K of any order have the closed form
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,13 +61,13 @@ __all__ = [
     "K1_SUP",
 ]
 
-MAX_DERIV_ORDER = 6
+MAX_DERIV_ORDER = 8
 # K and its derivatives are taken as exactly 0 where 1 - w^2 <= _EDGE.
 _EDGE = 1e-12
 
 
 class CalibrationFailed(ConstructionError):
-    """No alpha on the search grid certifies, or no measured sup-norm bounds r_max."""
+    """No alpha on the search grid fits the unit class."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,7 +93,7 @@ def standard_kernel(w):
 
 
 def standard_kernel_deriv(w, order: int):
-    """Exact order-th derivative of the standard kernel (order <= 6).
+    """Exact order-th derivative of the standard kernel (order <= 8).
 
     The package's one copy of K P_j / (1 - w^2)^(2j); an exact 0 where 1 - w^2 <= 1e-12.
     """
@@ -191,79 +191,81 @@ def kernel_shape_eval(spec: KernelSpec, w):
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_report(beta: float, dim: int, kind: str):
-    """Certification of the alpha = 1 shape against the unit class (cached)."""
-    from . import smoothness  # deferred: smoothness imports this module
+def _kernel_sup_bounds(n: int) -> tuple:
+    """Upper bounds on sup |K^(j)|, j = 0..n: K_SUP, K1_SUP, then grid maxima plus a gap term.
 
-    ell = smoothness.strict_floor(beta)
-    cls = smoothness.SmoothnessClass(
-        beta=beta, L=(1.0,) * (ell + 1), L_beta=1.0, dim_in=dim, dim_out=1
-    )
-    spec = KernelSpec(beta=beta, alpha=1.0, kind=kind, dim=dim)
-    report = smoothness.certify_membership(
-        lambda pts: kernel_shape_eval(spec, pts), cls, [(-1.0, 1.0)] * dim
-    )
-    return report.components[0]
+    sup |f| <= max over a grid of spacing D of |f| + (D^2/8) sup |f''|, as |f| peaks
+    where f' = 0: on the grids of :func:`odelab.smoothness._periodic_grid` (D = 5e-5
+    in w, D^2/8 = 3.125e-10) up to order n, or n + 2 past 4, closed by |K^(j)| <=
+    (2j/e)^(2j) max |P_j| (e^(-1/t) t^(-2j) peaks at t = 1/(2j)), max |P_j| bounded
+    the same way on 8,001 points (D^2/8 = 7.8125e-9) from sup |P_j''| <= sum_i
+    i (i - 1) |c_i|.  Each is within 1e-3 of its grid maximum up to order 6.
+    """
+    from .smoothness import _periodic_grid  # deferred: smoothness imports this module
+
+    top = n if n <= 4 else n + 2
+    w = np.linspace(-1.0, 1.0, 8001)
+    M = [K_SUP, K1_SUP] + [0.0] * (top + 1)
+    for j in (top + 1, top + 2):
+        c = _deriv_coef(j)
+        poly = np.abs(np.polyval(c[::-1], w)).max() + 7.8125e-9 * sum(
+            i * (i - 1) * abs(v) for i, v in enumerate(c))
+        M[j] = (2 * j / math.e) ** (2 * j) * float(poly)
+    for j in range(top, 1, -1):
+        M[j] = float(np.abs(_periodic_grid(j)).max()) / 2.0**j + 3.125e-10 * M[j + 2]
+    return tuple(M[:n + 1])
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_bounds(beta: float, kind: str) -> tuple:
+    """((M_0, ..., M_ell), H): upper bounds on the class constants of the alpha = 1 shape.
+
+    D_v^k K(|x|) peaks on the line through 0 (a test certifies it on a grid of
+    |x| and x.v), so the bump's M_k is sup |K^(k)| at every dim; the pulse's is
+    the Leibniz sum_i C(k, i) M_{k-i} sup |K^(1+i)|.  H = (2 M_ell)^(1-gamma)
+    M_{ell+1}^gamma, gamma = beta - ell, bounds the Hölder seminorm of D^ell.
+    """
+    ell = math.ceil(beta) - 1  # smoothness.strict_floor
+    if kind == "bump":
+        M = _kernel_sup_bounds(ell + 1)
+    elif kind == "pulse":
+        K = _kernel_sup_bounds(ell + 2)
+        M = [sum(math.comb(k, i) * K[k - i] * K[1 + i] for i in range(k + 1))
+             for k in range(ell + 2)]
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    gamma = beta - ell
+    return tuple(M[:ell + 1]), (2.0 * M[ell]) ** (1.0 - gamma) * M[ell + 1] ** gamma
 
 
 def calibrate_alpha(beta: float, dim: int, kind: str) -> float:
-    """Largest alpha in {2^-k} whose shape certifies into the unit class.
+    """Largest alpha in {2^-k} whose shape's bounds (:func:`_unit_bounds` times alpha, or
+    alpha^2 for the pulse; the same at every dim) meet the certifier's unit class limits."""
+    from .smoothness import MEMBERSHIP_SLACK  # deferred: smoothness imports this module
 
-    The certification is the finite-difference membership check of
-    :func:`odelab.smoothness.certify_membership` against
-    Sigma^{dim->1}(beta, 1, ..., 1), run once on the alpha = 1 shape.  Every
-    measurement it makes is a sum, difference, quotient or maximum of shape
-    values, which at alpha = 2^-k are alpha K (bump) or (alpha K)(alpha K')
-    (pulse); a power of two commutes with IEEE rounding, so each measurement
-    at alpha is the unit one times alpha (bump) or alpha^2 (pulse), bit for
-    bit; the only exception is a subnormal value, and no maximum is one.
-    The first k whose scaled measurements pass gives the same alpha as
-    certifying each candidate directly.
-    """
     if beta <= 1:
         raise ValueError("beta must be > 1")
-    unit = _unit_report(beta, dim, kind)
+    sups, holder = _unit_bounds(beta, kind)
     power = 2 if kind == "pulse" else 1
     for k in range(0, 40):
         scale = 2.0 ** (-k * power)
-        scaled = replace(
-            unit,
-            sup_measured=[scale * m for m in unit.sup_measured],
-            holder_measured=scale * unit.holder_measured,
-        )
-        if scaled.passed:
+        if scale * max(sups) <= 1.0 and scale * holder <= 1.0 + MEMBERSHIP_SLACK:
             return 2.0**-k
-    raise CalibrationFailed(f"no alpha in 2^-0..2^-39 certifies ({beta=}, {dim=}, {kind=})")
+    raise CalibrationFailed(f"no alpha in 2^-0..2^-39 fits ({beta=}, {dim=}, {kind=})")
 
 
 def shape_deriv_supnorm(spec: KernelSpec, order: int) -> float:
-    """Measured sup of |D^order h| for the unit shape, order <= strict_floor(beta).
-
-    The cached alpha = 1 certification's measurement times alpha (bump) or
-    alpha^2 (pulse): the same finite-difference sup-norm as measuring the
-    shape directly, bit for bit when alpha is a power of two, as every
-    :func:`calibrate_alpha` result is.
-    """
-    unit = _unit_report(spec.beta, spec.dim, spec.kind)
+    """Upper bound on sup |D^order h|, order <= strict_floor(beta): alpha or alpha^2 times
+    the alpha = 1 bound of :func:`_unit_bounds`."""
     scale = spec.alpha**2 if spec.kind == "pulse" else spec.alpha
-    return scale * unit.sup_measured[order]
+    return scale * _unit_bounds(spec.beta, spec.kind)[0][order]
 
 
 def r_max(beta: float, L, L_beta: float, kernel: KernelSpec) -> float:
     """Largest admissible scaling radius for the perturbation x -> L_beta r^beta h((x-z)/r).
 
-    min over k = 0..ell of (L_k / (L_beta ||D^k h||_inf))^(1/(beta-k)),
-    with the derivative sup-norms measured by finite differences.  Raises
-    :class:`CalibrationFailed` when every measured sup-norm is 0, so that
-    no order constrains the radius.
+    min over k = 0..ell of (L_k / (L_beta ||D^k h||_inf))^(1/(beta-k)), with
+    the sup-norms the (positive) upper bounds of :func:`shape_deriv_supnorm`.
     """
-    terms = []
-    for k, head in enumerate(float(v) for v in L):
-        sup = shape_deriv_supnorm(kernel, k)
-        if sup <= 0:
-            continue  # derivative vanishes identically: no constraint
-        terms.append((head / (L_beta * sup)) ** (1.0 / (beta - k)))
-    if not terms:
-        raise CalibrationFailed(f"every measured sup-norm of the {kernel.kind} shape is 0 "
-                                f"({beta=}, dim={kernel.dim}): no order bounds the radius")
-    return min(terms)
+    return min((float(head) / (L_beta * shape_deriv_supnorm(kernel, k))) ** (1.0 / (beta - k))
+               for k, head in enumerate(L))

@@ -309,15 +309,15 @@ def gaussian_kl(shift, cov) -> float:
 
 
 def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarray,
-                *, tol: float = 1e-10) -> np.ndarray:
+                *, tol: float = 1e-10, cap=None) -> np.ndarray:
     """States of every trajectory at its observation times, shape (m, n, d).
 
     ``times`` needs one row per initial state.  A closed-form flow is
     evaluated in one call, the starts (m, 1, d) broadcast against the times
     (m, n); otherwise all trajectories are integrated in step, each under
-    its own error test, up to the largest finite time and read out at the
-    union of the requested times.  A NaN time gives a NaN state on both
-    paths.
+    its own error test and the step ``cap`` of :func:`odelab.flow.integrate`,
+    up to the largest finite time and read out at the union of the
+    requested times.  A NaN time gives a NaN state on both paths.
     """
     initials = np.atleast_2d(np.asarray(initials, float))
     times = np.atleast_2d(np.asarray(times, float))
@@ -329,7 +329,7 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
     else:
         finite = times[np.isfinite(times)]
         T = float(finite.max()) if finite.size else 0.0
-        traj = flow_mod.integrate(f, initials, T, tol)
+        traj = flow_mod.integrate(f, initials, T, tol, cap=cap)
         unique, inverse = np.unique(times, return_inverse=True)
         out = flow_mod.flow_at(traj, unique)[inverse.reshape(times.shape), np.arange(m)[:, None]]
     out[np.isnan(times)] = np.nan
@@ -404,11 +404,11 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
     perturbed at its own center and under its own error test.  Starting
     at the entry matters: a row started far from a narrow ball takes
     steps longer than the ball and can step over the perturbation
-    unseen.  The accuracy is limited by ``tol``, which bounds the absolute
-    local error: at tol 1e-8 a snake psi_hat below about 1e-6 can be off
-    by most of its value (up to 73% on the snake instances of
-    perfbench/master_pipeline.py, against each row integrated alone at
-    tol 1e-13 in pieces of 1/64 of its crossing).
+    unseen, so for a drift v != 0 the steps are capped at 1/16 of the
+    crossing time 2r/|v| until it ends.  Against each row integrated alone
+    at tol 1e-13 in 1/64ths of its crossing, psi_hat (tol 1e-8) is within
+    7.4e-4 relative at the 20 radii of each snake instance of
+    perfbench/master_pipeline.py (0.73 uncapped), 6.1e-5 at rho_minus.
     """
     centers = _default_centers(scheme, r)
     x, times = scheme.initials, scheme.times
@@ -427,7 +427,10 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
         before = local < 0.0
         local[before] = np.nan
         alt = family.make_alternative(centers[c_idx], r)
-        s_alt = flow_states(alt, family.f0.closed_form_flow(x[j_idx], t0), local, tol=tol)
+        speed = float(np.linalg.norm(family.f0.metadata["velocity"]))
+        cap = (2.0 * r / speed / 16.0, 2.0 * r / speed) if speed else None
+        s_alt = flow_states(alt, family.f0.closed_form_flow(x[j_idx], t0), local, tol=tol,
+                            cap=cap)
         s_null = flow_states(family.f0, x[j_idx], times[j_idx])
         s_alt[before] = s_null[before]
         dev = np.sqrt(_row_sumsq(s_alt - s_null)).max(axis=1)

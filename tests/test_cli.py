@@ -170,18 +170,33 @@ def test_tiny_delta_is_a_construction_error(tmp_path, capsys, command, payload):
 
 
 @pytest.mark.parametrize("payload,error", [
-    ({"suite": "smoothness", "beta": 2.0, "d": 12}, "construction error: every measured"),
-    ({"suite": "symmetry", "beta": 2.0, "d": 12}, "construction error: every measured"),
+    ({"suite": "tube-cover", "beta": 2.0, "d": 7, "delta": 0.05}, "construction error: delta"),
+    ({"suite": "tube-cover", "beta": 2.0, "d": 12, "delta": 0.05}, "construction error: delta"),
     ({"suite": "assumptions", "d": 40}, "config error: K_grid^d = 6^40 starts"),
 ])
 def test_oversized_dimension_exits_two(tmp_path, capsys, payload, error):
-    # at d = 12 no sample point of the unit shape's calibration lies in its support,
-    # so no sup-norm bounds the radius; 6^40 starts are refused before the grid is built
+    # the tube-cover lattice of (1/delta)^(d-1) starts and 6^40 starts are refused
+    # before the grid is built
     cfg = _cfg(tmp_path, payload)
     assert _run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert f"odelab: {error}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite,d,code", [
+    ("smoothness", 2, 0), ("smoothness", 3, 0), ("smoothness", 7, 0), ("smoothness", 12, 1),
+    ("symmetry", 12, 0),
+])
+def test_verify_calibrates_at_every_dimension(tmp_path, suite, d, code):
+    # the shapes calibrate from their jets at any d; at d = 12 no point of the sampling
+    # mesh lies in the bump's support, so bump-membership fails on its sup |f| of 0
+    cfg = _cfg(tmp_path, {"suite": suite, "beta": 2.0, "d": d})
+    assert _run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == code
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == (["bump-membership"] if code else [])
+    assert all(c["measured"][0] == 0.0 for c in failed)
 
 
 @pytest.mark.parametrize("suite,L_beta", [

@@ -153,12 +153,14 @@ def test_stubble_det_amplitude_in_few_bound_evaluations(monkeypatch, beta, dt):
 @pytest.mark.parametrize("L_beta", [1e-300, 1e-320])
 @pytest.mark.parametrize("beta", [1.5, 2.5])
 def test_stubble_det_tiny_holder_constant_ends(monkeypatch, beta, L_beta):
-    # the bracket shrinks into the subnormals, where 1e-12 hi is 0 and a midpoint rounds
-    # onto an end; the search still ends (after 33-126 evaluations), on an amplitude
-    # that meets every bound, and the margin's b / L_beta overflows to inf without a warning
+    # the root lies hundreds of decades below the slope cap, and at 1e-320 in the
+    # subnormals, where 1e-12 hi is 0 and a midpoint rounds onto an end; bisecting the
+    # exponent there ends the search within 30 evaluations (11-20; 33-126 by arithmetic
+    # steps), on an amplitude that meets every bound, and the margin's b / L_beta
+    # overflows to inf without a warning
     L, _ = cli._demo_class(beta)
     r = (2.0 / 3.0) * L[0] * 0.05
-    _limit_bounds_calls(monkeypatch, 300)
+    _limit_bounds_calls(monkeypatch, 30)
     amp = hypotheses._largest_fitting(
         lambda a: smoothness.chain_remainder_bounds(a, r, L[0], beta), L + (L_beta,),
         _slope_cap(r, beta), -1.0 / 3.0)

@@ -1,6 +1,7 @@
 """Kernel shapes: values, supports, derivative sup-norms, calibration."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -139,10 +140,16 @@ def test_periodic_deriv_periodicity_property(x, order):
     assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
+# alpha = 2^-k of each (beta, kind) the CLI and the benchmark build, from the jet bounds
+FROZEN_ALPHA_K = {(1.5, "bump"): 2, (2.0, "bump"): 3, (2.5, "bump"): 6, (3.5, "bump"): 11,
+                  (2.0, "pulse"): 4}
+
+
 def test_calibrated_alphas_frozen():
-    assert kernels.calibrate_alpha(1.5, 1, "bump") == 0.5
-    assert kernels.calibrate_alpha(2.0, 2, "bump") == 0.125
-    assert kernels.calibrate_alpha(2.0, 2, "pulse") == 0.25
+    # the bounds do not depend on d, so neither does alpha
+    for (beta, kind), k in FROZEN_ALPHA_K.items():
+        for d in range(1, 13):
+            assert kernels.calibrate_alpha(beta, d, kind) == 2.0**-k
 
 
 # every (beta, d, kind) the CLI and the benchmark calibrate
@@ -166,10 +173,16 @@ def _direct_report(beta, d, kind, k):
     return report.components[0]
 
 
-def _reference_calibrate_k(beta, d, kind):
-    """The certify-each-alpha loop: first k whose direct certification passes."""
+def _scale(kind, k):
+    return 2.0 ** (-k * (2 if kind == "pulse" else 1))
+
+
+def _reference_calibrate_k(beta, kind):
+    """The bound-each-alpha loop: first k whose scaled bounds meet the unit class."""
+    sups, holder = kernels._unit_bounds(beta, kind)
     for k in range(40):
-        if _direct_report(beta, d, kind, k).passed:
+        s = _scale(kind, k)
+        if all(s * m <= 1.0 for m in sups) and s * holder <= 1.0 + smoothness.MEMBERSHIP_SLACK:
             return k
     raise kernels.CalibrationFailed
 
@@ -180,34 +193,91 @@ def _bits(values):
 
 @pytest.mark.parametrize("beta,d,kind", CALIBRATION_GRID)
 def test_calibrate_alpha_equals_certify_each_alpha(beta, d, kind):
-    assert kernels.calibrate_alpha(beta, d, kind) == 2.0 ** -_reference_calibrate_k(beta, d, kind)
+    # the finite-difference certifier, which reads low, passes the calibrated shape too
+    k = _reference_calibrate_k(beta, kind)
+    assert kernels.calibrate_alpha(beta, d, kind) == 2.0**-k
+    assert _direct_report(beta, d, kind, k).passed
 
 
 @pytest.mark.parametrize("beta,d,kind", CALIBRATION_GRID)
 def test_unit_measurements_scale_exactly(beta, d, kind):
-    unit = kernels._unit_report(beta, d, kind)
-    power = 2 if kind == "pulse" else 1
-    for k in range(_reference_calibrate_k(beta, d, kind) + 2):
-        direct = _direct_report(beta, d, kind, k)
-        scale = 2.0 ** (-k * power)
-        assert _bits(direct.sup_measured) == _bits([scale * m for m in unit.sup_measured])
-        assert _bits(direct.holder_measured) == _bits(scale * unit.holder_measured)
-        assert direct.sup_limits == unit.sup_limits
-        assert direct.holder_limit == unit.holder_limit
+    # the bounds of the alpha = 2^-k shape are the unit bounds times alpha or alpha^2, bitwise
+    sups, _ = kernels._unit_bounds(beta, kind)
+    for k in range(_reference_calibrate_k(beta, kind) + 2):
+        spec = kernels.KernelSpec(beta=beta, alpha=2.0**-k, kind=kind, dim=d)
+        scaled = [kernels.shape_deriv_supnorm(spec, j) for j in range(len(sups))]
+        assert _bits(scaled) == _bits([_scale(kind, k) * m for m in sups])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("finite-difference call during calibration")
 
 
 def test_calibrate_alpha_certifies_once(monkeypatch):
-    kernels._unit_report.cache_clear()
-    calls = []
-    certify = smoothness.certify_membership
+    # one bound computation per (beta, kind), shared by every d; no finite difference
+    kernels._unit_bounds.cache_clear()
+    for name in ("certify_membership", "derivative_supnorm", "holder_quotient"):
+        monkeypatch.setattr(smoothness, name, _refuse)
+    for d in range(1, 13):
+        assert kernels.calibrate_alpha(3.5, d, "bump") == 2.0**-11
+    assert kernels._unit_bounds.cache_info().misses == 1
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return certify(*args, **kwargs)
 
-    monkeypatch.setattr(smoothness, "certify_membership", counting)
-    assert kernels.calibrate_alpha(3.5, 3, "bump") == 2.0**-5
-    assert len(calls) == 1
+@pytest.mark.parametrize("beta,d,kind", CALIBRATION_GRID + [(2.0, 7, "bump"), (3.5, 7, "bump"),
+                                                            (2.0, 12, "bump"), (2.0, 12, "pulse")])
+def test_calibration_makes_no_finite_difference_call(monkeypatch, beta, d, kind):
+    kernels._unit_bounds.cache_clear()
+    kernels._kernel_sup_bounds.cache_clear()
+    for name in ("certify_membership", "derivative_supnorm", "holder_quotient"):
+        monkeypatch.setattr(smoothness, name, _refuse)
+    spec = kernels.KernelSpec(beta=beta, alpha=kernels.calibrate_alpha(beta, d, kind),
+                              kind=kind, dim=d)
+    assert kernels.r_max(beta, (2.0,) * (smoothness.strict_floor(beta) + 1), 100.0, spec) > 0.0
+
+
+def _half_line_sup(order: int) -> float:
+    """max |K^(order)| on 2,000,001 points of [0, 1]: 100x the grid density of the bounds."""
+    w = np.linspace(0.0, 1.0, 2_000_001)
+    return max(float(np.abs(kernels.standard_kernel_deriv(w[i:i + 250_000], order)).max())
+               for i in range(0, w.size, 250_000))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_kernel_sup_bounds_cover_a_finer_grid(n):
+    # |K^(j)| is even: each bound is at least the maximum on a grid 100x finer, and
+    # within the stated 1e-3 of it
+    for j, bound in enumerate(kernels._kernel_sup_bounds(n)):
+        finer = _half_line_sup(j)
+        assert finer <= bound <= finer * (1.0 + 1e-3)
+
+
+def _phi_deriv_coefs(m: int) -> list:
+    """R_m, lowest degree first: phi^(m)(rho) = exp(-1/s) R_m(s) / s^(2m), s = 1 - rho."""
+    r = [1.0]
+    for k in range(m):  # R_{k+1} = -(R_k + s^2 R_k' - 2k s R_k)
+        nxt = [0.0] * (len(r) + 1)
+        for i, c in enumerate(r):
+            nxt[i] -= c
+            nxt[i + 1] += (2 * k - i) * c
+        r = nxt
+    return r
+
+
+def test_bump_directional_derivatives_peak_on_the_radial_line():
+    # D_v^k K(|x|) = sum_j k!/(j!(k-2j)!) phi^(k-j)(|x|^2) (2 x.v)^(k-2j), phi(rho) =
+    # exp(-1/(1-rho)): on a (|x|, cos theta) grid every order the calibration uses peaks at
+    # cos theta = +-1, where it is K^(k)(|x|)
+    a = np.linspace(0.0, 0.999, 2001)[:, None]
+    c = np.linspace(-1.0, 1.0, 201)[None, :]
+    s = 1.0 - a * a
+    phi = [np.exp(-1.0 / s) * np.polyval(_phi_deriv_coefs(m)[::-1], s) / s ** (2 * m)
+           for m in range(7)]
+    for k in range(1, 7):
+        jet = sum(math.factorial(k) / (math.factorial(j) * math.factorial(k - 2 * j))
+                  * phi[k - j] * (2.0 * a * c) ** (k - 2 * j) for j in range(k // 2 + 1))
+        assert np.abs(jet).max() == np.abs(jet[:, [0, -1]]).max()
+        along = kernels.standard_kernel_deriv(a[:, 0], k)
+        assert np.abs(jet[:, -1] - along).max() <= 1e-9 * np.abs(along).max()
 
 
 def test_calibrate_alpha_rejects_bad_kind():
@@ -245,19 +315,23 @@ def test_pulse_eval_shape_and_scalar():
     assert shape(np.array([-0.3, -0.2])) == pytest.approx(-v, rel=1e-13)
 
 
+# the bump r_max at beta 2, L (2, 20), L_beta 100: its order-0 term, from sup K = K_SUP
+R_MAX_FROZEN = 0.6594885082800512
+
+
 def test_r_max_frozen_and_monotone():
     spec = _bump_spec()
     r = kernels.r_max(2.0, (2.0, 20.0), 100.0, spec)
-    assert r == pytest.approx(0.6594894914781894, rel=1e-12)
+    assert r == pytest.approx(R_MAX_FROZEN, rel=1e-12)
     # a larger perturbation amplitude (bigger L_beta) must fit a smaller ball
     assert kernels.r_max(2.0, (2.0, 20.0), 400.0, spec) < r
 
 
-def test_r_max_without_a_constraining_order_fails():
-    # at d = 12 no calibration sample lies in the unit ball: every measured sup-norm is 0
-    spec = kernels.KernelSpec(beta=2.0, alpha=1.0, kind="bump", dim=12)
-    with pytest.raises(kernels.CalibrationFailed, match="no order bounds the radius"):
-        kernels.r_max(2.0, (2.0, 20.0), 100.0, spec)
+def test_r_max_is_the_same_at_every_dimension():
+    # the bounds do not depend on d, and at d = 12, where no finite-difference sample of
+    # [-1, 1]^d lies in the unit ball, the radius is no exception
+    radii = {kernels.r_max(2.0, (2.0, 20.0), 100.0, _bump_spec(2.0, d)) for d in range(1, 13)}
+    assert len(radii) == 1 and radii.pop() == pytest.approx(R_MAX_FROZEN, rel=1e-12)
 
 
 def test_scaled_field_translation_and_amplitude():
@@ -289,14 +363,14 @@ def test_shape_deriv_supnorm_positive_and_decaying_support():
     (2.0, 2, "bump"), (2.0, 2, "pulse"), (2.0, 3, "pulse"),
     (3.5, 3, "bump"), (2.5, 1, "bump"), (1.5, 1, "bump"),
 ])
-def test_shape_deriv_supnorm_is_bitwise_the_direct_measurement(beta, d, kind):
-    # the scaled unit-shape sup-norms against measuring the calibrated shape itself
+def test_shape_deriv_supnorm_bounds_the_direct_measurement(beta, d, kind):
+    # the upper bounds against measuring the calibrated shape by finite differences
     spec = kernels.KernelSpec(beta=beta, alpha=kernels.calibrate_alpha(beta, d, kind),
                               kind=kind, dim=d)
     for k in range(smoothness.strict_floor(beta) + 1):
         direct = smoothness.derivative_supnorm(
             lambda pts: kernels.kernel_shape_eval(spec, pts), k, [(-1.0, 1.0)] * d)[0]
-        assert kernels.shape_deriv_supnorm(spec, k) == direct
+        assert 0.0 < direct <= kernels.shape_deriv_supnorm(spec, k)
 
 
 def _straddling_points(rng, n: int, d: int, center, radius):
