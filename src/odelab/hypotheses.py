@@ -159,7 +159,7 @@ def _calibrated(beta: float, d: int, L, L_beta: float, shape: str):
     """The d -> d class, the calibrated ``shape`` kernel and its certified radius cap."""
     cls = smoothness.SmoothnessClass(beta, tuple(L), L_beta, d, d)
     spec = kernels.KernelSpec(
-        beta=beta, alpha=kernels.calibrate_alpha(beta, d, shape), kind=shape, dim=d
+        beta=beta, alpha=kernels.calibrate_alpha(beta, shape), kind=shape, dim=d
     )
     return cls, spec, kernels.r_max(beta, tuple(L), L_beta, spec)
 
@@ -356,15 +356,15 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     the largest fitting one below it to 1e-12 relative, found by Brent's
     bracketing method on the worst bound margin (about ten evaluations) of
     the closed-form jet of the chain-remainder field
-    (:func:`odelab.smoothness.chain_remainder_bounds`): M_k = max |s^(k)|
-    <= L_k on a 40,001-point grid of one period, and the Hölder bound
-    (2 M_ell)^(1-gamma) M_{ell+1}^gamma <= L_beta, gamma = beta - ell.  The
+    (:func:`odelab.smoothness.chain_remainder_bounds`): M_k <= L_k, M_k a grid
+    maximum of |s^(k)| plus its gap term (D^2/8) M_{k+2} (M_0 = sup |s| exactly),
+    and the Hölder bound (2 M_ell)^(1-gamma) M_{ell+1}^gamma <= L_beta.  The
     fitting end of the bracket always meets every bound exactly, so the
     result meets them even where they are not monotone.  The phase puts
     g^{-1}(x0_1) on the argmax (1 + 3^(-1/4))/2 of |K_per'|, where the gap
     at x0 is the largest.  A period below 2^26 ulp(|x0_1| + 1), too short to
-    resolve there, raises :class:`ClassTooTight`, as does an amplitude so
-    small that 1 + amp r^beta sup|K_per'| rounds to 1, where f1 would be f0.
+    resolve there, or whose r^(beta+1) nears overflow, raises :class:`ClassTooTight`,
+    as does an amplitude so small that 1 + amp r^beta sup|K_per'| rounds to 1.
     """
     L = tuple(float(v) for v in L)
     cls = smoothness.SmoothnessClass(beta, L, L_beta, d, d)
@@ -376,6 +376,8 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     # the separation claimed at x0 needs 26 bits of phase (|K_per'| is flat at its
     # maximum); r >= 1.5e-8 also keeps r^beta and the jet's scale r^-(ell+1) finite
     _check_resolved(r, x0[:1], f"time step {delta_t} gives period")
+    if (beta + 1.0) * math.log2(r) >= 1023.0:  # r^(beta+1), the scale of g's bump, overflows
+        raise ClassTooTight(f"time step {delta_t} gives period {r:.3g}: r^(beta+1) overflows")
     limits = L + (L_beta,)
 
     # at amplitude 0, M_0 = (2/3) L_0 and every other bound is 0

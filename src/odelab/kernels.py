@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 MAX_DERIV_ORDER = 8
+MEMBERSHIP_SLACK = 0.05  # relative slack on the Hölder limit of smoothness.certify_membership
 # K and its derivatives are taken as exactly 0 where 1 - w^2 <= _EDGE.
 _EDGE = 1e-12
 
@@ -190,30 +191,44 @@ def kernel_shape_eval(spec: KernelSpec, w):
     return float(val[0]) if w.ndim == 1 else val.reshape(w.shape[:-1])
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel_sup_bounds(n: int) -> tuple:
-    """Upper bounds on sup |K^(j)|, j = 0..n: K_SUP, K1_SUP, then grid maxima plus a gap term.
+def _grid_sup_bounds(maxima, above, D: float) -> list:
+    """[B_0, ..., B_{n+2}]: bounds on sup |f^(k)| from maxima[k] = max |f^(k)|, k = 0..n.
 
-    sup |f| <= max over a grid of spacing D of |f| + (D^2/8) sup |f''|, as |f| peaks
-    where f' = 0: on the grids of :func:`odelab.smoothness._periodic_grid` (D = 5e-5
-    in w, D^2/8 = 3.125e-10) up to order n, or n + 2 past 4, closed by |K^(j)| <=
-    (2j/e)^(2j) max |P_j| (e^(-1/t) t^(-2j) peaks at t = 1/(2j)), max |P_j| bounded
-    the same way on 8,001 points (D^2/8 = 7.8125e-9) from sup |P_j''| <= sum_i
-    i (i - 1) |c_i|.  Each is within 1e-3 of its grid maximum up to order 6.
+    The grid has spacing <= D and holds the ends of the domain or of one period; above
+    bounds sup |f^(n+1)| and sup |f^(n+2)|.  |f^(k)| peaks at an end or where f^(k+1) = 0,
+    within D/2 of a grid point, so B_k = max_k + (D^2/8) B_{k+2}, read down from the top.
     """
-    from .smoothness import _periodic_grid  # deferred: smoothness imports this module
+    B = [float(v) for v in (*maxima, *above)]
+    for k in range(len(maxima) - 1, -1, -1):
+        B[k] += D * D / 8.0 * B[k + 2]
+    return B
 
-    top = n if n <= 4 else n + 2
-    w = np.linspace(-1.0, 1.0, 8001)
-    M = [K_SUP, K1_SUP] + [0.0] * (top + 1)
+
+@functools.lru_cache(maxsize=None)
+def _periodic_grid(order: int) -> np.ndarray:
+    """K_per^(order) on the 40,001-point grid of one period (cached, read-only)."""
+    vals = periodic_kernel_deriv(np.linspace(0.0, 1.0, 40001), order)
+    vals.setflags(write=False)
+    return vals
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_sup_bounds(top: int) -> tuple:
+    """Upper bounds on sup |K^(j)|, j = 0..top + 2: K_SUP, K1_SUP, then :func:`_grid_sup_bounds`.
+
+    Orders 2..top read the grids of :func:`_periodic_grid` (D = 5e-5 in w); top + 1 and
+    top + 2 are |K^(j)| <= (2j/e)^(2j) max |P_j| (e^(-1/t) t^(-2j) peaks at t = 1/(2j)),
+    max |P_j| by the same rule on 8,001 points from sup |P_j''| <= sum_i i (i - 1) |c_i|.
+    Orders <= 6 read at depth top <= 4, or two below top, are within 1e-3 of the grid's.
+    """
+    closed = []
     for j in (top + 1, top + 2):
         c = _deriv_coef(j)
-        poly = np.abs(np.polyval(c[::-1], w)).max() + 7.8125e-9 * sum(
-            i * (i - 1) * abs(v) for i, v in enumerate(c))
-        M[j] = (2 * j / math.e) ** (2 * j) * float(poly)
-    for j in range(top, 1, -1):
-        M[j] = float(np.abs(_periodic_grid(j)).max()) / 2.0**j + 3.125e-10 * M[j + 2]
-    return tuple(M[:n + 1])
+        P = _grid_sup_bounds([np.abs(np.polyval(c[::-1], np.linspace(-1.0, 1.0, 8001))).max()],
+                             [math.inf, sum(i * (i - 1) * abs(v) for i, v in enumerate(c))], 2.5e-4)
+        closed.append((2 * j / math.e) ** (2 * j) * P[0])
+    grid = [float(np.abs(_periodic_grid(j)).max()) / 2.0**j for j in range(2, top + 1)]
+    return (K_SUP, K1_SUP, *_grid_sup_bounds(grid, closed, 5e-5))
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,24 +240,20 @@ def _unit_bounds(beta: float, kind: str) -> tuple:
     the Leibniz sum_i C(k, i) M_{k-i} sup |K^(1+i)|.  H = (2 M_ell)^(1-gamma)
     M_{ell+1}^gamma, gamma = beta - ell, bounds the Hölder seminorm of D^ell.
     """
-    ell = math.ceil(beta) - 1  # smoothness.strict_floor
-    if kind == "bump":
-        M = _kernel_sup_bounds(ell + 1)
-    elif kind == "pulse":
-        K = _kernel_sup_bounds(ell + 2)
-        M = [sum(math.comb(k, i) * K[k - i] * K[1 + i] for i in range(k + 1))
-             for k in range(ell + 2)]
-    else:
+    if kind not in ("bump", "pulse"):
         raise ValueError(f"unknown kernel kind {kind!r}")
+    ell = math.ceil(beta) - 1  # smoothness.strict_floor
+    n = ell + 1 if kind == "bump" else ell + 2  # the highest order of K read
+    K = _kernel_sup_bounds(n if n <= 4 else n + 2)
+    M = K if kind == "bump" else [
+        sum(math.comb(k, i) * K[k - i] * K[1 + i] for i in range(k + 1)) for k in range(ell + 2)]
     gamma = beta - ell
     return tuple(M[:ell + 1]), (2.0 * M[ell]) ** (1.0 - gamma) * M[ell + 1] ** gamma
 
 
-def calibrate_alpha(beta: float, dim: int, kind: str) -> float:
+def calibrate_alpha(beta: float, kind: str) -> float:
     """Largest alpha in {2^-k} whose shape's bounds (:func:`_unit_bounds` times alpha, or
     alpha^2 for the pulse; the same at every dim) meet the certifier's unit class limits."""
-    from .smoothness import MEMBERSHIP_SLACK  # deferred: smoothness imports this module
-
     if beta <= 1:
         raise ValueError("beta must be > 1")
     sups, holder = _unit_bounds(beta, kind)
@@ -251,7 +262,7 @@ def calibrate_alpha(beta: float, dim: int, kind: str) -> float:
         scale = 2.0 ** (-k * power)
         if scale * max(sups) <= 1.0 and scale * holder <= 1.0 + MEMBERSHIP_SLACK:
             return 2.0**-k
-    raise CalibrationFailed(f"no alpha in 2^-0..2^-39 fits ({beta=}, {dim=}, {kind=})")
+    raise CalibrationFailed(f"no alpha in 2^-0..2^-39 fits ({beta=}, {kind=})")
 
 
 def shape_deriv_supnorm(spec: KernelSpec, order: int) -> float:

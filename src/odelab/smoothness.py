@@ -51,7 +51,6 @@ __all__ = [
 
 MAX_PARTITION_ORDER = 8
 MAX_SUPNORM_ORDER = 4
-MEMBERSHIP_SLACK = 0.05
 # pairs per block of holder_quotient, grid points per block of chain_remainder_bounds:
 # a block's temporaries stay cache-sized
 BLOCK = 8192
@@ -360,7 +359,7 @@ def certify_membership(f, cls: SmoothnessClass, region, *, budget: int = 4096,
             sup_measured=[s[j] for s in sups],
             sup_limits=list(cls.L),
             holder_measured=holder[j],
-            holder_limit=cls.L_beta * (1.0 + MEMBERSHIP_SLACK),
+            holder_limit=cls.L_beta * (1.0 + kernels.MEMBERSHIP_SLACK),
         )
         for j in range(cls.dim_out)
     ])
@@ -368,14 +367,6 @@ def certify_membership(f, cls: SmoothnessClass, region, *, budget: int = 4096,
 
 # ---------------------------------------------------------------------------
 # chain-remainder construction
-
-
-@functools.lru_cache(maxsize=None)
-def _periodic_grid(order: int) -> np.ndarray:
-    """K_per^(order) on the 40,001-point grid of one period (cached, read-only)."""
-    vals = kernels.periodic_kernel_deriv(np.linspace(0.0, 1.0, 40001), order)
-    vals.setflags(write=False)
-    return vals
 
 
 def chain_remainder_field(amplitude: float, radius: float, phase: float, L0: float,
@@ -463,22 +454,28 @@ def chain_remainder_u_jet(kper, a: float, radius: float, L0: float) -> list:
 
 
 def chain_remainder_bounds(amplitude: float, radius: float, L0: float, beta: float) -> list:
-    """[M_0, ..., M_ell, H]: the class constants the chain-remainder field s needs.
+    """[M_0, ..., M_ell, H]: upper bounds on the class constants the chain-remainder field s needs.
 
-    M_k = max |s^(k)| on the 40,001-point grid of one period (within 3e-6
-    relative of a ten times finer grid).  The jet is evaluated in blocks of
-    BLOCK = 8,192 grid points under a running maximum per order; a maximum
-    is exact, so M_k does not depend on the block size.  H = (2 M_ell)^(1-gamma)
-    M_{ell+1}^gamma, gamma = beta - ell, bounds the Hölder seminorm of
-    s^(ell), as |s^(ell)(x) - s^(ell)(y)| <= min(2 M_ell, M_{ell+1} |x - y|).
+    M_0 = (2/3) L0 max g' is exact: max g' = 1 + a sup |K_per'|, a = amplitude radius^beta.
+    max |s^(k)|, k = 1..ell + 1, is read on the 40,001-point grid of one period in blocks of
+    BLOCK = 8,192 points under a running maximum (exact, so free of the block size).  Those
+    points y = g(u) lie at most D = radius max g' / 40,000 apart, and _grid_sup_bounds gives
+    M_k = max |s^(k)| + (D^2/8) M_{k+2}, topped by the jet at K_per^(j) = -sup |K_per^(j)|
+    (:func:`kernels._kernel_sup_bounds`): there g' is least, g^(j) <= 0 for j >= 2 and
+    (g^{-1})^(k) >= 0, so each Faà di Bruno sum has terms of one sign that bound those of s.
+    H = (2 M_ell)^(1-gamma) M_{ell+1}^gamma bounds the (beta - ell)-Hölder seminorm of s^(ell).
     """
     ell = strict_floor(beta)
     gamma = beta - ell
-    kper = [_periodic_grid(j) for j in range(1, ell + 3)]
+    kper = [kernels._periodic_grid(j) for j in range(1, ell + 3)]
     a = amplitude * radius**beta
-    M = np.zeros(ell + 2)
+    M = np.zeros(ell + 1)
     for lo in range(0, kper[0].size, BLOCK):
         jet = chain_remainder_u_jet([k[lo:lo + BLOCK] for k in kper], a, radius, L0)
-        M = np.maximum(M, [np.abs(v).max() for v in jet])
-    M = M.tolist()
+        M = np.maximum(M, [np.abs(v).max() for v in jet[1:]])
+    K = kernels._kernel_sup_bounds(ell + 2)
+    tops = chain_remainder_u_jet([-(2.0**j) * K[j] for j in range(1, ell + 5)], a, radius, L0)
+    stretch = 1.0 + a * 2.0 * kernels.K1_SUP  # max g'
+    M = [2.0 / 3.0 * L0 * stretch] + kernels._grid_sup_bounds(
+        M, [-v for v in tops[ell + 2:]], stretch * radius / 40000)
     return M[: ell + 1] + [(2.0 * M[ell]) ** (1.0 - gamma) * M[ell + 1] ** gamma]

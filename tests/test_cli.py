@@ -128,15 +128,17 @@ def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     ("verify", {"suite": "tube-cover", "beta": 2.0, "x0": [0.5, 1e12]}),
     ("construct", {"construction": "snake-det", "beta": 2.0, "x0": [1e300, 0.5]}),
     ("verify", {"suite": "tube-cover", "beta": 2.0, "x0": [1e300, 0.5]}),
+    ("construct", {"construction": "stubble-det", "beta": 1.5, "delta_t": 1e300}),
+    ("verify", {"suite": "coincidence", "beta": 1.5, "L": [1e300, 1e300]}),
 ])
 def test_underflowing_period_is_a_construction_error(tmp_path, capsys, command, payload):
     # periods and lattice pitches this short leave the phase at x0 no digits (and at
-    # 1e-300 r^beta = 0); at 1e12 the snake lattices clashed, at 1e300 the field overflowed
+    # 1e-300 r^beta = 0); at 1e12 the snake lattices clashed, at 1e300 the field
+    # overflowed; a stubble period near 1e300 overflows r^(beta+1)
     cfg = _cfg(tmp_path, payload)
     assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
-    err = capsys.readouterr().err
-    assert "odelab: construction error" in err
-    assert "Traceback" not in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("odelab: construction error: ")
 
 
 @pytest.mark.filterwarnings("error")

@@ -146,10 +146,8 @@ FROZEN_ALPHA_K = {(1.5, "bump"): 2, (2.0, "bump"): 3, (2.5, "bump"): 6, (3.5, "b
 
 
 def test_calibrated_alphas_frozen():
-    # the bounds do not depend on d, so neither does alpha
     for (beta, kind), k in FROZEN_ALPHA_K.items():
-        for d in range(1, 13):
-            assert kernels.calibrate_alpha(beta, d, kind) == 2.0**-k
+        assert kernels.calibrate_alpha(beta, kind) == 2.0**-k
 
 
 # every (beta, d, kind) the CLI and the benchmark calibrate
@@ -182,7 +180,7 @@ def _reference_calibrate_k(beta, kind):
     sups, holder = kernels._unit_bounds(beta, kind)
     for k in range(40):
         s = _scale(kind, k)
-        if all(s * m <= 1.0 for m in sups) and s * holder <= 1.0 + smoothness.MEMBERSHIP_SLACK:
+        if all(s * m <= 1.0 for m in sups) and s * holder <= 1.0 + kernels.MEMBERSHIP_SLACK:
             return k
     raise kernels.CalibrationFailed
 
@@ -195,7 +193,7 @@ def _bits(values):
 def test_calibrate_alpha_equals_certify_each_alpha(beta, d, kind):
     # the finite-difference certifier, which reads low, passes the calibrated shape too
     k = _reference_calibrate_k(beta, kind)
-    assert kernels.calibrate_alpha(beta, d, kind) == 2.0**-k
+    assert kernels.calibrate_alpha(beta, kind) == 2.0**-k
     assert _direct_report(beta, d, kind, k).passed
 
 
@@ -214,12 +212,13 @@ def _refuse(*args, **kwargs):
 
 
 def test_calibrate_alpha_certifies_once(monkeypatch):
-    # one bound computation per (beta, kind), shared by every d; no finite difference
+    # one bound computation per (beta, kind), shared by the kernels of every d; no
+    # finite difference
     kernels._unit_bounds.cache_clear()
     for name in ("certify_membership", "derivative_supnorm", "holder_quotient"):
         monkeypatch.setattr(smoothness, name, _refuse)
     for d in range(1, 13):
-        assert kernels.calibrate_alpha(3.5, d, "bump") == 2.0**-11
+        assert hypotheses._calibrated(3.5, d, (2.0,) * 4, 100.0, "bump")[1].alpha == 2.0**-11
     assert kernels._unit_bounds.cache_info().misses == 1
 
 
@@ -230,7 +229,7 @@ def test_calibration_makes_no_finite_difference_call(monkeypatch, beta, d, kind)
     kernels._kernel_sup_bounds.cache_clear()
     for name in ("certify_membership", "derivative_supnorm", "holder_quotient"):
         monkeypatch.setattr(smoothness, name, _refuse)
-    spec = kernels.KernelSpec(beta=beta, alpha=kernels.calibrate_alpha(beta, d, kind),
+    spec = kernels.KernelSpec(beta=beta, alpha=kernels.calibrate_alpha(beta, kind),
                               kind=kind, dim=d)
     assert kernels.r_max(beta, (2.0,) * (smoothness.strict_floor(beta) + 1), 100.0, spec) > 0.0
 
@@ -244,11 +243,37 @@ def _half_line_sup(order: int) -> float:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_kernel_sup_bounds_cover_a_finer_grid(n):
-    # |K^(j)| is even: each bound is at least the maximum on a grid 100x finer, and
-    # within the stated 1e-3 of it
-    for j, bound in enumerate(kernels._kernel_sup_bounds(n)):
+    # |K^(j)| is even: each bound _unit_bounds reads up to order n is at least the
+    # maximum on a grid 100x finer, and within the stated 1e-3 of it
+    for j, bound in enumerate(kernels._kernel_sup_bounds(n if n <= 4 else n + 2)[:n + 1]):
         finer = _half_line_sup(j)
         assert finer <= bound <= finer * (1.0 + 1e-3)
+
+
+# float.hex of every bound at each depth _unit_bounds reads: n = 2, 3, 4, then n + 2 for
+# n = 5, 6 (the grids stop at order MAX_DERIV_ORDER = 8)
+FROZEN_KERNEL_SUP_BOUNDS = {
+    2: ["0x1.78b56362cef38p-2", "0x1.98cbc8d08eb29p-1", "0x1.effb9d8eb4cc3p+2",
+        "0x1.ce9866c9d27f0p+9", "0x1.5fc3cd76221c8p+16"],
+    3: ["0x1.78b56362cef38p-2", "0x1.98cbc8d08eb29p-1", "0x1.effb9d8eb4cc3p+2",
+        "0x1.74cfecc9876d0p+7", "0x1.5fc3cd76221c8p+16", "0x1.2e1e55c4573c6p+24"],
+    4: ["0x1.78b56362cef38p-2", "0x1.98cbc8d08eb29p-1", "0x1.effb326e919a2p+2",
+        "0x1.74cfecc9876d0p+7", "0x1.040c08109c7edp+13", "0x1.2e1e55c4573c6p+24",
+        "0x1.0cc2caee9f460p+34"],
+    7: ["0x1.78b56362cef38p-2", "0x1.98cbc8d08eb29p-1", "0x1.effb326cb01cfp+2",
+        "0x1.74ccda38c3dbep+7", "0x1.03df307898bbdp+13", "0x1.23335c142d463p+19",
+        "0x1.7b14e39b1e4aep+26", "0x1.fff1ee23229c8p+35", "0x1.96fbe930a9b01p+55",
+        "0x1.2cab748f23af8p+67"],
+    8: ["0x1.78b56362cef38p-2", "0x1.98cbc8d08eb29p-1", "0x1.effb326cafa27p+2",
+        "0x1.74ccda38c3dbep+7", "0x1.03df250fb00d9p+13", "0x1.23335c142d463p+19",
+        "0x1.3712ea50ea0d2p+26", "0x1.fff1ee23229c8p+35", "0x1.a0616d8644438p+47",
+        "0x1.2cab748f23af8p+67", "0x1.31c1164b499a2p+79"],
+}
+
+
+def test_kernel_sup_bounds_frozen():
+    for top, hexes in FROZEN_KERNEL_SUP_BOUNDS.items():
+        assert [v.hex() for v in kernels._kernel_sup_bounds(top)] == hexes
 
 
 def _phi_deriv_coefs(m: int) -> list:
@@ -282,12 +307,12 @@ def test_bump_directional_derivatives_peak_on_the_radial_line():
 
 def test_calibrate_alpha_rejects_bad_kind():
     with pytest.raises(ValueError):
-        kernels.calibrate_alpha(2.0, 2, "sombrero")
+        kernels.calibrate_alpha(2.0, "sombrero")
 
 
 def _bump_spec(beta=2.0, d=2):
     return kernels.KernelSpec(
-        beta=beta, alpha=kernels.calibrate_alpha(beta, d, "bump"), kind="bump", dim=d
+        beta=beta, alpha=kernels.calibrate_alpha(beta, "bump"), kind="bump", dim=d
     )
 
 
@@ -305,7 +330,7 @@ def test_bump_eval_support_and_center():
 
 def test_pulse_eval_shape_and_scalar():
     spec = kernels.KernelSpec(
-        beta=2.0, alpha=kernels.calibrate_alpha(2.0, 2, "pulse"), kind="pulse", dim=2
+        beta=2.0, alpha=kernels.calibrate_alpha(2.0, "pulse"), kind="pulse", dim=2
     )
     v = kernels.kernel_shape_eval(spec, np.array([0.3, -0.2]))
     assert isinstance(v, float)
@@ -365,7 +390,7 @@ def test_shape_deriv_supnorm_positive_and_decaying_support():
 ])
 def test_shape_deriv_supnorm_bounds_the_direct_measurement(beta, d, kind):
     # the upper bounds against measuring the calibrated shape by finite differences
-    spec = kernels.KernelSpec(beta=beta, alpha=kernels.calibrate_alpha(beta, d, kind),
+    spec = kernels.KernelSpec(beta=beta, alpha=kernels.calibrate_alpha(beta, kind),
                               kind=kind, dim=d)
     for k in range(smoothness.strict_floor(beta) + 1):
         direct = smoothness.derivative_supnorm(

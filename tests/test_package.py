@@ -81,6 +81,12 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert _submodules(loaded) == [] and "numpy" not in loaded.split()
 
 
+def test_kernels_loads_no_module_above_it():
+    # kernels is the bottom layer: its calibration reads nothing from smoothness
+    (loaded,) = _fresh_process("from odelab import kernels\nkernels.calibrate_alpha(2.0, 'bump')")
+    assert _submodules(loaded) == ["flow", "kernels"]
+
+
 @pytest.mark.parametrize("command,payload,expected", COMMANDS,
                          ids=[" ".join([c, *[p[k] for k in ("suite", "construction") if k in p]])
                               for c, p, _ in COMMANDS])

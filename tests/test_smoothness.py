@@ -183,25 +183,48 @@ def test_chain_remainder_u_jet_matches_reference(k):
     assert jet[k] == pytest.approx(CHAIN_S_AT_04[k], rel=1e-10)
 
 
+def _chain_remainder_cap(r, beta):
+    return 0.5 / (r**beta * 2.0 * kernels.K1_SUP)
+
+
+def _inflated(M, a, r, ell):
+    """As chain_remainder_bounds: the exact sup |s|, then kernels._grid_sup_bounds of the
+    grid maxima M[1:], topped by the jet at -sup |K_per^(j)|."""
+    K = kernels._kernel_sup_bounds(ell + 2)
+    tops = smoothness.chain_remainder_u_jet([-(2.0**j) * K[j] for j in range(1, ell + 5)],
+                                            a, r, 2.0)
+    stretch = 1.0 + a * 2.0 * kernels.K1_SUP
+    return [2.0 / 3.0 * 2.0 * stretch] + kernels._grid_sup_bounds(
+        M[1:], [-v for v in tops[ell + 2:]], stretch * r / 40000)
+
+
 @pytest.mark.parametrize("beta", [1.5, 2.0, 2.5, 3.5, 4.5])
 def test_chain_remainder_grid_maxima_resolve(beta):
-    # max |s^(k)| on the 40,001-point grid of one period against a 400,001-point one,
-    # at half the slope cap of the demo period r = (2/3) 2 0.05
+    # every grid-read bound M_k, k <= ell + 1, is at least max |s^(k)| on 4,000,001 points
+    # of one period (100x the grid's density) and above it by at most its gap term
+    # (D^2/8) M_{k+2}; the tops M_{ell+2}, M_{ell+3} are at least the grid's maxima; from
+    # amplitude 0 to the slope cap of the demo period r = (2/3) 2 0.05
     r = 2.0 / 3.0 * 2.0 * 0.05
-    a = 0.25 / (2.0 * kernels.K1_SUP)
-    n = smoothness.strict_floor(beta) + 1
-
-    def maxima(points):
-        w = np.linspace(0.0, 1.0, points)
-        kper = [kernels.periodic_kernel_deriv(w, j) for j in range(1, n + 2)]
-        return np.array([np.abs(v).max()
-                         for v in smoothness.chain_remainder_u_jet(kper, a, r, 2.0)])
-
-    coarse, fine = maxima(40001), maxima(400001)
-    assert np.all(np.abs(coarse / fine - 1.0) <= 3e-6)
-    # chain_remainder_bounds reads its M_k on the coarse grid
-    bounds = smoothness.chain_remainder_bounds(a / r**beta, r, 2.0, beta)
-    assert bounds[:n] == pytest.approx(coarse[:n].tolist(), rel=1e-12)
+    ell = smoothness.strict_floor(beta)
+    amps = [f * _chain_remainder_cap(r, beta) for f in (0.0, 1e-3, 0.37, 1.0)]
+    finer = np.zeros((len(amps), ell + 2))
+    w = np.linspace(0.0, 1.0, 4_000_001)
+    for lo in range(0, w.size, 250_000):
+        kper = [kernels.periodic_kernel_deriv(w[lo:lo + 250_000], j) for j in range(1, ell + 3)]
+        for i, amp in enumerate(amps):
+            jet = smoothness.chain_remainder_u_jet(kper, amp * r**beta, r, 2.0)
+            finer[i] = np.maximum(finer[i], [np.abs(v).max() for v in jet])
+    for amp, fine in zip(amps, finer):
+        a = amp * r**beta
+        coarse = [float(np.abs(v).max())
+                  for v in smoothness.chain_remainder_u_jet(
+                      [kernels._periodic_grid(j) for j in range(1, ell + 5)], a, r, 2.0)]
+        M = _inflated(coarse[:ell + 2], a, r, ell)
+        assert smoothness.chain_remainder_bounds(amp, r, 2.0, beta)[:ell + 1] == M[:ell + 1]
+        assert np.all(fine <= M[:ell + 2]) and np.all(np.array(coarse[ell + 2:]) <= M[ell + 2:])
+        gap = ((1.0 + a * 2.0 * kernels.K1_SUP) * r / 40000) ** 2 / 8.0
+        for k in range(ell + 2):
+            assert M[k] <= fine[k] + gap * M[k + 2]
 
 
 @pytest.mark.parametrize("block", [4096, smoothness.BLOCK, 20000, 40000, 40001, 40002])
@@ -209,15 +232,15 @@ def test_chain_remainder_grid_maxima_resolve(beta):
 def test_chain_remainder_blocks_are_bitwise_the_single_pass(monkeypatch, beta, block):
     # blocks that end one point before, at and one point past the 40,001-point grid's end
     r = 2.0 / 3.0 * 2.0 * 0.05
-    cap = 0.5 / (r**beta * 2.0 * kernels.K1_SUP)
     ell = smoothness.strict_floor(beta)
     gamma = beta - ell
     kper = [kernels.periodic_kernel_deriv(np.linspace(0.0, 1.0, 40001), j)
             for j in range(1, ell + 3)]
     monkeypatch.setattr(smoothness, "BLOCK", block)
-    for amp in [0.0, 1e-3 * cap, 0.37 * cap, cap]:
-        M = [float(np.abs(v).max())
-             for v in smoothness.chain_remainder_u_jet(kper, amp * r**beta, r, 2.0)]
+    for amp in [f * _chain_remainder_cap(r, beta) for f in (0.0, 1e-3, 0.37, 1.0)]:
+        a = amp * r**beta
+        M = _inflated([float(np.abs(v).max())
+                       for v in smoothness.chain_remainder_u_jet(kper, a, r, 2.0)], a, r, ell)
         single = M[: ell + 1] + [(2.0 * M[ell]) ** (1.0 - gamma) * M[ell + 1] ** gamma]
         blocked = smoothness.chain_remainder_bounds(amp, r, 2.0, beta)
         assert np.array(blocked).tobytes() == np.array(single).tobytes()
