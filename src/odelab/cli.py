@@ -32,6 +32,9 @@ _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
 _EXIT_BAD_CONFIG = 2
 
+# the largest dimension d: the Hölder quotient draws its 10^5 point pairs in R^d at once
+MAX_DIM = 40
+
 
 class ConfigError(Exception):
     pass
@@ -142,11 +145,13 @@ def _number(cfg: dict, key: str, default=None, required: bool = False) -> float:
     return float(number)
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
-    """A config count: a whole number >= 1."""
+def _count(cfg: dict, key: str, default: int, cap: int) -> int:
+    """A config count: a whole number in [1, cap], refused before it sizes any work."""
     value = _number(cfg, key, default)
     if not (value >= 1 and value.is_integer()):
         raise ConfigError(f"field '{key}' must be a whole number >= 1, got {value}")
+    if value > cap:
+        raise ConfigError(f"field '{key}' = {value:.15g} is above {cap}")
     return int(value)
 
 
@@ -189,95 +194,95 @@ def _class_constants(cfg: dict, beta: float, default: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# construct
+# constructions: each reads its keys and defaults once, for construct and verify alike
+
+
+def _stubble_det(cfg: dict):
+    """The stubble-det pair of ``beta``, ``L``/``L_beta`` (demo class), ``d`` (1),
+    ``delta_t`` (0.05) and ``x0``."""
+    from . import hypotheses
+    beta = _require_beta(cfg)
+    L, L_beta = _class_constants(cfg, beta, _demo_class(beta))
+    d = _count(cfg, "d", 1, MAX_DIM)
+    return hypotheses.stubble_det_pair(beta, d, L, L_beta, _positive(cfg, "delta_t", 0.05),
+                                       _start(cfg, d))
+
+
+def _snake_det(cfg: dict) -> tuple:
+    """(pair, initials, horizons) of the snake-det lattice of ``beta``, ``L``/``L_beta``
+    (bump class), ``d`` (2), ``delta`` (0.1) and ``x0``."""
+    from . import hypotheses
+    beta = _require_beta(cfg)
+    L, L_beta = _class_constants(cfg, beta, _bump_class(beta))
+    d = _count(cfg, "d", 2, MAX_DIM)
+    return hypotheses.snake_det_pair(beta, d, L, L_beta, _positive(cfg, "delta", 0.1),
+                                     _start(cfg, d))
+
+
+def _spiral(cfg: dict):
+    """The spiral of ``K`` (4) passes."""
+    from . import hypotheses
+    return hypotheses.spiral_build(_count(cfg, "K", 4, hypotheses.MAX_PASSES))
+
+
+def _pair_fields(pair, keys: tuple) -> dict:
+    """A pair's class and claim, and its metadata ``keys``, as construction.json records them."""
+    cls = pair.smoothness_class
+    return {"beta": cls.beta, "d": cls.dim_in, "L": cls.L, "L_beta": cls.L_beta,
+            "x0": pair.x0, "claimed_separation": pair.claimed_separation,
+            **{k: pair.metadata[k] for k in keys}}
+
+
+# each dump returns (construction.json fields, field_grid.csv header, rows, comment)
+def _dump_stubble_det(pair) -> tuple:
+    desc = _pair_fields(pair, ("delta_t", "amplitude", "radius", "phase"))
+    desc["coincidence"] = pair.coincidence_spec
+    r = desc["radius"]
+    xs = np.linspace(pair.x0[0] - 2 * r, pair.x0[0] + 2 * r, 401)
+    pts = np.tile(pair.x0, (len(xs), 1))
+    pts[:, 0] = xs
+    rows = np.column_stack([xs, pair.f0(pts)[:, 0], pair.f1(pts)[:, 0]]).tolist()
+    return (desc, ["x", "f0", "f1"], rows,
+            f"stubble-det beta={desc['beta']} delta_t={desc['delta_t']}")
+
+
+def _dump_snake_det(built: tuple) -> tuple:
+    from . import geometry
+    pair, initials, horizons = built
+    desc = _pair_fields(pair, ("delta", "radius", "m", "clearance"))
+    desc.update(initials=initials, horizons=horizons)
+    grid = np.linspace(0.0, 1.0, 41)
+    pts = geometry.product_grid([grid, grid] + [np.zeros(1)] * (desc["d"] - 2))
+    rows = np.column_stack([pts[:, :2], pair.f0(pts)[:, 0], pair.f1(pts)[:, 0]]).tolist()
+    return (desc, ["x1", "x2", "f0_1", "f1_1"], rows,
+            f"snake-det beta={desc['beta']} delta={desc['delta']}")
+
+
+def _dump_spiral(spec) -> tuple:
+    from . import geometry
+    desc = {"K": spec.K, "delta": spec.delta, "T": spec.T, "schedule": spec.schedule,
+            "supnorm": spec.field.metadata["supnorm"]}
+    pts = geometry.product_grid([np.linspace(-2.0, 3.0, 41), np.linspace(-3.5, 1.5, 41)])
+    rows = np.hstack([pts, spec.field(pts)]).tolist()
+    return desc, ["x1", "x2", "f1", "f2"], rows, f"spiral K={spec.K}"
+
+
+_CONSTRUCTIONS = {
+    "stubble-det": (_stubble_det, _dump_stubble_det),
+    "snake-det": (_snake_det, _dump_snake_det),
+    "spiral": (_spiral, _dump_spiral),
+}
 
 
 def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
-    from . import geometry, hypotheses
     which = _get(cfg, "construction", "stubble-det")
-    if which == "spiral":
-        K = _count(cfg, "K", 4)
-        spec = hypotheses.spiral_build(K)
-        desc = {
-            "construction": "spiral",
-            "K": K,
-            "delta": spec.delta,
-            "T": spec.T,
-            "schedule": spec.schedule,
-            "supnorm": spec.field.metadata["supnorm"],
-        }
-        _write_json(os.path.join(out, "construction.json"), desc)
-        pts = geometry.product_grid([np.linspace(-2.0, 3.0, 41), np.linspace(-3.5, 1.5, 41)])
-        rows = np.hstack([pts, spec.field(pts)]).tolist()
-        _write_csv(os.path.join(out, "field_grid.csv"),
-                   ["x1", "x2", "f1", "f2"], rows, comment=f"spiral K={K}")
-        return _EXIT_OK
-
-    beta = _require_beta(cfg)
-    default = _demo_class(beta) if which == "stubble-det" else _bump_class(beta)
-    L, L_beta = _class_constants(cfg, beta, default)
-    if which == "stubble-det":
-        d = _count(cfg, "d", 1)
-        delta_t = _positive(cfg, "delta_t", 0.05)
-        x0 = _start(cfg, d)
-        pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
-        md = pair.metadata
-        desc = {
-            "construction": "stubble-det",
-            "beta": beta,
-            "d": d,
-            "L": L,
-            "L_beta": L_beta,
-            "delta_t": delta_t,
-            "x0": pair.x0,
-            "amplitude": md["amplitude"],
-            "radius": md["radius"],
-            "phase": md["phase"],
-            "claimed_separation": pair.claimed_separation,
-            "coincidence": pair.coincidence_spec,
-        }
-        _write_json(os.path.join(out, "construction.json"), desc)
-        r = md["radius"]
-        xs = np.linspace(pair.x0[0] - 2 * r, pair.x0[0] + 2 * r, 401)
-        pts = np.tile(pair.x0, (len(xs), 1))
-        pts[:, 0] = xs
-        v0 = pair.f0(pts)
-        v1 = pair.f1(pts)
-        rows = [[float(xs[i]), float(v0[i, 0]), float(v1[i, 0])] for i in range(len(xs))]
-        _write_csv(os.path.join(out, "field_grid.csv"), ["x", "f0", "f1"], rows,
-                   comment=f"stubble-det beta={beta} delta_t={delta_t}")
-        return _EXIT_OK
-    if which == "snake-det":
-        d = _count(cfg, "d", 2)
-        delta = _positive(cfg, "delta", 0.1)
-        x0 = _start(cfg, d)
-        pair, initials, times = hypotheses.snake_det_pair(beta, d, L, L_beta, delta, x0)
-        desc = {
-            "construction": "snake-det",
-            "beta": beta,
-            "d": d,
-            "L": L,
-            "L_beta": L_beta,
-            "delta": delta,
-            "x0": pair.x0,
-            "radius": pair.metadata["radius"],
-            "m": pair.metadata["m"],
-            "clearance": pair.metadata["clearance"],
-            "claimed_separation": pair.claimed_separation,
-            "initials": initials,
-            "horizons": times,
-        }
-        _write_json(os.path.join(out, "construction.json"), desc)
-        grid = np.linspace(0.0, 1.0, 41)
-        pts = geometry.product_grid([grid, grid] + [np.zeros(1)] * (d - 2))
-        rows = np.column_stack([pts[:, :2], pair.f0(pts)[:, 0], pair.f1(pts)[:, 0]]).tolist()
-        _write_csv(os.path.join(out, "field_grid.csv"),
-                   ["x1", "x2", "f0_1", "f1_1"], rows,
-                   comment=f"snake-det beta={beta} delta={delta}")
-        return _EXIT_OK
-    raise ConfigError(
-        f"unknown construction '{which}' (use stubble-det|snake-det|spiral)"
-    )
+    if not isinstance(which, str) or which not in _CONSTRUCTIONS:
+        raise ConfigError(f"unknown construction '{which}' (use {'|'.join(_CONSTRUCTIONS)})")
+    build, dump = _CONSTRUCTIONS[which]
+    desc, header, rows, comment = dump(build(cfg))
+    _write_json(os.path.join(out, "construction.json"), {"construction": which, **desc})
+    _write_csv(os.path.join(out, "field_grid.csv"), header, rows, comment=comment)
+    return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -286,43 +291,31 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
 
 def _suite_coincidence(cfg: dict, seed: int) -> list:
     from . import geometry, hypotheses
-    beta = _require_beta(cfg)
-    d = _count(cfg, "d", 1)
-    delta_t = _positive(cfg, "delta_t", 0.05)
-    tol = _number(cfg, "tol", 1e-9)
-    n_points = _count(cfg, "n_points", 50)
-    if n_points > geometry.MAX_LATTICE:  # every start is held at once
-        raise ConfigError(f"field 'n_points' = {n_points} is above {geometry.MAX_LATTICE}")
-    L, L_beta = _class_constants(cfg, beta, _demo_class(beta))
-    x0 = _start(cfg, d)
-    pair = hypotheses.stubble_det_pair(beta, d, L, L_beta, delta_t, x0)
+    tol = _positive(cfg, "tol", 1e-9)
+    n_points = _count(cfg, "n_points", 50, geometry.MAX_LATTICE)  # every start is held at once
+    pair = _stubble_det(cfg)
     rng = np.random.default_rng(seed)
-    xs = np.tile(x0, (n_points, 1))
-    xs[:, 0] = x0[0] + rng.uniform(-1.0, 1.0, size=n_points)
+    xs = np.tile(pair.x0, (n_points, 1))
+    xs[:, 0] = pair.x0[0] + rng.uniform(-1.0, 1.0, size=n_points)
     return hypotheses.stubble_det_checks(pair, xs, tol)
 
 
 def _suite_tube_cover(cfg: dict, seed: int) -> list:
     from . import hypotheses
-    beta = _require_beta(cfg)
-    d = _count(cfg, "d", 2)
-    delta = _positive(cfg, "delta", 0.1)
-    L, L_beta = _class_constants(cfg, beta, _bump_class(beta))
-    x0 = _start(cfg, d)
-    pair, initials, horizons = hypotheses.snake_det_pair(beta, d, L, L_beta, delta, x0)
-    return hypotheses.snake_det_checks(pair, initials, horizons,
-                                       _number(cfg, "tol_agree", 1e-8))
+    tol_agree = _positive(cfg, "tol_agree", 1e-8)
+    return hypotheses.snake_det_checks(*_snake_det(cfg), tol_agree)
 
 
 def _suite_spiral(cfg: dict, seed: int) -> list:
     from . import hypotheses
-    return hypotheses.spiral_verify(hypotheses.spiral_build(_count(cfg, "K", 4)), seed=seed)
+    return hypotheses.spiral_verify(_spiral(cfg), seed=seed)
 
 
 def _prob_family(cfg: dict, build) -> tuple:
     """The family ``build(beta, d, L, L_beta)`` (d = 2, bump-class constants) and radius r."""
     beta = _require_beta(cfg)
-    family = build(beta, _count(cfg, "d", 2), *_class_constants(cfg, beta, _bump_class(beta)))
+    family = build(beta, _count(cfg, "d", 2, MAX_DIM),
+                   *_class_constants(cfg, beta, _bump_class(beta)))
     r = _number(cfg, "r", family.rho_plus / 2.0)
     if not 0.0 < r <= family.rho_plus:
         raise ConfigError(f"field 'r' must be in (0, {family.rho_plus}], got {r}")
@@ -331,7 +324,11 @@ def _prob_family(cfg: dict, build) -> tuple:
 
 def _suite_smoothness(cfg: dict, seed: int) -> list:
     from . import hypotheses
-    return hypotheses.stubble_prob_checks(*_prob_family(cfg, hypotheses.stubble_prob_family))
+    family, r = _prob_family(cfg, hypotheses.stubble_prob_family)
+    if not 0.5 - r < 0.5 + r:  # the certification box would hold one point
+        raise ConfigError(f"field 'r' = {r} is so small that the box [0.5 - r, 0.5 + r] "
+                          f"collapses to 0.5")
+    return hypotheses.stubble_prob_checks(family, r)
 
 
 def _suite_symmetry(cfg: dict, seed: int) -> list:
@@ -339,15 +336,14 @@ def _suite_symmetry(cfg: dict, seed: int) -> list:
     family, r = _prob_family(cfg, hypotheses.snake_prob_family)
     if hypotheses.snake_transverse_envelope(family, r) == 0.0:  # checks would pass as 0 <= 0
         raise ConfigError(f"field 'r' = {r} is so small that the envelope psi(r) is 0")
-    tol_net = _number(cfg, "tol_net") if "tol_net" in cfg else None
+    tol_net = _positive(cfg, "tol_net", None) if "tol_net" in cfg else None
     return hypotheses.snake_symmetry_checks(family, r, tol_net)
 
 
 def _suite_gronwall(cfg: dict, seed: int) -> list:
     from . import hypotheses
-    trials = _count(cfg, "trials", 4)
-    if trials > hypotheses.MAX_TRIALS:  # every trial's trajectories are held at once
-        raise ConfigError(f"field 'trials' = {trials} is above {hypotheses.MAX_TRIALS}")
+    # every trial's trajectories are held at once
+    trials = _count(cfg, "trials", 4, hypotheses.MAX_TRIALS)
     family, r = _prob_family(cfg, hypotheses.snake_prob_family)
     if 0.5 + r / 4 == 0.5:  # the start offsets would vanish and every pair pass as 0 <= 0
         raise ConfigError(f"field 'r' = {r} is so small that offsets up to r/4 vanish at 0.5")
@@ -356,9 +352,16 @@ def _suite_gronwall(cfg: dict, seed: int) -> list:
 
 def _suite_assumptions(cfg: dict, seed: int) -> list:
     from . import geometry, statmodel
-    d, K_grid = _count(cfg, "d", 2), _count(cfg, "K_grid", 6)
-    if K_grid**d > geometry.MAX_LATTICE:  # sized in integers before the grid is built
+    d = _count(cfg, "d", 2, MAX_DIM)
+    K_grid = _count(cfg, "K_grid", 6, geometry.MAX_LATTICE)
+    m = K_grid**d  # sized in integers before the grid is built
+    if m > geometry.MAX_LATTICE:
         raise ConfigError(f"K_grid^d = {K_grid}^{d} starts, above {geometry.MAX_LATTICE}")
+    n_per = _count(cfg, "n_per", 3, geometry.MAX_LATTICE)
+    windows = m * (n_per * (n_per - 1) // 2)  # check_cover_time holds every window at once
+    if windows > statmodel.MAX_WINDOWS:
+        raise ConfigError(f"{m} starts observed n_per = {n_per} times give {windows} "
+                          f"cover-time windows, above {statmodel.MAX_WINDOWS}")
     sigma2 = _positive(cfg, "sigma2", 1.0)
     noise = statmodel.NoiseLaw(dim=d, covariance=sigma2)
     if not math.isfinite(noise.C_noise):
@@ -366,12 +369,10 @@ def _suite_assumptions(cfg: dict, seed: int) -> list:
                           f"1/(2 sigma2) overflows")
     C_cvr = _positive(cfg, "C_cvr", statmodel.default_C_cvr(d))
     try:
-        statmodel.cover_floor(C_cvr, K_grid**d, d)
+        statmodel.cover_floor(C_cvr, m, d)
     except ValueError as exc:
         raise ConfigError(f"field 'C_cvr': {exc}")
-    scheme = statmodel.build_stubble_scheme(
-        K_grid, _count(cfg, "n_per", 3), _positive(cfg, "delta_t", 0.1), noise
-    )
+    scheme = statmodel.build_stubble_scheme(K_grid, n_per, _positive(cfg, "delta_t", 0.1), noise)
     return statmodel.scheme_checks(scheme, C_cvr, _positive(cfg, "C_cvrtm", statmodel.C_CVRTM))
 
 
@@ -410,24 +411,24 @@ _RATE_COLUMNS = ("stubble-onlyn", "stubble-onlyn-sup", "stubble-balancing-step",
                  "snake-combined-nice", "snake-vs-onlyn-gap", "regression", "regression-sup")
 
 
-def _cmd_rates(cfg: dict, out: str) -> int:
+def _cmd_rates(cfg: dict, out: str, seed: int) -> int:
     from . import geometry, statmodel
     beta = _require_beta(cfg, certified=False)
-    d = _count(cfg, "d", 2)
+    d = _count(cfg, "d", 2, MAX_DIM)
     s = _number(cfg, "s", 0.0)
     if not 0.0 <= s < beta:
         raise ConfigError(f"field 's' must satisfy 0 <= s < beta = {beta}, got {s}")
     grid_cfg = _get(cfg, "n", {"start": 1e3, "stop": 1e6, "num": 13})
     if isinstance(grid_cfg, dict):
         start, stop = _positive(grid_cfg, "start", 1e3), _positive(grid_cfg, "stop", 1e6)
-        num = _count(grid_cfg, "num", 13)
-        if num > geometry.MAX_LATTICE:  # sized before the grid is built
-            raise ConfigError(f"field 'num' = {num} is above {geometry.MAX_LATTICE}")
-        ns = np.geomspace(start, stop, num)
+        ns = np.geomspace(start, stop, _count(grid_cfg, "num", 13, geometry.MAX_LATTICE))
     else:
-        ns = _numbers(cfg, "n").reshape(-1)
+        ns = _numbers(cfg, "n")
+        if ns.ndim > 1 or not ns.size:
+            raise ConfigError(f"field 'n' must be a number, a flat non-empty list or "
+                              f"{{start, stop, num}}, got {grid_cfg!r}")
     rows = []
-    for n_float in ns:
+    for n_float in ns.reshape(-1):
         n = int(round(n_float))
         if n < 2:
             raise ConfigError(f"field 'n' values must be >= 2, got {n}")
@@ -453,7 +454,7 @@ def _cmd_experiment(cfg: dict, out: str, seed: int) -> int:
         raise ConfigError(f"field 'kl' must be >= 0, got {kl}")
     if not math.isfinite(math.sqrt(2.0 * kl)):
         raise ConfigError(f"field 'kl' = {kl} is too large: its mean shift sqrt(2 kl) overflows")
-    trials = _count(cfg, "trials", 100000)
+    trials = _count(cfg, "trials", 100000, statmodel.MAX_MC_TRIALS)
     mc = statmodel.monte_carlo_two_point(kl, trials, seed=seed)
     exact = statmodel.gaussian_lrt_error(kl)
     summary = {
@@ -478,6 +479,9 @@ def _cmd_experiment(cfg: dict, out: str, seed: int) -> int:
 
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {"construct": _cmd_construct, "verify": _cmd_verify, "rates": _cmd_rates,
+             "experiment": _cmd_experiment}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -485,7 +489,7 @@ def main(argv=None) -> int:
         description="Constructions and certificates for ODE regression lower bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("construct", "verify", "rates", "experiment"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=".", help="output directory")
@@ -500,13 +504,7 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:  # an existing file, a parent that is a file
             raise ConfigError(f"cannot create output directory: {exc}")
-        if args.command == "construct":
-            return _cmd_construct(cfg, args.out, args.seed)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args.out, args.seed)
-        if args.command == "rates":
-            return _cmd_rates(cfg, args.out)
-        return _cmd_experiment(cfg, args.out, args.seed)
+        return _COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as exc:
         print(f"odelab: config error: {exc}", file=sys.stderr)
         return _EXIT_BAD_CONFIG

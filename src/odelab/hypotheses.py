@@ -67,6 +67,8 @@ class DeltaTooSmall(ConstructionError):
 
 # pairs of one Gronwall suite: its 2 * trials trajectories are integrated as one batch
 MAX_TRIALS = 10**3
+# passes of one spiral: its orbit, integrated in full, grows with their number
+MAX_PASSES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +398,6 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     f1 = smoothness.chain_remainder_field(amp, r, z, L0, beta, d)
 
     attained = speed * amp * r**beta * per_prime
-    # the amplitude-free floor is sep_constant L0^(beta+1) dt^beta: the claim at amp = 1
-    sep_constant = (2.0 / 3.0) ** (beta + 1.0) * per_prime
     return HypothesisPair(
         f0=f0,
         f1=f1,
@@ -412,7 +412,6 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
             "phase": z,
             "L0": L0,
             "beta": beta,
-            "separation_constant": sep_constant,
         },
     )
 
@@ -446,9 +445,10 @@ def stubble_det_checks(pair: HypothesisPair, xs: np.ndarray, tol: float = 1e-9) 
     * ``grid-coincidence``: the flows from the starts xs (n, d) agree to
       ``tol`` at t = i delta_t, |i| <= 5;
     * ``separation-floor``: the claimed separation reaches the amplitude-free
-      floor ``separation_constant`` * L_0^(beta+1) delta_t^beta, that is
-      (2/3)^(beta+1) sup|K_per'| L_0^(beta+1) delta_t^beta, which a pair
-      whose amplitude is below 1 misses;
+      floor (2/3) L_0 sup|K_per'| r^beta, the claim at amplitude 1, that is
+      (2/3)^(beta+1) sup|K_per'| L_0^(beta+1) delta_t^beta with r = (2/3) L_0
+      delta_t, which a pair whose amplitude is below 1 misses; it is finite
+      wherever the pair was built, as r^(beta+1) is;
     * ``separation-attained``: |f1(x0) - f0(x0)| reaches the claimed separation;
     * ``membership``: f1 passes the finite-difference certification
       (:func:`odelab.smoothness.certify_membership`, default budget) into
@@ -457,7 +457,7 @@ def stubble_det_checks(pair: HypothesisPair, xs: np.ndarray, tol: float = 1e-9) 
     md = pair.metadata
     beta, delta_t = md["beta"], md["delta_t"]
     worst = max(_flow_gap(pair, xs, i * delta_t) for i in range(-5, 6))
-    floor = md["separation_constant"] * md["L0"] ** (beta + 1.0) * delta_t**beta
+    floor = (2.0 / 3.0) * md["L0"] * md["radius"] ** beta * (2.0 * kernels.K1_SUP)
     claimed = pair.claimed_separation
     attained = float(np.linalg.norm(pair.f1(pair.x0) - pair.f0(pair.x0)))
     region = [(0.0, 2.0 * md["radius"])] * pair.f1.dim

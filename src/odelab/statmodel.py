@@ -190,6 +190,8 @@ class CoverCheck:
 
 # the default cover-time constant, which equidistant observation times admit
 C_CVRTM = 3.0
+# cover-time windows of one scheme, m n_per (n_per - 1) / 2: check_cover_time holds them at once
+MAX_WINDOWS = 10**6
 
 
 def default_C_cvr(d: int) -> float:
@@ -628,6 +630,10 @@ class MonteCarlo:
     error_hat: float
     std_error: float
     n_trials: int
+
+
+# trials of one Monte-Carlo run: its time grows with their number
+MAX_MC_TRIALS = 10**8
 
 
 def monte_carlo_two_point(kl: float, n_trials: int, seed: int = 0) -> MonteCarlo:

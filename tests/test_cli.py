@@ -111,6 +111,27 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("verify", {"suite": "coincidence", "beta": 1.5, "n_points": geometry.MAX_LATTICE + 1}),
     ("rates", {"beta": 2.0, "n": {"start": 1e3, "stop": 1e6,
                                   "num": geometry.MAX_LATTICE + 1}}),
+    # a tolerance that is not positive made a check that cannot pass (exit 1, or 0 at 0 <= 0)
+    ("verify", {"suite": "coincidence", "beta": 1.5, "tol": 0}),
+    ("verify", {"suite": "coincidence", "beta": 1.5, "tol": -1}),
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "tol_agree": 0}),
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "tol_agree": -1}),
+    ("verify", {"suite": "symmetry", "beta": 2.0, "tol_net": 0}),
+    # an empty n wrote a table with no rows, and a nested one was flattened
+    ("rates", {"beta": 2.0, "n": []}),
+    ("rates", {"beta": 2.0, "n": [[10, 20]]}),
+    # the certification box [0.5 - r, 0.5 + r] collapsed into a traceback
+    ("verify", {"suite": "smoothness", "beta": 2.0, "r": 1e-300}),
+    # counts far past their caps raised, allocated gigabytes or ran on without end
+    ("construct", {"construction": "stubble-det", "beta": 2.5, "d": 1e300}),
+    ("verify", {"suite": "tube-cover", "beta": 2.0, "d": 1e300}),
+    ("verify", {"suite": "smoothness", "beta": 2.0, "d": 1e300}),
+    ("construct", {"construction": "spiral", "K": 1e300}),
+    ("verify", {"suite": "spiral", "K": 1e300}),
+    ("verify", {"suite": "assumptions", "d": 1e300}),
+    ("verify", {"suite": "assumptions", "n_per": 1e300}),
+    ("verify", {"suite": "assumptions", "K_grid": 1, "n_per": 10**5}),
+    ("experiment", {"kl": 0.5, "trials": 1e300}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)

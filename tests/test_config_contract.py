@@ -1,0 +1,154 @@
+"""The config contract: every config exits 0, 1 or 2, and a refusal is one stderr line."""
+
+import contextlib
+import io
+import json
+import os
+import re
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from odelab import cli, geometry, hypotheses, statmodel
+
+# the values each key is tried at: zero, negative, below and past the float scale, lists,
+# nested lists, strings, booleans and null
+VALUES = [0, -1, 1e-300, 1e300, [], [[1]], "x", True, None]
+_ERROR = re.compile(r"odelab: (config|construction) error: ")
+
+
+def _main(command, payload, output=None):
+    """(exit code, stderr lines) of ``odelab command`` on ``payload``, run in-process, and
+    the text of its ``output`` file when one is named."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main([command, "--config", cfg, "--out", os.path.join(tmp, "o"),
+                           "--seed", "7"])
+        if output is None:
+            return rc, err.getvalue().splitlines()
+        with open(os.path.join(tmp, "o", output)) as fh:
+            return rc, err.getvalue().splitlines(), fh.read()
+
+
+# each command's base configs and the keys it reads; counts also take small values
+_COUNTS = {"d", "K", "trials", "n_points", "K_grid", "n_per", "num"}
+_CLASS = ["beta", "d", "L", "L_beta"]
+_BASES = {
+    "construct": [
+        ({"construction": "stubble-det", "beta": 1.5}, ["construction", *_CLASS, "delta_t", "x0"]),
+        ({"construction": "snake-det", "beta": 2.0, "delta": 0.3},
+         ["construction", *_CLASS, "delta", "x0"]),
+        ({"construction": "spiral", "K": 1}, ["construction", "K"]),
+    ],
+    "verify": [
+        ({"suite": "coincidence", "beta": 1.5, "n_points": 2},
+         ["suite", *_CLASS, "delta_t", "x0", "tol", "n_points"]),
+        ({"suite": "tube-cover", "beta": 2.0, "delta": 0.3},
+         ["suite", *_CLASS, "delta", "x0", "tol_agree"]),
+        ({"suite": "spiral", "K": 1}, ["suite", "K"]),
+        ({"suite": "smoothness", "beta": 2.0}, ["suite", *_CLASS, "r"]),
+        ({"suite": "symmetry", "beta": 2.0}, ["suite", *_CLASS, "r", "tol_net"]),
+        ({"suite": "gronwall", "beta": 2.0, "trials": 1}, ["suite", *_CLASS, "r", "trials"]),
+        ({"suite": "assumptions", "K_grid": 2},
+         ["suite", "d", "K_grid", "n_per", "delta_t", "sigma2", "C_cvr", "C_cvrtm"]),
+    ],
+    "rates": [({"beta": 2.0, "n": [100, 1000]}, ["beta", "d", "s", "n"]),
+              ({"beta": 2.0, "n": {"num": 2}}, ["beta", "n.start", "n.stop", "n.num"])],
+    "experiment": [({"kl": 0.5, "trials": 100}, ["kl", "trials"])],
+}
+
+
+@st.composite
+def _configs(draw, command):
+    """A base config of ``command``, some of its keys set from VALUES, and one unknown key."""
+    base, keys = draw(st.sampled_from(_BASES[command]))
+    payload = json.loads(json.dumps(base))
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        name = key.rsplit(".", 1)[-1]
+        pool = VALUES + [1, 2] if name in _COUNTS else VALUES
+        (payload["n"] if key.startswith("n.") else payload)[name] = draw(st.sampled_from(pool))
+    payload["unknown_key"] = draw(st.sampled_from(VALUES))
+    return payload
+
+
+@pytest.mark.parametrize("command", sorted(_BASES))
+def test_every_config_exits_0_1_or_2(command):
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_configs(command))
+    def check(payload):
+        rc, err = _main(command, payload)
+        assert rc in (0, 1, 2)
+        errors = [line for line in err if line.startswith("odelab: ")]
+        if rc == 2:
+            assert len(errors) == 1 and _ERROR.match(errors[0]), err
+        else:
+            assert errors == [], err
+
+    check()
+
+
+# each cap alone at cap + 1, refused by name before anything is sized (test_cli takes
+# n_points, gronwall trials and the rates grid's num)
+_CAPS = [
+    ("construct", {"construction": "stubble-det", "beta": 1.5}, "d", cli.MAX_DIM),
+    ("construct", {"construction": "snake-det", "beta": 2.0}, "d", cli.MAX_DIM),
+    ("construct", {"construction": "spiral"}, "K", hypotheses.MAX_PASSES),
+    ("verify", {"suite": "coincidence", "beta": 1.5}, "d", cli.MAX_DIM),
+    ("verify", {"suite": "tube-cover", "beta": 2.0}, "d", cli.MAX_DIM),
+    ("verify", {"suite": "spiral"}, "K", hypotheses.MAX_PASSES),
+    ("verify", {"suite": "smoothness", "beta": 2.0}, "d", cli.MAX_DIM),
+    ("verify", {"suite": "symmetry", "beta": 2.0}, "d", cli.MAX_DIM),
+    ("verify", {"suite": "gronwall", "beta": 2.0}, "d", cli.MAX_DIM),
+    ("verify", {"suite": "assumptions"}, "d", cli.MAX_DIM),
+    ("verify", {"suite": "assumptions", "d": 1}, "K_grid", geometry.MAX_LATTICE),
+    ("verify", {"suite": "assumptions", "K_grid": 1}, "n_per", geometry.MAX_LATTICE),
+    ("rates", {"beta": 2.0}, "d", cli.MAX_DIM),
+    ("experiment", {"kl": 0.5}, "trials", statmodel.MAX_MC_TRIALS),
+]
+
+
+@pytest.mark.parametrize("command,base,key,cap", _CAPS,
+                         ids=[f"{c}-{b.get('suite', b.get('construction', c))}-{k}"
+                              for c, b, k, _ in _CAPS])
+def test_each_count_cap_refuses_cap_plus_one(command, base, key, cap):
+    assert _main(command, {**base, key: cap + 1}) == \
+        (2, [f"odelab: config error: field '{key}' = {cap + 1} is above {cap}"])
+
+
+def test_cover_time_window_cap():
+    # check_cover_time holds its m n_per (n_per - 1) / 2 windows at once: the 36 default
+    # starts at n_per = 236 give 998,280 windows, at 237 more than the cap
+    assert _main("verify", {"suite": "assumptions", "n_per": 237}) == \
+        (2, [f"odelab: config error: 36 starts observed n_per = 237 times give 1006776 "
+             f"cover-time windows, above {statmodel.MAX_WINDOWS}"])
+
+
+@pytest.mark.parametrize("which", [["spiral"], None, 2])
+def test_construction_that_is_not_a_string_is_unknown(which):
+    # it was read as stubble-det and refused for its "missing field 'beta'"
+    assert _main("construct", {"construction": which, "K": 2}) == \
+        (2, [f"odelab: config error: unknown construction '{which}' "
+             f"(use stubble-det|snake-det|spiral)"])
+
+
+def test_rates_takes_a_single_n():
+    rc, _, table = _main("rates", {"beta": 2.0, "n": 1000}, "rates.csv")
+    assert rc == 0 and [line.split(",")[0] for line in table.splitlines()[2:]] == ["1000"]
+
+
+def test_separation_floor_at_huge_constants_is_finite():
+    # L0^(beta+1) overflowed in the floor, a traceback at exit 1; the floor
+    # (2/3) L0 sup|K_per'| r^beta is finite and the amplitude below 1 fails it
+    payload = {"suite": "coincidence", "beta": 1.5, "L": [1e200, 1e200], "L_beta": 1e200,
+               "delta_t": 1e-199}
+    rc, _, report = _main("verify", payload, "report.json")
+    checks = {c["name"]: c for c in json.loads(report)["checks"]}
+    assert rc == 1 and not checks["separation-floor"]["passed"]
+    assert 1e201 < checks["separation-floor"]["limit"] < 1e202
+    assert checks["grid-coincidence"]["passed"] and checks["membership"]["passed"]

@@ -42,9 +42,9 @@ def test_stubble_det_separation_attained(det_pair):
     x0 = det_pair.x0
     diff = abs(float(det_pair.f1.eval(x0)[0] - det_pair.f0.eval(x0)[0]))
     assert diff >= det_pair.claimed_separation
-    # ... and the floor is the advertised constant * L0^(beta+1) * dt^beta
-    md = det_pair.metadata
-    floor = md["separation_constant"] * md["L0"] ** (STUBBLE_CLASS["beta"] + 1.0) * 0.05 ** STUBBLE_CLASS["beta"]
+    # ... and the floor is the claim at amplitude 1, (2/3)^(beta+1) sup|K_per'| L0^(beta+1) dt^beta
+    md, beta = det_pair.metadata, STUBBLE_CLASS["beta"]
+    floor = (2.0 / 3.0) ** (beta + 1.0) * 2.0 * kernels.K1_SUP * md["L0"] ** (beta + 1.0) * 0.05**beta
     assert det_pair.claimed_separation >= floor * (1.0 - 1e-9)
 
 
@@ -56,7 +56,11 @@ def test_separation_floor_fails_below_unit_amplitude():
     md = pair.metadata
     assert md["amplitude"] < 1.0
     checks = {name: rec for name, *rec in hypotheses.stubble_det_checks(pair, np.array([[0.4]]))}
-    floor = md["separation_constant"] * md["L0"] ** (beta + 1.0) * dt**beta
+    # the floor (2/3) L0 sup|K_per'| r^beta, r = (2/3) L0 dt, which stays finite where
+    # L0^(beta+1) overflows
+    floor = (2.0 / 3.0) * md["L0"] * md["radius"] ** beta * (2.0 * kernels.K1_SUP)
+    assert floor == pytest.approx((2.0 / 3.0) ** (beta + 1.0) * 2.0 * kernels.K1_SUP
+                                  * md["L0"] ** (beta + 1.0) * dt**beta, rel=1e-14)
     assert checks["separation-floor"] == [False, pair.claimed_separation, floor]
     assert checks["grid-coincidence"][0] and checks["separation-attained"][0]
 
