@@ -355,8 +355,9 @@ def _suite_assumptions(cfg: dict, seed: int) -> list:
     d = _count(cfg, "d", 2, MAX_DIM)
     K_grid = _count(cfg, "K_grid", 6, geometry.MAX_LATTICE)
     m = K_grid**d  # sized in integers before the grid is built
-    if m > geometry.MAX_LATTICE:
-        raise ConfigError(f"K_grid^d = {K_grid}^{d} starts, above {geometry.MAX_LATTICE}")
+    if m > statmodel.MAX_COVER_STARTS:
+        raise ConfigError(f"K_grid^d = {K_grid}^{d} starts, above {statmodel.MAX_COVER_STARTS} "
+                          f"(the cover constant's count is quadratic in the starts)")
     n_per = _count(cfg, "n_per", 3, geometry.MAX_LATTICE)
     windows = m * (n_per * (n_per - 1) // 2)  # check_cover_time holds every window at once
     if windows > statmodel.MAX_WINDOWS:

@@ -30,7 +30,7 @@ __all__ = [
 
 
 # points of one lattice: snake-det starts or bump centers (1,331 is the largest tested),
-# or the CLI's K_grid^d assumptions starts, coincidence n_points or rates grid num
+# or the CLI's assumptions K_grid, coincidence n_points or rates grid num
 MAX_LATTICE = 10**5
 
 
@@ -186,33 +186,46 @@ def point_tube_distance(point, tube: TubeSpec) -> float:
     return float(min(coarse[i], refined.min()))
 
 
+_SLICE_BLOCK = 128  # consecutive slices of a tube that _union_distance prunes as one unit
+
+
 def _union_distance(points: np.ndarray, tubes: Sequence[TubeSpec]):
     """Per-point distance to the union of tubes, and the largest axial gap.
 
-    Pruned exactly.  A slice distance is at least |p - state| - r (triangle
-    inequality on (par, perp)), hence at least b - r, where b is the
-    distance from p to the bounding box of the tube's slice states.  Each
-    point visits its tubes in increasing order of b - r and evaluates one
-    only while b - r < best + 1e-12 (b + r), best being its running
-    minimum.  The margin covers rounding, which moves the computed b and
-    slice distances by O(d) units of 2^-53 times |p - state| + r, so no
-    skipped slice could lower a computed minimum: the result is bitwise
-    the minimum over every slice of every tube.
+    Pruned exactly, per block of _SLICE_BLOCK consecutive slices of a tube.
+    A slice distance is at least |p - state| - r (triangle inequality on
+    (par, perp)), hence at least b - r, where b is the distance from p to
+    the bounding box of the block's slice states.  Each point visits the
+    blocks in increasing order of b - r - 1e-12 (b + r) and evaluates one
+    only while that key is below best, its running minimum.  The margin
+    1e-12 (b + r) covers rounding, which moves the computed b and slice
+    distances by O(d) units of 2^-53 times |p - state| + r, so no skipped
+    slice could lower a computed minimum: the result is bitwise the minimum
+    over every slice of every tube.  As best only falls and the keys rise,
+    a point's evaluated blocks are a prefix of its order, and the scan
+    stops at the first rank where no point evaluates its block.  The gap
+    is taken over each tube's whole slice list, so blocks leave it as it was.
     """
     slices = [_slices(tube.trajectory)[1:] for tube in tubes]
-    radii = np.array([tube.radius for tube in tubes])
+    blocks = [(states[lo:lo + _SLICE_BLOCK], units[lo:lo + _SLICE_BLOCK], tube.radius)
+              for tube, (states, units, _) in zip(tubes, slices)
+              for lo in range(0, len(states), _SLICE_BLOCK)]
+    radii = np.array([radius for _, _, radius in blocks])
     box = np.array([np.sqrt(_row_sumsq(points - np.clip(points, states.min(axis=0),
                                                         states.max(axis=0))))
-                    for states, _, _ in slices]).reshape(len(tubes), len(points)).T
-    bound, margin = box - radii, 1e-12 * (box + radii)
+                    for states, _, _ in blocks]).reshape(len(blocks), len(points)).T
+    key = box - radii - 1e-12 * (box + radii)  # (points, blocks)
+    order = np.argsort(key, axis=1)
     best = np.full(len(points), np.inf)
     rows = np.arange(len(points))
-    for tube_at in np.argsort(bound, axis=1).T:
-        live = bound[rows, tube_at] < best + margin[rows, tube_at]
-        for k in np.unique(tube_at[live]):
-            idx = np.flatnonzero(live & (tube_at == k))
-            states, units, _ = slices[k]
-            dist = _slice_distances(points[idx], states, units, radii[k]).min(axis=1)
+    for block_at in order.T:
+        live = key[rows, block_at] < best
+        if not live.any():
+            break
+        for k in np.unique(block_at[live]):
+            idx = np.flatnonzero(live & (block_at == k))
+            states, units, radius = blocks[k]
+            dist = _slice_distances(points[idx], states, units, radius).min(axis=1)
             best[idx] = np.minimum(best[idx], dist)
     return best, max((gap for _, _, gap in slices), default=0.0)
 

@@ -192,6 +192,9 @@ class CoverCheck:
 C_CVRTM = 3.0
 # cover-time windows of one scheme, m n_per (n_per - 1) / 2: check_cover_time holds them at once
 MAX_WINDOWS = 10**6
+# starts m of one scheme the CLI admits: check_cover is quadratic in m, and the largest
+# grid admitted (64^2, 16^3, 8^4 ...) checks in about 1.2 s on a 2-core Xeon (10^4, 7 s)
+MAX_COVER_STARTS = 4096
 
 
 def default_C_cvr(d: int) -> float:

@@ -132,6 +132,8 @@ def test_missing_required_beta_is_config_error(tmp_path):
     ("verify", {"suite": "assumptions", "n_per": 1e300}),
     ("verify", {"suite": "assumptions", "K_grid": 1, "n_per": 10**5}),
     ("experiment", {"kl": 0.5, "trials": 1e300}),
+    # check_cover is quadratic in the starts: 316^2 would run for about ten minutes
+    ("verify", {"suite": "assumptions", "d": 2, "K_grid": 316}),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, command, payload):
     cfg = _cfg(tmp_path, payload)

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -142,13 +143,23 @@ def test_rates_takes_a_single_n():
     assert rc == 0 and [line.split(",")[0] for line in table.splitlines()[2:]] == ["1000"]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def test_separation_floor_at_huge_constants_is_finite():
     # L0^(beta+1) overflowed in the floor, a traceback at exit 1; the floor
-    # (2/3) L0 sup|K_per'| r^beta is finite and the amplitude below 1 fails it
+    # (2/3) L0 sup|K_per'| r^beta is finite and the amplitude below 1 fails it.
+    # |f1 - f0| at x0, about 9e198, squared to inf in a norm: a RuntimeWarning on
+    # stderr and "measured": Infinity
     payload = {"suite": "coincidence", "beta": 1.5, "L": [1e200, 1e200], "L_beta": 1e200,
                "delta_t": 1e-199}
-    rc, _, report = _main("verify", payload, "report.json")
-    checks = {c["name"]: c for c in json.loads(report)["checks"]}
-    assert rc == 1 and not checks["separation-floor"]["passed"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err, report = _main("verify", payload, "report.json")
+    checks = {c["name"]: c for c in json.loads(report, parse_constant=_refuse_constant)["checks"]}
+    assert rc == 1 and err == [] and not checks["separation-floor"]["passed"]
     assert 1e201 < checks["separation-floor"]["limit"] < 1e202
     assert checks["grid-coincidence"]["passed"] and checks["membership"]["passed"]
+    attained = checks["separation-attained"]
+    assert attained["passed"] and 8e198 < attained["limit"] <= attained["measured"] < 1e199

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import odelab
-from odelab import flow, geometry, hypotheses
+from odelab import cli, flow, geometry, hypotheses
 
 
 def _line_trajectory(y=0.0, T=1.0):
@@ -151,6 +151,51 @@ def test_union_distance_pruning_is_exact_with_non_uniform_trajectory():
     rng = np.random.default_rng([0, 2])
     pts = np.vstack([_box_points(tubes, rng), rng.uniform([-0.1, 0.2], [1.1, 0.9], size=(500, 2))])
     _assert_pruning_exact(pts, tubes)
+
+
+def _sparse_trajectory(n, rng, d=2):
+    """A trajectory whose dense grid is its 512 nodes, moving at exactly n of them: n slices."""
+    ts = np.linspace(0.0, 1.0, 512)
+    derivs = np.zeros((512, d))
+    moving = np.sort(rng.choice(512, size=n, replace=False))
+    derivs[moving] = rng.normal(size=(n, d))
+    states = np.cumsum(rng.normal(scale=0.01, size=(512, d)), axis=0)
+    return flow.Trajectory(t_span=(0.0, 1.0), ts=ts, states=states, derivs=derivs)
+
+
+_B = geometry._SLICE_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_union_distance_pruning_is_exact_at_block_boundaries(n):
+    # a tube of n slices next to tubes of n + 1 and 2n + 1, queried on the states that
+    # open and close each block, on their midpoints and around them
+    rng = np.random.default_rng([3, n])
+    counts = [min(k, 512) for k in (n, n + 1, 2 * n + 1)]
+    tubes = [geometry.TubeSpec(_sparse_trajectory(k, rng), float(rng.uniform(1e-3, 0.05)))
+             for k in counts]
+    pts = [rng.uniform(-0.3, 0.3, size=(64, 2))]
+    for tube, k in zip(tubes, counts):
+        states = geometry._slices(tube.trajectory)[1]
+        assert len(states) == k
+        edges = sorted({max(lo - 1, 0) for lo in range(0, len(states), _B)}
+                       | set(range(0, len(states), _B)) | {len(states) - 1})
+        pts += [states[edges], 0.5 * (states[edges[:-1]] + states[edges[1:]]),
+                states[edges] + rng.normal(scale=0.02, size=(len(edges), 2))]
+    _assert_pruning_exact(np.vstack(pts), tubes)
+
+
+def test_tube_cover_suite_evaluates_few_point_slices(tmp_path, monkeypatch):
+    # the benchmark's tube-cover config: 16 sweeps of about 570 slices, two clouds of
+    # 2,052 points; pruning whole tubes evaluated 2,572,425 point-slices
+    work = []
+    slice_distances = geometry._slice_distances
+    monkeypatch.setattr(geometry, "_slice_distances", lambda p, s, u, r: work.append(
+        len(p) * len(s)) or slice_distances(p, s, u, r))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"suite": "tube-cover", "beta": 2.0, "d": 2, "delta": 0.05}')
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert 0 < sum(work) <= 1_000_000
 
 
 def test_tube_cover_check_pass_and_fail():

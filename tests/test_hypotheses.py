@@ -48,6 +48,17 @@ def test_stubble_det_separation_attained(det_pair):
     assert det_pair.claimed_separation >= floor * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("beta,d", [(2.0, 1), (2.0, 2), (1.5, 3), (3.5, 2)])
+def test_separation_attained_is_bitwise_the_norm(beta, d):
+    # the fields differ in coordinate 0 only, so its magnitude is the Euclidean norm the
+    # check measured before, bit for bit where the square neither overflows nor underflows
+    pair = cli._stubble_det({"beta": beta, "d": d})
+    diff = pair.f1(pair.x0) - pair.f0(pair.x0)
+    assert not diff[1:].any()
+    checks = {name: rec for name, *rec in hypotheses.stubble_det_checks(pair, pair.x0[None])}
+    assert checks["separation-attained"][1] == float(np.linalg.norm(diff))
+
+
 def test_separation_floor_fails_below_unit_amplitude():
     # at L_beta = 200 the largest fitting amplitude is about 0.49, so the claim
     # falls short of the amplitude-free floor (the claim at amplitude 1)
@@ -478,6 +489,29 @@ def test_spiral_schedule_tight_with_few_steps(K, monkeypatch):
     assert schedule_error <= tol_geo / 10.0
     assert len(trajs) == 1
     assert len(trajs[0].ts) - 1 <= 250 * K
+
+
+_X1_EDGES = [-0.0, 0.0, 1.0, -5e-324, 5e-324, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+             0.5, math.nan]
+_X2_EDGES = [-1.0, np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0), 0.0, math.nan]
+
+
+@pytest.mark.parametrize("x1", _X1_EDGES)
+@pytest.mark.parametrize("x2", _X2_EDGES)
+def test_spiral_one_row_region_and_field_match_the_array_path(x1, x2):
+    assert hypotheses._spiral_region_of(x1, x2) == \
+        int(hypotheses._spiral_region(np.array(x1), np.array(x2)))
+    field = hypotheses.spiral_build(3).field
+    rows = field.eval(np.array([[x1, x2], [0.5, 0.5]]))
+    for one_row in (field.eval(np.array([x1, x2])), field.eval(np.array([[x1, x2]]))[0]):
+        assert one_row.tobytes() == rows[0].tobytes()
+
+
+def test_spiral_orbit_work_counts_are_frozen():
+    # K = 3 as the benchmark runs it: the one-row region picks the same pieces
+    spec = hypotheses.spiral_build(3)
+    traj = flow.integrate(spec.field, np.zeros(2), spec.T, 1e-10)
+    assert (traj.n_accepted, traj.n_rejected, traj.nfev) == (453, 260, 4279)
 
 
 def test_spiral_build_rejects_nonpositive():
