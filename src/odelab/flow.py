@@ -11,11 +11,17 @@ each start a group, so each row of distinct starts is bit for bit its lone
 run.  Both hold for a field that evaluates its rows independently: the
 stage sums are elementwise over the stage axis and the step factor is a
 Python-float power, so a group's arithmetic does not depend on the others.
-Accepted nodes store the state *and* its derivative, and queries between
-nodes use cubic Hermite interpolation — O(h^4), comfortably below every
-verification tolerance used downstream.  Kinks of piecewise-smooth fields
-are handled by step rejection.  Fields that come with a closed-form flow
-keep it in :class:`ModelFunction` and the integrator is still available as an
+Accepted nodes store the state *and* its derivative, read-only, and
+queries between nodes use cubic Hermite interpolation, O(h^4).  It adds
+to the node error where an observation falls inside a step: psi_hat of
+the snake instances of perfbench/master_pipeline.py, with steps capped at
+1/16 of the crossing, reads up to 7.4e-4 relative off a tol 1e-13
+reference, against 6.1e-5 from the nodes alone (ROADMAP item 2).  The
+formula has one home, :func:`_hermite`, which both readouts call:
+:func:`flow_at` reads every row at each time and :func:`flow_rows` each
+row at its own times.  Kinks of piecewise-smooth fields are handled by
+step rejection.  Fields that come with a closed-form flow keep it in
+:class:`ModelFunction` and the integrator is still available as an
 independent cross-check.
 """
 
@@ -34,6 +40,7 @@ __all__ = [
     "integrate",
     "integrate_rows",
     "flow_at",
+    "flow_rows",
     "final_state",
     "semigroup_residual",
     "flow_semigroup_check",
@@ -226,11 +233,13 @@ def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float, cap=None)
 
 
 def _trajectory(T: float, ts, ys, ds, attempted: int, squeeze: bool) -> Trajectory:
-    """A group's nodes as a Trajectory over [0, T], its row axis dropped if ``squeeze``."""
+    """A group's nodes as a read-only Trajectory over [0, T], its row axis dropped if ``squeeze``."""
     if squeeze:
         ys, ds = ys[:, 0], ds[:, 0]
     if T < 0:
         ts, ys, ds = ts[::-1].copy(), ys[::-1].copy(), ds[::-1].copy()
+    for nodes in (ts, ys, ds):
+        nodes.setflags(write=False)
     n_accepted = len(ts) - 1
     return Trajectory((0.0, float(T)), ts, ys, ds,
                       n_accepted, attempted - n_accepted, 1 + 6 * attempted)
@@ -279,13 +288,14 @@ def integrate_rows(f: ModelFunction, starts, T, tol: float) -> list:
     return [_trajectory(Ti, *row, squeeze=True) for Ti, row in zip(T.tolist(), rows)]
 
 
-def flow_at(traj: Trajectory, t) -> np.ndarray:
-    """Cubic-Hermite dense output at a time or at an array of times.
+def _hermite(traj: Trajectory, t, rows=None) -> np.ndarray:
+    """Cubic-Hermite dense output, the one home of the formula.
 
-    A scalar t gives the state, shape (dim,) or (m, dim); an array gives
-    t.shape + that, located on the nodes with one ``searchsorted``.
-    Raises OutOfSpan if any time lies outside the span (by more than
-    1e-12 of its length).
+    With ``rows`` None, every row at each time: t.shape + the node shape.
+    Otherwise ``rows`` indexes the row axis of (n, m, dim) nodes and
+    broadcasts against t, and the row at each time is read: t.shape +
+    (dim,).  Each value is bitwise the same either way.  Raises OutOfSpan
+    if any time lies outside the span (by more than 1e-12 of its length).
     """
     ts = traj.ts
     lo, hi = ts[0], ts[-1]
@@ -294,20 +304,49 @@ def flow_at(traj: Trajectory, t) -> np.ndarray:
     outside = (t < lo - eps) | (t > hi + eps)
     if outside.any():
         raise OutOfSpan(f"t = {t[outside].flat[0]} outside [{lo}, {hi}]")
+    at = () if rows is None else (rows,)
     if ts.shape[0] == 1:
-        return np.broadcast_to(traj.states[0], t.shape + traj.states.shape[1:]).copy()
+        shape = t.shape + traj.states.shape[1 + len(at):]
+        return np.broadcast_to(traj.states[(0,) + at], shape).copy()
     t = np.clip(t, lo, hi)
     i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.shape[0] - 2)
+    j = i + 1
     t0 = ts[i]
-    trailing = (...,) + (None,) * (traj.states.ndim - 1)
-    hstep = (ts[i + 1] - t0)[trailing]
+    trailing = (...,) + (None,) * (traj.states.ndim - 1 - len(at))
+    hstep = (ts[j] - t0)[trailing]
     th = (t - t0)[trailing] / hstep
     h00 = 2 * th**3 - 3 * th**2 + 1
     h10 = th**3 - 2 * th**2 + th
     h01 = -2 * th**3 + 3 * th**2
     h11 = th**3 - th**2
-    return (h00 * traj.states[i] + h10 * hstep * traj.derivs[i]
-            + h01 * traj.states[i + 1] + h11 * hstep * traj.derivs[i + 1])
+    left, right = (i,) + at, (j,) + at
+    return (h00 * traj.states[left] + h10 * hstep * traj.derivs[left]
+            + h01 * traj.states[right] + h11 * hstep * traj.derivs[right])
+
+
+def flow_at(traj: Trajectory, t) -> np.ndarray:
+    """Cubic-Hermite dense output at a time or at an array of times.
+
+    A scalar t gives the state, shape (dim,) or (m, dim); an array gives
+    t.shape + that, located on the nodes with one ``searchsorted``.
+    Raises OutOfSpan if any time lies outside the span (by more than
+    1e-12 of its length).
+    """
+    return _hermite(traj, t)
+
+
+def flow_rows(traj: Trajectory, times) -> np.ndarray:
+    """Row j of an (n, m, dim) trajectory at its own times[j] only: shape (m, k, dim).
+
+    ``times`` is (m, k).  Row j is bitwise ``flow_at(traj, times[j])[:, j]``,
+    OutOfSpan and NaN times included, at k values per row where that
+    reads all m.
+    """
+    times = np.asarray(times, dtype=float)
+    if traj.states.ndim != 3 or times.ndim != 2 or times.shape[0] != traj.states.shape[1]:
+        raise ValueError(f"times of shape {times.shape} for nodes of shape {traj.states.shape}; "
+                         "need (m, k) times for (n, m, dim) nodes")
+    return _hermite(traj, times, np.arange(times.shape[0])[:, None])
 
 
 def final_state(traj: Trajectory) -> np.ndarray:

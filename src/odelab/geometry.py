@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -48,8 +48,21 @@ class SearchFailed(Exception):
 
 @dataclass(frozen=True)
 class TubeSpec:
+    """The radius-r tube around a trajectory.
+
+    Its dense slices are built on first use and cached on the instance, so
+    every distance query and cover check on one tube shares them.  An
+    integrated trajectory's node arrays are read-only, so the cache cannot
+    go stale.
+    """
+
     trajectory: Trajectory
     radius: float
+
+    @functools.cached_property
+    def slices(self):
+        """:func:`_slices` of the trajectory on its default dense grid."""
+        return _slices(self.trajectory)
 
 
 @dataclass
@@ -131,7 +144,8 @@ def _slices(traj: Trajectory, times: Optional[np.ndarray] = None):
     """(times, states, unit velocities, axial gap) of a trajectory's tube slices.
 
     ``times`` defaults to the dense grid: the nodes merged with _DENSE
-    evenly spaced times.  States are the Hermite dense output; velocities
+    evenly spaced times, which :attr:`TubeSpec.slices` builds once per
+    tube.  States are the Hermite dense output; velocities
     are linear interpolations of the node derivatives.  Stalled slices
     (speed below 1e-10 of the max) are dropped.  The axial gap is the
     largest arc length between adjacent requested times -- the resolution
@@ -176,23 +190,24 @@ def point_tube_distance(point, tube: TubeSpec) -> float:
     slice gap wherever the slices sit.
     """
     p = np.asarray(point, dtype=float)[None, :]
-    traj = tube.trajectory
-    times, states, units, _ = _slices(traj)
+    times, states, units, _ = tube.slices
     coarse = _slice_distances(p, states, units, tube.radius)[0]
     i = int(coarse.argmin())
     fine = np.linspace(times[max(i - 1, 0)], times[min(i + 1, len(times) - 1)], _REFINE)
-    _, states, units, _ = _slices(traj, fine)
+    _, states, units, _ = _slices(tube.trajectory, fine)
     refined = _slice_distances(p, states, units, tube.radius)[0]
     return float(min(coarse[i], refined.min()))
 
 
 _SLICE_BLOCK = 128  # consecutive slices of a tube that _union_distance prunes as one unit
+_BOX_CHUNK = 1 << 16  # coordinates clipped at once for _union_distance's block boxes
 
 
-def _union_distance(points: np.ndarray, tubes: Sequence[TubeSpec]):
+def _union_distance(points: np.ndarray, tubes: Sequence[TubeSpec], radius=None):
     """Per-point distance to the union of tubes, and the largest axial gap.
 
-    Pruned exactly, per block of _SLICE_BLOCK consecutive slices of a tube.
+    ``radius``, if given, stands for every tube's radius.  Pruned exactly,
+    per block of _SLICE_BLOCK consecutive slices of a tube.
     A slice distance is at least |p - state| - r (triangle inequality on
     (par, perp)), hence at least b - r, where b is the distance from p to
     the bounding box of the block's slice states.  Each point visits the
@@ -206,14 +221,27 @@ def _union_distance(points: np.ndarray, tubes: Sequence[TubeSpec]):
     stops at the first rank where no point evaluates its block.  The gap
     is taken over each tube's whole slice list, so blocks leave it as it was.
     """
-    slices = [_slices(tube.trajectory)[1:] for tube in tubes]
-    blocks = [(states[lo:lo + _SLICE_BLOCK], units[lo:lo + _SLICE_BLOCK], tube.radius)
-              for tube, (states, units, _) in zip(tubes, slices)
+    slices = [tube.slices for tube in tubes]
+    blocks = [(states[lo:lo + _SLICE_BLOCK], units[lo:lo + _SLICE_BLOCK],
+               tube.radius if radius is None else radius)
+              for tube, (_, states, units, _) in zip(tubes, slices)
               for lo in range(0, len(states), _SLICE_BLOCK)]
-    radii = np.array([radius for _, _, radius in blocks])
-    box = np.array([np.sqrt(_row_sumsq(points - np.clip(points, states.min(axis=0),
-                                                        states.max(axis=0))))
-                    for states, _, _ in blocks]).reshape(len(blocks), len(points)).T
+    # the blocks' bounding boxes stacked (blocks, 1, d), then b for a chunk of blocks per clip
+    lo = np.empty((len(blocks), 1, points.shape[1]))
+    hi = np.empty_like(lo)
+    k = 0
+    for _, states, _, _ in slices:
+        at = np.arange(0, len(states), _SLICE_BLOCK)
+        lo[k:k + len(at), 0] = np.minimum.reduceat(states, at)
+        hi[k:k + len(at), 0] = np.maximum.reduceat(states, at)
+        k += len(at)
+    box = np.empty((len(blocks), len(points)))
+    chunk = max(1, _BOX_CHUNK // max(points.size, 1))
+    for k in range(0, len(blocks), chunk):
+        near = np.clip(points, lo[k:k + chunk], hi[k:k + chunk])
+        box[k:k + chunk] = np.sqrt(_row_sumsq(points - near))
+    box = box.T
+    radii = np.array([r for _, _, r in blocks])
     key = box - radii - 1e-12 * (box + radii)  # (points, blocks)
     order = np.argsort(key, axis=1)
     best = np.full(len(points), np.inf)
@@ -224,10 +252,10 @@ def _union_distance(points: np.ndarray, tubes: Sequence[TubeSpec]):
             break
         for k in np.unique(block_at[live]):
             idx = np.flatnonzero(live & (block_at == k))
-            states, units, radius = blocks[k]
-            dist = _slice_distances(points[idx], states, units, radius).min(axis=1)
+            states, units, r = blocks[k]
+            dist = _slice_distances(points[idx], states, units, r).min(axis=1)
             best[idx] = np.minimum(best[idx], dist)
-    return best, max((gap for _, _, gap in slices), default=0.0)
+    return best, max((gap for _, _, _, gap in slices), default=0.0)
 
 
 def tube_distance(points, tubes: Sequence[TubeSpec]) -> np.ndarray:
@@ -241,20 +269,18 @@ def tube_cover_check(tubes: Sequence[TubeSpec], region, *,
 
     The cloud is 2,048 Halton points plus, up to d = 12, the region's 2^d
     corners (the usual worst case for box coverings).  ``radius`` overrides every
-    tube's radius for sensitivity sweeps.  The pass threshold absorbs the
+    tube's radius for sensitivity sweeps, on the tubes' cached slices.  The pass threshold absorbs the
     slice-sampling resolution (half the largest axial gap, with a safety
     factor, plus 1e-6 of the region's widest side, at least 1e-6) so a
     genuinely covered region is not failed for discreteness.
     """
     reg = _as_region(region)
     d = len(reg)
-    if radius is not None:
-        tubes = [dataclasses.replace(t, radius=radius) for t in tubes]
     net = halton(2048, d)
     pts = reg[:, 0] + (reg[:, 1] - reg[:, 0]) * net
     if d <= 12:
         pts = np.vstack([pts, product_grid(reg)])
-    dist, max_gap = _union_distance(pts, tubes)
+    dist, max_gap = _union_distance(pts, tubes, radius)
     worst = int(dist.argmax())
     width = float((reg[:, 1] - reg[:, 0]).max())
     threshold = 1e-6 * max(width, 1.0) + 0.75 * max_gap

@@ -321,8 +321,9 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
     evaluated in one call, the starts (m, 1, d) broadcast against the times
     (m, n); otherwise all trajectories are integrated in step, each under
     its own error test and the step ``cap`` of :func:`odelab.flow.integrate`,
-    up to the largest finite time and read out at the union of the
-    requested times.  A NaN time gives a NaN state on both paths.
+    up to the largest finite time, and each is read out at its own times
+    only (:func:`odelab.flow.flow_rows`).  A NaN time gives a NaN state on
+    both paths.
     """
     initials = np.atleast_2d(np.asarray(initials, float))
     times = np.atleast_2d(np.asarray(times, float))
@@ -334,9 +335,7 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
     else:
         finite = times[np.isfinite(times)]
         T = float(finite.max()) if finite.size else 0.0
-        traj = flow_mod.integrate(f, initials, T, tol, cap=cap)
-        unique, inverse = np.unique(times, return_inverse=True)
-        out = flow_mod.flow_at(traj, unique)[inverse.reshape(times.shape), np.arange(m)[:, None]]
+        out = flow_mod.flow_rows(flow_mod.integrate(f, initials, T, tol, cap=cap), times)
     out[np.isnan(times)] = np.nan
     return out
 

@@ -82,6 +82,76 @@ def test_flow_at_array_rejects_any_time_outside_span(T, fractions, outside, wher
         flow.flow_at(traj, t)
 
 
+# three rows stepped as one (n, 3, 2) trajectory; T = 0 gives a single node, T < 0 runs back
+_STARTS = np.array([[1.0, 0.5], [-0.3, 0.2], [0.0, 2.0]])
+_ROWS = {T: flow.integrate(_rotation_field(), _STARTS, T, 1e-8) for T in (0.0, 3.0, -2.0)}
+
+# a float is a fraction of the span, an integer picks a node, "dup" repeats the row's
+# previous time and "nan" is a NaN time
+_ROW_TIME = st.one_of(st.floats(0.0, 1.0), st.integers(0, 10**6), st.sampled_from(["dup", "nan"]))
+
+
+def _row_times(traj, T, picks, k):
+    out = []
+    for x in picks:
+        if x == "dup" and len(out) % k:
+            out.append(out[-1])
+        else:
+            out.append(np.nan if x in ("dup", "nan") else
+                       float(traj.ts[x % len(traj.ts)]) if isinstance(x, int) else T * x)
+    return np.array(out, dtype=float).reshape(3, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0.0, 3.0, -2.0]), st.integers(0, 6), st.data())
+def test_flow_rows_is_bitwise_flow_at_per_row(T, k, data):
+    traj = _ROWS[T]
+    times = _row_times(traj, T, data.draw(st.lists(_ROW_TIME, min_size=3 * k, max_size=3 * k)), k)
+    got = flow.flow_rows(traj, times)
+    assert got.shape == (3, k, 2)
+    for j in range(3):
+        assert got[j].tobytes() == flow.flow_at(traj, times[j])[:, j].tobytes()
+    if T != 0.0:  # between nodes a NaN time reads NaN; a single node is read at any time
+        assert np.isnan(got[np.isnan(times)]).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([0.0, 3.0, -2.0]), st.integers(0, 5), st.integers(0, 2),
+       st.sampled_from([-0.5, 1.5]), st.data())
+def test_flow_rows_rejects_a_time_outside_span_as_flow_at_does(T, k, row, outside, data):
+    traj = _ROWS[T]
+    times = _row_times(traj, T, data.draw(st.lists(_ROW_TIME, min_size=3 * k, max_size=3 * k)), k)
+    times = np.insert(times, data.draw(st.integers(0, k)), np.nan, axis=1)
+    times[row, data.draw(st.integers(0, k))] = outside * max(abs(T), 1.0) * (1.0 if T >= 0 else -1.0)
+    with pytest.raises(flow.OutOfSpan):
+        flow.flow_at(traj, times[row])
+    with pytest.raises(flow.OutOfSpan):
+        flow.flow_rows(traj, times)
+
+
+def test_flow_rows_needs_one_row_of_times_per_trajectory_row():
+    with pytest.raises(ValueError, match=r"need \(m, k\) times"):
+        flow.flow_rows(_ROWS[3.0], np.zeros((2, 4)))
+    with pytest.raises(ValueError, match=r"need \(m, k\) times"):
+        flow.flow_rows(_ROWS[3.0], np.zeros(3))
+    with pytest.raises(ValueError, match=r"need \(m, k\) times"):
+        flow.flow_rows(flow.integrate(_rotation_field(), _STARTS[0], 1.0, 1e-8), np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("T", [1.5, -1.5])
+def test_integrated_nodes_are_read_only(T):
+    # a tube's cached slices are read off these arrays, so nothing may write into them
+    trajs = [flow.integrate(_rotation_field(), _STARTS, T, 1e-8),
+             flow.integrate(_rotation_field(), _STARTS[0], T, 1e-8),
+             *flow.integrate_rows(_rotation_field(), _STARTS, [T, 0.0, T / 2], 1e-8)]
+    for traj in trajs:
+        for nodes in (traj.ts, traj.states, traj.derivs):
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                nodes += 1.0
+
+
 def test_trajectory_bookkeeping():
     traj = flow.integrate(_linear_field(), np.array([2.0]), 1.0, 1e-9)
     assert traj.ts[0] == 0.0 and traj.ts[-1] == pytest.approx(1.0)

@@ -1,5 +1,6 @@
 """Tube coverings, packings, and the greedy binary codebook."""
 
+import functools
 import itertools
 import math
 import os
@@ -115,14 +116,21 @@ def _box_points(tubes, rng):
     return np.array(out)
 
 
+_DELTA = 0.05
+
+
+@functools.lru_cache(maxsize=None)
+def _snake_sweeps():
+    """The 16 sweeps of the tube-cover suite's benchmark config (delta 0.05, d 2)."""
+    pair, initials, horizons = hypotheses.snake_det_pair(2.0, 2, (2.0, 20.0), 100.0, _DELTA,
+                                                         np.array([0.5, 0.5]))
+    return [flow.integrate(pair.f1, x, float(T), 1e-10) for x, T in zip(initials, horizons)]
+
+
 @pytest.mark.parametrize("scale", [1.0, 0.5])
 def test_union_distance_pruning_is_exact_on_snake_lattice(scale):
     # the tube-cover suite's benchmark config: 16 sweeps, the 2,052-point cloud
-    delta = 0.05
-    pair, initials, horizons = hypotheses.snake_det_pair(2.0, 2, (2.0, 20.0), 100.0, delta,
-                                                         np.array([0.5, 0.5]))
-    tubes = [geometry.TubeSpec(flow.integrate(pair.f1, x, float(T), 1e-10), scale * delta)
-             for x, T in zip(initials, horizons)]
+    tubes = [geometry.TubeSpec(traj, scale * _DELTA) for traj in _snake_sweeps()]
     assert len(tubes) == 16
     pts = np.vstack([geometry.halton(2048, 2), list(itertools.product((0.0, 1.0), repeat=2))])
     _assert_pruning_exact(pts, tubes)
@@ -196,6 +204,45 @@ def test_tube_cover_suite_evaluates_few_point_slices(tmp_path, monkeypatch):
     cfg.write_text('{"suite": "tube-cover", "beta": 2.0, "d": 2, "delta": 0.05}')
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert 0 < sum(work) <= 1_000_000
+
+
+def _count_dense_builds(monkeypatch):
+    """A list that grows by one per default dense-slice build."""
+    builds = []
+    slices = geometry._slices
+    monkeypatch.setattr(geometry, "_slices", lambda traj, times=None: (
+        builds.append(1) if times is None else None) or slices(traj, times))
+    return builds
+
+
+def test_point_tube_distance_builds_the_dense_slices_once_per_tube(monkeypatch):
+    traj = _pulse_trajectory()
+    pts = np.random.default_rng([0, 1]).uniform([-0.1, 0.3], [1.1, 0.7], size=(24, 2))
+    fresh = [geometry.point_tube_distance(p, geometry.TubeSpec(traj, 0.05)) for p in pts]
+    builds = _count_dense_builds(monkeypatch)
+    tube = geometry.TubeSpec(traj, 0.05)
+    got = [geometry.point_tube_distance(p, tube) for p in pts]
+    assert len(builds) == 1
+    assert np.array(got).tobytes() == np.array(fresh).tobytes()
+
+
+def _report_bytes(rep):
+    return (rep.passed, rep.worst_point.tobytes(), np.float64(rep.worst_distance).tobytes(),
+            np.float64(rep.threshold).tobytes(), rep.n_samples)
+
+
+def test_cover_checks_at_two_radii_share_each_tubes_slices(monkeypatch):
+    # the snake-det checks: delta, then delta / 2 through the radius override
+    region = ((0.0, 1.0), (0.0, 1.0))
+    fresh = [geometry.tube_cover_check([geometry.TubeSpec(t, r) for t in _snake_sweeps()], region)
+             for r in (_DELTA, _DELTA / 2.0)]
+    builds = _count_dense_builds(monkeypatch)
+    tubes = [geometry.TubeSpec(t, _DELTA) for t in _snake_sweeps()]
+    got = [geometry.tube_cover_check(tubes, region),
+           geometry.tube_cover_check(tubes, region, radius=_DELTA / 2.0)]
+    assert len(builds) == 16
+    assert [_report_bytes(rep) for rep in got] == [_report_bytes(rep) for rep in fresh]
+    assert [t.radius for t in tubes] == [_DELTA] * 16
 
 
 def test_tube_cover_check_pass_and_fail():

@@ -283,6 +283,31 @@ def test_flow_states_closed_form_per_trajectory_times(make_field, tols):
     assert np.isnan(states[:, 0]).all() and np.isfinite(states[:, 1]).all()
 
 
+def test_flow_states_reads_each_row_as_the_union_of_all_times_did():
+    # psi/chi-like rows across two snake pulses, each observed at its own times; the
+    # reference is the former readout: every row at the union of all rows' times, gathered
+    fam = hypotheses.snake_prob_family(2.0, 2, (2.0, 20.0), 100.0)
+    r = fam.rho_plus / 4.0
+    alt = fam.combine(np.array([[0.3, 0.5], [0.7, 0.5 + r / 2.0]]), r)
+    rng = np.random.default_rng([29, 1])
+    initials = np.column_stack([rng.uniform(0.0, 0.2, 6), rng.uniform(0.5 - r, 0.5 + r, 6)])
+    T = 0.8 / fam.metadata["drift"]
+    times = np.sort(rng.uniform(0.0, T, size=(6, 40)), axis=1)
+    times[:, -1] = T
+    times[1, 5:9] = times[1, 4]  # repeats within a row
+    times[2, :3] = times[3, :3]  # times shared across rows
+    times[4, 7] = np.nan
+    cap = (2.0 * r / np.linalg.norm(fam.f0.metadata["velocity"]) / 16.0, T)
+    got = statmodel.flow_states(alt, initials, times, tol=1e-10, cap=cap)
+
+    traj = flow.integrate(alt, initials, T, 1e-10, cap=cap)
+    unique, inverse = np.unique(times, return_inverse=True)
+    want = flow.flow_at(traj, unique)[inverse.reshape(times.shape), np.arange(6)[:, None]]
+    want[np.isnan(times)] = np.nan
+    assert len(unique) > 200 and got.shape == want.shape == (6, 40, 2)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("closed", [True, False])
 def test_flow_states_paths_agree_on_bad_times(closed):
     f = _rotation(closed=closed)
