@@ -59,7 +59,9 @@ class OutOfSpan(Exception):
 class ModelFunction:
     """An evaluatable vector field R^dim -> R^dim.
 
-    ``eval`` accepts a point (dim,) or a batch (..., dim).  A closed-form
+    ``eval`` accepts a point (dim,) or a batch (..., dim) and returns an
+    array of its input's shape (or what numpy converts to one, such as a
+    nested list); the integrator stores the values as float64.  A closed-form
     flow ``closed_form_flow(x, t)`` takes starts x (..., dim) and times t
     that broadcast against ``x.shape[:-1]``, and returns a new array of the
     broadcast shape + (dim,), which callers may write into; it satisfies
@@ -191,7 +193,7 @@ def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float, cap=None)
         hy = h[0] if len(h) == 1 else np.array(h).repeat(r)[:, None]
         for i in range(1, 7):
             yi = y + hy * np.add.reduce(_A_ROWS[i] * K[:i], axis=0)
-            K[i] = np.asarray(f.eval(yi), dtype=float).reshape(y.shape)
+            K[i] = f.eval(yi)  # the store converts to float and broadcasts
         y_new = y + hy * np.add.reduce(_B5 * K, axis=0)
         norms = np.sqrt(_row_sumsq(np.add.reduce(_ERR * K, axis=0))).reshape(-1, r).max(axis=1)
         steps += 1
@@ -305,9 +307,11 @@ def _hermite(traj: Trajectory, t, rows=None) -> np.ndarray:
     if outside.any():
         raise OutOfSpan(f"t = {t[outside].flat[0]} outside [{lo}, {hi}]")
     at = () if rows is None else (rows,)
-    if ts.shape[0] == 1:
+    if ts.shape[0] == 1:  # the node's state at every time, NaN at a NaN time as between nodes
         shape = t.shape + traj.states.shape[1 + len(at):]
-        return np.broadcast_to(traj.states[(0,) + at], shape).copy()
+        out = np.broadcast_to(traj.states[(0,) + at], shape).copy()
+        out[np.isnan(t)] = np.nan
+        return out
     t = np.clip(t, lo, hi)
     i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.shape[0] - 2)
     j = i + 1

@@ -151,8 +151,9 @@ def _slices(traj: Trajectory, times: Optional[np.ndarray] = None):
     largest arc length between adjacent requested times -- the resolution
     floor for any distance computed from the slices.
     """
-    if times is None:
-        times = np.union1d(traj.ts, np.linspace(traj.ts[0], traj.ts[-1], _DENSE))
+    if times is None:  # sorted unique times, as np.union1d (which imports numpy.ma) gives
+        times = np.sort(np.concatenate([traj.ts, np.linspace(traj.ts[0], traj.ts[-1], _DENSE)]))
+        times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     states = flow_mod.flow_at(traj, times)
     derivs = np.stack([np.interp(times, traj.ts, col) for col in traj.derivs.T], axis=1)
     speeds = np.sqrt(_row_sumsq(derivs))
@@ -250,7 +251,7 @@ def _union_distance(points: np.ndarray, tubes: Sequence[TubeSpec], radius=None):
         live = key[rows, block_at] < best
         if not live.any():
             break
-        for k in np.unique(block_at[live]):
+        for k in np.flatnonzero(np.bincount(block_at[live])):  # sorted ids, no numpy.ma
             idx = np.flatnonzero(live & (block_at == k))
             states, units, r = blocks[k]
             dist = _slice_distances(points[idx], states, units, r).min(axis=1)

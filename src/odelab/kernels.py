@@ -27,8 +27,11 @@ with polynomials P_j satisfying P_0 = 1 and
 
     P_{j+1} = -2 w P_j + (1 - w^2)^2 P_j' + 4 j w (1 - w^2) P_j,
 
-which :func:`standard_kernel_deriv` evaluates exactly (no finite
-differences), up to the order needed anywhere in this package.
+which :func:`_kernel_core` evaluates exactly (no finite differences), up
+to the order needed anywhere in this package; it is the formula's one
+home.  :func:`standard_kernel_deriv` masks the points outside (-1, 1)
+before calling it, and :func:`kernel_shape_eval` tests the unit ball once
+per call and evaluates both factors of a shape through it.
 
 All evaluators accept a single point ``(d,)`` or a batch ``(..., d)`` and
 return a scalar / matching batch.
@@ -93,37 +96,44 @@ def standard_kernel(w):
     return standard_kernel_deriv(w, 0)
 
 
+def _kernel_core(t, w, order: int):
+    """K^(order)(w) = K(w) P_order(w) / t^(2 order) at points with t = 1 - w^2 > 1e-12.
+
+    The package's one copy of the formula, for arrays t and w of one shape
+    (w is not read at order 0); it tests no point, so its callers mask.
+    exp(-1/t) underflows to an exact 0 long before the rational factor can
+    blow up, but the factor goes through the log to avoid 0*inf near the edge.
+    """
+    if order == 0:
+        return np.exp(-1.0 / t)
+    vals = np.exp(-1.0 / t - (2 * order) * np.log(t))
+    # Horner in numpy's polyval order: bitwise equal to Polynomial(P_j)(w)
+    coef = _deriv_coef(order)
+    poly = coef[-1]
+    for c in coef[-2::-1]:
+        poly = poly * w + c
+    return vals * poly
+
+
 def standard_kernel_deriv(w, order: int):
     """Exact order-th derivative of the standard kernel (order <= 8).
 
-    The package's one copy of K P_j / (1 - w^2)^(2j); an exact 0 where 1 - w^2 <= 1e-12.
+    :func:`_kernel_core` where 1 - w^2 > 1e-12, an exact 0 elsewhere.
     """
     if not 0 <= order <= MAX_DERIV_ORDER:
         raise ValueError(f"derivative order {order} outside 0..{MAX_DERIV_ORDER}")
     scalar = np.ndim(w) == 0
     w = np.atleast_1d(np.asarray(w, dtype=float))
     t = 1.0 - w * w
-    # exp(-1/t) underflows to an exact 0 long before the rational factor
-    # can blow up, but evaluate through the log to avoid 0*inf at the edge.
     inside = t > _EDGE
     n_inside = np.count_nonzero(inside)
     if not n_inside:  # no point inside: nothing to evaluate
         return 0.0 if scalar else np.zeros_like(w)
-    everywhere = n_inside == inside.size
-    ti, wi = (t, w) if everywhere else (t[inside], w[inside])
-    if order == 0:
-        vals = np.exp(-1.0 / ti)
+    if n_inside == inside.size:
+        out = _kernel_core(t, w, order)
     else:
-        vals = np.exp(-1.0 / ti - (2 * order) * np.log(ti))
-        # Horner in numpy's polyval order: bitwise equal to Polynomial(P_j)(w)
-        coef = _deriv_coef(order)
-        poly = coef[-1]
-        for c in coef[-2::-1]:
-            poly = poly * wi + c
-        vals = vals * poly
-    out = vals if everywhere else np.zeros_like(w)
-    if not everywhere:
-        out[inside] = vals
+        out = np.zeros_like(w)
+        out[inside] = _kernel_core(t[inside], w[inside], order)
     return float(out[0]) if scalar else out
 
 
@@ -176,17 +186,25 @@ def kernel_shape_eval(spec: KernelSpec, w):
 
     * bump: alpha K(||w||), radial and C^infinity, support the closed unit ball;
     * pulse: (alpha K)(||w||) (alpha K)'(w_1), odd in w_1 and zero at w_1 = 0.
-      Each factor is one :func:`standard_kernel_deriv` call on the points
-      where K(||w||) can be non-zero; elsewhere h is an unsigned 0.
+      The ball is tested once, on t = 1 - ||w||^2, and both factors are
+      :func:`_kernel_core` on the points inside; elsewhere h is an unsigned 0.
+      Bitwise the product of :func:`standard_kernel` and
+      :func:`standard_kernel_deriv` on those points: |w_1| <= ||w|| holds in
+      floating point too (sqrt(fl(x^2)) = |x| in binary), so 1 - w_1^2 passes
+      the edge test wherever t does; should it not, K' is read masked.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     nrm = np.sqrt(_row_sumsq(w)).reshape(-1)
+    t = 1.0 - nrm * nrm
     val = np.zeros(nrm.shape)
-    live = (1.0 - nrm * nrm > _EDGE).nonzero()[0]
+    live = (t > _EDGE).nonzero()[0]
     if len(live):
-        h = spec.alpha * standard_kernel(nrm[live])
+        h = spec.alpha * _kernel_core(t[live], None, 0)
         if spec.kind == "pulse":
-            h = h * (spec.alpha * standard_kernel_deriv(w[..., 0].reshape(-1)[live], 1))
+            w1 = w[..., 0].reshape(-1)[live]
+            t1 = 1.0 - w1 * w1
+            k1 = _kernel_core(t1, w1, 1) if (t1 > _EDGE).all() else standard_kernel_deriv(w1, 1)
+            h = h * (spec.alpha * k1)
         val[live] = h
     return float(val[0]) if w.ndim == 1 else val.reshape(w.shape[:-1])
 

@@ -111,8 +111,20 @@ def test_flow_rows_is_bitwise_flow_at_per_row(T, k, data):
     assert got.shape == (3, k, 2)
     for j in range(3):
         assert got[j].tobytes() == flow.flow_at(traj, times[j])[:, j].tobytes()
-    if T != 0.0:  # between nodes a NaN time reads NaN; a single node is read at any time
-        assert np.isnan(got[np.isnan(times)]).all()
+    assert np.isnan(got[np.isnan(times)]).all()
+    assert not np.isnan(got[~np.isnan(times)]).any()
+
+
+@pytest.mark.parametrize("start", [_STARTS[0], _STARTS])
+def test_single_node_trajectory_reads_its_start_and_nan_at_a_nan_time(start):
+    # T = 0 keeps one node: any time in the span reads the start, a NaN time NaN as between nodes
+    traj = flow.integrate(_rotation_field(), start, 0.0, 1e-8)
+    assert flow.flow_at(traj, 0.0).tobytes() == start.tobytes()
+    assert np.isnan(flow.flow_at(traj, np.nan)).all()
+    got = flow.flow_at(traj, np.array([[0.0, np.nan], [np.nan, -1e-13]]))
+    assert got.shape == (2, 2) + start.shape
+    assert np.isnan(got[[0, 1], [1, 0]]).all()
+    assert got[0, 0].tobytes() == got[1, 1].tobytes() == start.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -257,6 +269,28 @@ def test_batched_start_shapes():
     assert flow.flow_at(still, np.zeros(2)).shape == (2, 3, 2)
     with pytest.raises(ValueError):
         flow.integrate(f, starts[None], 1.0, 1e-9)
+
+
+def _converted(f, convert):
+    return flow.ModelFunction(dim=f.dim, eval=lambda x: convert(f.eval(x)))
+
+
+@pytest.mark.parametrize("convert,twin", [
+    (lambda v: v.tolist(), lambda v: v),
+    (lambda v: v.astype(np.float32), lambda v: v.astype(np.float32).astype(float)),
+], ids=["list", "float32"])
+def test_field_values_are_stored_as_float64(convert, twin):
+    # a field may return a nested list or float32 values: each run is bitwise its float64 twin's
+    alt, T = _snake_pulse_alternative()
+    got_f, want_f = _converted(alt, convert), _converted(alt, twin)
+    starts = np.array([[0.0, 0.5], [0.1, 0.5 + 1e-3], [-0.2, 0.49]])
+    runs = [(flow.integrate(f, starts[0], T, 1e-10), flow.integrate(f, starts, T, 1e-10),
+             *flow.integrate_rows(f, starts, [T, T / 2, -T], 1e-10)) for f in (got_f, want_f)]
+    assert runs[0][0].n_rejected > 0
+    for got, want in zip(*runs):
+        for a, b in ((got.ts, want.ts), (got.states, want.states), (got.derivs, want.derivs)):
+            assert a.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (got.n_accepted, got.n_rejected) == (want.n_accepted, want.n_rejected)
 
 
 def _diagonal_linear_field():

@@ -366,6 +366,29 @@ def test_import_does_not_load_numpy_polynomial():
     assert out.strip() == "[]"
 
 
+def test_tube_distances_do_not_load_numpy_ma():
+    # np.union1d and np.unique import numpy.ma; the dense grid and the block ids do without
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(odelab.__file__)))
+    code = ("import sys, numpy as np\nfrom odelab import flow, geometry\n"
+            "f = flow.ModelFunction(dim=2, eval=lambda x: np.ones_like(np.asarray(x, float)))\n"
+            "tube = geometry.TubeSpec(flow.integrate(f, [0.0, 0.0], 1.0, 1e-8), 0.1)\n"
+            "print(geometry.point_tube_distance([0.5, 0.3], tube) > 0)\n"
+            "print(geometry.tube_distance([[0.5, 0.3], [2.0, 2.0]], [tube, tube]).shape)\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["True", "(2,)", "False"]
+
+
+@pytest.mark.parametrize("traj", ["line", "backward line", "pulse", "sweep"])
+def test_dense_slices_are_bitwise_those_of_union1d(traj):
+    traj = {"line": _line_trajectory, "backward line": lambda: _line_trajectory(T=-1.0),
+            "pulse": _pulse_trajectory, "sweep": lambda: _snake_sweeps()[0]}[traj]()
+    union = np.union1d(traj.ts, np.linspace(traj.ts[0], traj.ts[-1], geometry._DENSE))
+    for got, want in zip(geometry._slices(traj), geometry._slices(traj, union)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def _one_shot_slice_distances(points, states, units, radius):
     """Every point x slice at once: the (P, S, d) difference array in one piece."""
     w = points[:, None, :] - states[None, :, :]

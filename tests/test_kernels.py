@@ -465,3 +465,101 @@ def test_culled_shape_is_bitwise_the_full_evaluation(kind, d, drift):
     assert same(far)
     for p in x[0]:  # single (d,) points
         assert same(p)
+
+
+def _pre_core_kernel_deriv(w, order):
+    """standard_kernel_deriv as it read before its formula moved to kernels._kernel_core."""
+    scalar = np.ndim(w) == 0
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    t = 1.0 - w * w
+    inside = t > 1e-12
+    n_inside = np.count_nonzero(inside)
+    if not n_inside:
+        return 0.0 if scalar else np.zeros_like(w)
+    everywhere = n_inside == inside.size
+    ti, wi = (t, w) if everywhere else (t[inside], w[inside])
+    if order == 0:
+        vals = np.exp(-1.0 / ti)
+    else:
+        vals = np.exp(-1.0 / ti - (2 * order) * np.log(ti))
+        coef = kernels._deriv_coef(order)
+        poly = coef[-1]
+        for c in coef[-2::-1]:
+            poly = poly * wi + c
+        vals = vals * poly
+    out = vals if everywhere else np.zeros_like(w)
+    if not everywhere:
+        out[inside] = vals
+    return float(out[0]) if scalar else out
+
+
+def _pre_core_shape(spec, w):
+    """kernel_shape_eval as it read before: alpha K(||w||) times alpha K'(w_1), each factor
+    masked again by _pre_core_kernel_deriv, on the points with 1 - ||w||^2 > 1e-12."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    nrm = np.linalg.norm(w, axis=-1).reshape(-1)
+    val = np.zeros(nrm.shape)
+    live = (1.0 - nrm * nrm > 1e-12).nonzero()[0]
+    if len(live):
+        h = spec.alpha * _pre_core_kernel_deriv(nrm[live], 0)
+        if spec.kind == "pulse":
+            h = h * (spec.alpha * _pre_core_kernel_deriv(w[..., 0].reshape(-1)[live], 1))
+        val[live] = h
+    return float(val[0]) if w.ndim == 1 else val.reshape(w.shape[:-1])
+
+
+def _same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+# the radius where 1 - w^2 crosses the edge 1e-12, and radii k ulps from it, where
+# 1 - w^2 moves by about two ulps of 1 per step
+_EDGE_RADIUS = math.sqrt(1.0 - 1e-12)
+_NEAR_EDGE = st.builds(lambda k: _EDGE_RADIUS + k * math.ulp(_EDGE_RADIUS), st.integers(-6, 6))
+_SIGN = st.sampled_from([1.0, -1.0])
+_SCALAR = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.builds(lambda s, w: s * w, _SIGN, _NEAR_EDGE),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0),
+                     math.nan, math.inf, -math.inf]),
+)
+
+
+def _shape_point(d):
+    """A point of R^d: anywhere near the ball, on the hyperplane w_1 = 0, or with
+    1 - ||w||^2 a few ulps from the edge, along e_1 (|w_1| ~ ||w||) or any direction."""
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    tiny = st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 1e-9, 3e-8])
+
+    def along_e1(s, r, scale, rest):
+        return [s * r] + [scale * c for c in rest[1:]]
+
+    def any_direction(r, u):
+        n = math.sqrt(sum(c * c for c in u))
+        return [r * c / n for c in u] if n > 0.1 else [r] + [0.0] * (d - 1)
+
+    return st.one_of(
+        st.builds(lambda u: [1.5 * c for c in u], coords),
+        st.builds(lambda s, u: [s * 0.0] + u[1:], _SIGN, coords),
+        st.builds(along_e1, _SIGN, _NEAR_EDGE, tiny, coords),
+        st.builds(any_direction, _NEAR_EDGE, coords),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["bump", "pulse"]), st.integers(1, 4),
+       st.sampled_from([(), (5,), (1,), (3, 4), (2, 1)]), st.data())
+def test_shape_eval_is_bitwise_the_pre_core_composition(kind, d, batch, data):
+    spec = kernels.KernelSpec(beta=2.5, alpha=0.25, kind=kind, dim=d)
+    n = math.prod(batch)
+    w = np.array(data.draw(st.lists(_shape_point(d), min_size=n, max_size=n)),
+                 dtype=float).reshape(batch + (d,))
+    assert _same_bits(kernels.kernel_shape_eval(spec, w), _pre_core_shape(spec, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, kernels.MAX_DERIV_ORDER), st.one_of(_SCALAR, st.lists(_SCALAR, max_size=12)))
+def test_kernel_deriv_is_bitwise_the_pre_core_form(order, w):
+    w = w if isinstance(w, float) else np.array(w, dtype=float)
+    assert _same_bits(kernels.standard_kernel_deriv(w, order), _pre_core_kernel_deriv(w, order))

@@ -97,6 +97,7 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, command, payload, expe
     rc, loaded = _fresh_process(f"from odelab import cli\nprint(cli.main({argv!r}))")
     assert rc == "0"
     assert _submodules(loaded) == expected
+    assert "numpy.ma" not in loaded.split()  # np.unique and np.union1d would import it
 
 
 def test_submodules_load_on_first_access():
