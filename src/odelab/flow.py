@@ -161,7 +161,7 @@ def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float, cap=None)
         raise ValueError(f"tol = {tol} outside [1e-13, 1e-3]")
     y = y.reshape(-1, dim)  # group k is rows k r .. k r + r - 1
     K = np.empty((7,) + y.shape)
-    K[0] = np.asarray(f.eval(y), dtype=float).reshape(y.shape)
+    K[0] = f.eval(y)  # each store converts to float64 and broadcasts
     h0 = 0.01 * (1.0 + np.sqrt(_row_sumsq(y))) / (np.sqrt(_row_sumsq(K[0])) + 1e-12)
     h0 = h0.reshape(g, r).min(axis=1).tolist()
     # accepted nodes, one record per step: group ids, times, (rows, dim) states and derivatives
@@ -193,7 +193,7 @@ def _dopri(f: ModelFunction, y: np.ndarray, T: np.ndarray, tol: float, cap=None)
         hy = h[0] if len(h) == 1 else np.array(h).repeat(r)[:, None]
         for i in range(1, 7):
             yi = y + hy * np.add.reduce(_A_ROWS[i] * K[:i], axis=0)
-            K[i] = f.eval(yi)  # the store converts to float and broadcasts
+            K[i] = f.eval(yi)
         y_new = y + hy * np.add.reduce(_B5 * K, axis=0)
         norms = np.sqrt(_row_sumsq(np.add.reduce(_ERR * K, axis=0))).reshape(-1, r).max(axis=1)
         steps += 1

@@ -189,9 +189,9 @@ def kernel_shape_eval(spec: KernelSpec, w):
       The ball is tested once, on t = 1 - ||w||^2, and both factors are
       :func:`_kernel_core` on the points inside; elsewhere h is an unsigned 0.
       Bitwise the product of :func:`standard_kernel` and
-      :func:`standard_kernel_deriv` on those points: |w_1| <= ||w|| holds in
-      floating point too (sqrt(fl(x^2)) = |x| in binary), so 1 - w_1^2 passes
-      the edge test wherever t does; should it not, K' is read masked.
+      :func:`standard_kernel_deriv` on those points: fl(w_1^2) <= fl(||w||^2)
+      in floating point too (the row sum adds squares >= 0 and sqrt(fl(x^2))
+      = |x| in binary), so 1 - w_1^2 >= t passes the edge test wherever t does.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     nrm = np.sqrt(_row_sumsq(w)).reshape(-1)
@@ -202,9 +202,7 @@ def kernel_shape_eval(spec: KernelSpec, w):
         h = spec.alpha * _kernel_core(t[live], None, 0)
         if spec.kind == "pulse":
             w1 = w[..., 0].reshape(-1)[live]
-            t1 = 1.0 - w1 * w1
-            k1 = _kernel_core(t1, w1, 1) if (t1 > _EDGE).all() else standard_kernel_deriv(w1, 1)
-            h = h * (spec.alpha * k1)
+            h = h * (spec.alpha * _kernel_core(1.0 - w1 * w1, w1, 1))
         val[live] = h
     return float(val[0]) if w.ndim == 1 else val.reshape(w.shape[:-1])
 

@@ -323,7 +323,7 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
     its own error test and the step ``cap`` of :func:`odelab.flow.integrate`,
     up to the largest finite time, and each is read out at its own times
     only (:func:`odelab.flow.flow_rows`).  A NaN time gives a NaN state on
-    both paths.
+    both paths: the closed form's is masked, the dense output reads NaN there.
     """
     initials = np.atleast_2d(np.asarray(initials, float))
     times = np.atleast_2d(np.asarray(times, float))
@@ -332,12 +332,11 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
         raise ValueError(f"{times.shape[0]} rows of times for {m} initial states")
     if f.closed_form_flow is not None:
         out = f.closed_form_flow(initials[:, None, :], times)
-    else:
-        finite = times[np.isfinite(times)]
-        T = float(finite.max()) if finite.size else 0.0
-        out = flow_mod.flow_rows(flow_mod.integrate(f, initials, T, tol, cap=cap), times)
-    out[np.isnan(times)] = np.nan
-    return out
+        out[np.isnan(times)] = np.nan
+        return out
+    finite = times[np.isfinite(times)]
+    T = float(finite.max()) if finite.size else 0.0
+    return flow_mod.flow_rows(flow_mod.integrate(f, initials, T, tol, cap=cap), times)
 
 
 def scheme_kl(scheme: ObservationScheme, f0: flow_mod.ModelFunction,
