@@ -66,25 +66,10 @@ def _bump_class(beta: float):
     return tuple(2.0 * 10.0**k for k in range(ell + 1)), 10.0 ** (ell + 1)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool subclasses int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write_json(path: str, obj) -> None:
+    """``obj`` as sorted, indented JSON; numpy arrays and scalars go as their ``tolist()``."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=lambda v: v.tolist())
         fh.write("\n")
 
 

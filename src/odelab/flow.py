@@ -16,7 +16,7 @@ queries between nodes use cubic Hermite interpolation, O(h^4).  It adds
 to the node error where an observation falls inside a step: psi_hat of
 the snake instances of perfbench/master_pipeline.py, with steps capped at
 1/16 of the crossing, reads up to 7.4e-4 relative off a tol 1e-13
-reference, against 6.1e-5 from the nodes alone (ROADMAP item 2).  The
+reference, against 6.1e-5 from the nodes alone.  The
 formula has one home, :func:`_hermite`, which both readouts call:
 :func:`flow_at` reads every row at each time and :func:`flow_rows` each
 row at its own times.  Kinks of piecewise-smooth fields are handled by
@@ -297,21 +297,19 @@ def _hermite(traj: Trajectory, t, rows=None) -> np.ndarray:
     Otherwise ``rows`` indexes the row axis of (n, m, dim) nodes and
     broadcasts against t, and the row at each time is read: t.shape +
     (dim,).  Each value is bitwise the same either way.  Raises OutOfSpan
-    if any time lies outside the span (by more than 1e-12 of its length).
+    if any time is NaN or outside the span (by more than 1e-12 of its length).
     """
     ts = traj.ts
     lo, hi = ts[0], ts[-1]
     eps = 1e-12 * max(1.0, hi - lo)
     t = np.asarray(t, dtype=float)
-    outside = (t < lo - eps) | (t > hi + eps)
+    outside = ~((t >= lo - eps) & (t <= hi + eps))  # a NaN time is outside too
     if outside.any():
         raise OutOfSpan(f"t = {t[outside].flat[0]} outside [{lo}, {hi}]")
     at = () if rows is None else (rows,)
-    if ts.shape[0] == 1:  # the node's state at every time, NaN at a NaN time as between nodes
+    if ts.shape[0] == 1:  # the node's state at every time
         shape = t.shape + traj.states.shape[1 + len(at):]
-        out = np.broadcast_to(traj.states[(0,) + at], shape).copy()
-        out[np.isnan(t)] = np.nan
-        return out
+        return np.broadcast_to(traj.states[(0,) + at], shape).copy()
     t = np.clip(t, lo, hi)
     i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.shape[0] - 2)
     j = i + 1
@@ -333,8 +331,8 @@ def flow_at(traj: Trajectory, t) -> np.ndarray:
 
     A scalar t gives the state, shape (dim,) or (m, dim); an array gives
     t.shape + that, located on the nodes with one ``searchsorted``.
-    Raises OutOfSpan if any time lies outside the span (by more than
-    1e-12 of its length).
+    Times must be finite: raises OutOfSpan if any time is NaN or lies
+    outside the span (by more than 1e-12 of its length).
     """
     return _hermite(traj, t)
 
@@ -342,9 +340,9 @@ def flow_at(traj: Trajectory, t) -> np.ndarray:
 def flow_rows(traj: Trajectory, times) -> np.ndarray:
     """Row j of an (n, m, dim) trajectory at its own times[j] only: shape (m, k, dim).
 
-    ``times`` is (m, k).  Row j is bitwise ``flow_at(traj, times[j])[:, j]``,
-    OutOfSpan and NaN times included, at k values per row where that
-    reads all m.
+    ``times`` is (m, k), all finite.  Row j is bitwise
+    ``flow_at(traj, times[j])[:, j]``, OutOfSpan included, at k values per
+    row where that reads all m.
     """
     times = np.asarray(times, dtype=float)
     if traj.states.ndim != 3 or times.ndim != 2 or times.shape[0] != traj.states.shape[1]:

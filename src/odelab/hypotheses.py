@@ -167,8 +167,7 @@ def _calibrated(beta: float, d: int, L, L_beta: float, shape: str):
 
 
 def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: float,
-                     amplitude: float, axis: int, coef: float,
-                     metadata: dict) -> ModelFunction:
+                     amplitude: float, axis: int, coef: float) -> ModelFunction:
     """drift + coef * sum_i amplitude r^beta h((x - z_i)/r) on output coordinate ``axis``.
 
     h is the unit shape of ``spec`` (:func:`kernels.kernel_shape_eval`), so
@@ -178,6 +177,7 @@ def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: fl
     pairwise >= 2r apart (``combine`` checks it, the snake-det lattice has
     pitch 2r): as h is an exact 0 where 1 - |w|^2 <= 1e-12, only the nearest
     center's term t can be non-zero, and drift + t is the sum bit for bit.
+    The field's metadata records its ``centers`` and ``radius``.
     """
     scale = amplitude * r**spec.beta
     zs = np.asarray(centers, dtype=float)
@@ -196,7 +196,7 @@ def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: fl
         out[..., axis] += coef * (scale * kernels.kernel_shape_eval(spec, (x - z) / r))
         return out
 
-    return ModelFunction(dim=spec.dim, eval=evaluate, metadata=metadata)
+    return ModelFunction(dim=spec.dim, eval=evaluate, metadata={"centers": zs, "radius": r})
 
 
 def _prob_family(kind: str, cls: smoothness.SmoothnessClass, spec: kernels.KernelSpec,
@@ -215,8 +215,7 @@ def _prob_family(kind: str, cls: smoothness.SmoothnessClass, spec: kernels.Kerne
 
     def make_alternative(z, r):
         _check_radius(r, rho_plus)
-        return _perturbed_field(spec, drift, [np.asarray(z, dtype=float)], r, L_beta, axis,
-                                1.0, {})
+        return _perturbed_field(spec, drift, [np.asarray(z, dtype=float)], r, L_beta, axis, 1.0)
 
     def combine(centers, r):
         _check_radius(r, rho_plus)
@@ -224,7 +223,7 @@ def _prob_family(kind: str, cls: smoothness.SmoothnessClass, spec: kernels.Kerne
         sep = geometry.min_distance(c)
         if sep < 2.0 * r:
             raise ValueError(f"centers only {sep:.3g} apart; need >= 2r = {2*r:.3g}")
-        return _perturbed_field(spec, drift, c, r, L_beta, axis, 1.0, {})
+        return _perturbed_field(spec, drift, c, r, L_beta, axis, 1.0)
 
     return HypothesisFamily(
         kind=kind,
@@ -249,9 +248,7 @@ def stubble_prob_family(beta: float, d: int, L: Sequence[float],
     h is the calibrated radial bump, so each alternative (and any
     2r-separated sum) lies in the d -> d class with constants (L, L_beta).
     """
-    cls, spec, cap = _calibrated(beta, d, L, L_beta, "bump")
-    h_sup = spec.alpha * kernels.K_SUP  # bump peak: alpha*K(0)
-    return _prob_family("stubble", cls, spec, cap, np.zeros(d), 0, {"h_sup": h_sup})
+    return _prob_family("stubble", *_calibrated(beta, d, L, L_beta, "bump"), np.zeros(d), 0, {})
 
 
 def stubble_prob_checks(family: HypothesisFamily, r: float) -> list:
@@ -405,14 +402,7 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
         claimed_separation=attained * (1.0 - 1e-12),
         coincidence_spec=f"flows agree for all x at every t in {delta_t}*Z",
         smoothness_class=cls,
-        metadata={
-            "delta_t": delta_t,
-            "amplitude": amp,
-            "radius": r,
-            "phase": z,
-            "L0": L0,
-            "beta": beta,
-        },
+        metadata={"delta_t": delta_t, "amplitude": amp, "radius": r, "phase": z},
     )
 
 
@@ -455,10 +445,10 @@ def stubble_det_checks(pair: HypothesisPair, xs: np.ndarray, tol: float = 1e-9) 
       (:func:`odelab.smoothness.certify_membership`, default budget) into
       the pair's class on [0, 2r]^d, two periods of the perturbation.
     """
-    md = pair.metadata
-    beta, delta_t = md["beta"], md["delta_t"]
+    md, cls = pair.metadata, pair.smoothness_class
+    delta_t = md["delta_t"]
     worst = max(_flow_gap(pair, xs, i * delta_t) for i in range(-5, 6))
-    floor = (2.0 / 3.0) * md["L0"] * md["radius"] ** beta * (2.0 * kernels.K1_SUP)
+    floor = (2.0 / 3.0) * cls.L[0] * md["radius"] ** cls.beta * (2.0 * kernels.K1_SUP)
     claimed = pair.claimed_separation
     # the fields differ in coordinate 0 only: its |.| is the norm, with no square to overflow
     attained = float(np.abs(pair.f1(pair.x0) - pair.f0(pair.x0)).max())
@@ -642,15 +632,13 @@ def snake_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
     f0 = _constant_field(d, drift)
     amp = L_beta * r**beta
     # bumps subtract so the first-coordinate speed stays within L_0
-    f1 = _perturbed_field(spec, drift, centers, r, L_beta, 0, -1.0,
-                          {"centers": centers, "radius": r})
+    f1 = _perturbed_field(spec, drift, centers, r, L_beta, 0, -1.0)
 
-    h_sup = spec.alpha * kernels.K_SUP
     pair = HypothesisPair(
         f0=f0,
         f1=f1,
         x0=x0,
-        claimed_separation=amp * h_sup * (1.0 - 1e-12),
+        claimed_separation=amp * kernels.shape_deriv_supnorm(spec, 0) * (1.0 - 1e-12),
         coincidence_spec=(
             f"flows from the {m} grid initial conditions are identical for "
             f"t in [0, {1.0 / L0:g}]"

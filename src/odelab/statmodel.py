@@ -81,7 +81,7 @@ class MissingField(Exception):
 class NoiseLaw:
     """Centered Gaussian observation noise in R^dim.
 
-    ``covariance`` accepts a scalar (sigma^2 I), a diagonal vector, or a
+    ``covariance`` accepts a finite scalar (sigma^2 I), diagonal vector or
     full matrix.  ``C_noise`` = 1/(2 lambda_min) converts squared mean
     shifts into KL divergences: KL <= C_noise * ||shift||^2.
     """
@@ -91,6 +91,8 @@ class NoiseLaw:
 
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=float)
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance must be finite")
         if cov.ndim == 0:
             cov = float(cov) * np.eye(self.dim)
         elif cov.ndim == 1:
@@ -112,7 +114,8 @@ class NoiseLaw:
 class ObservationScheme:
     """Initial conditions (m, d) and per-trajectory observation times (m, n), neither empty.
 
-    Times must be finite, positive and strictly increasing along each row.
+    Initial conditions must be finite; times finite, positive and strictly
+    increasing along each row.
     """
 
     kind: str
@@ -128,6 +131,8 @@ class ObservationScheme:
         if self.initials.size == 0 or self.times.size == 0:
             raise ValueError(f"initials have shape {self.initials.shape} and times "
                              f"{self.times.shape}; need a start and an observation time")
+        if not np.isfinite(self.initials).all():
+            raise ValueError("initial conditions must be finite")
         if not np.isfinite(self.times).all():
             raise ValueError("times must be finite")
         if np.any(self.times <= 0) or np.any(np.diff(self.times, axis=1) <= 0):
@@ -317,25 +322,23 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
                 *, tol: float = 1e-10, cap=None) -> np.ndarray:
     """States of every trajectory at its observation times, shape (m, n, d).
 
-    ``times`` needs one row per initial state.  A closed-form flow is
-    evaluated in one call, the starts (m, 1, d) broadcast against the times
-    (m, n); otherwise all trajectories are integrated in step, each under
-    its own error test and the step ``cap`` of :func:`odelab.flow.integrate`,
-    up to the largest finite time, and each is read out at its own times
-    only (:func:`odelab.flow.flow_rows`).  A NaN time gives a NaN state on
-    both paths: the closed form's is masked, the dense output reads NaN there.
+    ``times`` needs one row per initial state, all finite.  A closed-form
+    flow is evaluated in one call, the starts (m, 1, d) broadcast against the
+    times (m, n); otherwise all trajectories are integrated in step, each
+    under its own error test and the step ``cap`` of
+    :func:`odelab.flow.integrate`, up to the largest time, and each is read
+    out at its own times only (:func:`odelab.flow.flow_rows`).
     """
     initials = np.atleast_2d(np.asarray(initials, float))
     times = np.atleast_2d(np.asarray(times, float))
     m = initials.shape[0]
     if times.shape[0] != m:
         raise ValueError(f"{times.shape[0]} rows of times for {m} initial states")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if f.closed_form_flow is not None:
-        out = f.closed_form_flow(initials[:, None, :], times)
-        out[np.isnan(times)] = np.nan
-        return out
-    finite = times[np.isfinite(times)]
-    T = float(finite.max()) if finite.size else 0.0
+        return f.closed_form_flow(initials[:, None, :], times)
+    T = float(times.max()) if times.size else 0.0
     return flow_mod.flow_rows(flow_mod.integrate(f, initials, T, tol, cap=cap), times)
 
 
@@ -428,7 +431,7 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
         t0 = t_in[c_idx, j_idx]
         local = times[j_idx] - t0[:, None]
         before = local < 0.0
-        local[before] = np.nan
+        local[before] = 0.0  # read in the span, then given the null state below
         alt = family.make_alternative(centers[c_idx], r)
         speed = float(np.linalg.norm(family.f0.metadata["velocity"]))
         cap = (2.0 * r / speed / 16.0, 2.0 * r / speed) if speed else None
@@ -453,17 +456,22 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
 
 @dataclass(frozen=True, eq=False)
 class MasterInstance:
-    """Everything the master lower bound needs about one design."""
+    """Everything the master lower bound needs about one design.
 
-    kind: str
+    ``kind``, ``rho_plus``, ``C_noise`` and ``d_q`` read through to the
+    family and the scheme.
+    """
+
     family: HypothesisFamily
     scheme: ObservationScheme
     gamma: float
     a_n: float
-    C_noise: float
-    d_q: int
     rho_minus: float
-    rho_plus: float
+
+    kind = property(lambda self: self.family.kind)
+    rho_plus = property(lambda self: self.family.rho_plus)
+    C_noise = property(lambda self: self.scheme.noise.C_noise)
+    d_q = property(lambda self: self.scheme.dim)
 
 
 def master_instance_stubble(family: HypothesisFamily,
@@ -474,23 +482,15 @@ def master_instance_stubble(family: HypothesisFamily,
     in-ball trajectories drifts at most ||h|| L_beta r^beta per unit time,
     and contributes n_max observations.
     """
+    from . import kernels
     d = scheme.dim
     beta = family.smoothness_class.beta
     C_cvr = default_C_cvr(d)
-    h_sup = family.metadata["h_sup"]
+    h_sup = kernels.shape_deriv_supnorm(family.kernel, 0)
     L_beta = family.smoothness_class.L_beta
     a_n = (h_sup * L_beta * scheme.T_max) ** 2 * C_cvr * scheme.m * scheme.n_max
-    return MasterInstance(
-        kind="stubble",
-        family=family,
-        scheme=scheme,
-        gamma=2.0 * beta + d,
-        a_n=a_n,
-        C_noise=scheme.noise.C_noise,
-        d_q=d,
-        rho_minus=(C_cvr * scheme.m) ** (-1.0 / d),
-        rho_plus=family.rho_plus,
-    )
+    return MasterInstance(family=family, scheme=scheme, gamma=2.0 * beta + d, a_n=a_n,
+                          rho_minus=(C_cvr * scheme.m) ** (-1.0 / d))
 
 
 def master_instance_snake(family: HypothesisFamily,
@@ -519,17 +519,8 @@ def master_instance_snake(family: HypothesisFamily,
     r = min(max(rho_minus, 1e-12), rho_plus)
     chi = (2.0 * r / pitch + 1.0) ** (d - 1) * max(1.0, C_CVRTM * n * (2.0 * r / L0) / T_sum)
     a_n = float(snake_transverse_envelope(family, r) ** 2 * chi / r**gamma)
-    return MasterInstance(
-        kind="snake",
-        family=family,
-        scheme=scheme,
-        gamma=gamma,
-        a_n=a_n,
-        C_noise=scheme.noise.C_noise,
-        d_q=d,
-        rho_minus=rho_minus,
-        rho_plus=rho_plus,
-    )
+    return MasterInstance(family=family, scheme=scheme, gamma=gamma, a_n=a_n,
+                          rho_minus=rho_minus)
 
 
 # ---------------------------------------------------------------------------

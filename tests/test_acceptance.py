@@ -251,7 +251,7 @@ def test_criterion_10_smoothness_certification():
         fam.make_alternative(np.array([0.5, 0.5]), bad_r)
     # build the alternative by hand, bypassing the radius guard
     cheat = hypotheses._perturbed_field(fam.kernel, np.zeros(2), [(0.5, 0.5)], bad_r,
-                                        BUMP_CLASS["L_beta"], 0, 1.0, {})
+                                        BUMP_CLASS["L_beta"], 0, 1.0)
 
     wide = ((0.5 - bad_r, 0.5 + bad_r), (0.5 - bad_r, 0.5 + bad_r))
     rep_bad = smoothness.certify_membership(cheat, fam.smoothness_class, wide,

@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, file outputs, schema, determinism."""
 
 import dataclasses
+import io
 import json
+import math
 import os
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from odelab import cli, geometry, hypotheses, statmodel
 
@@ -382,8 +386,53 @@ def test_json_output_is_canonical(tmp_path):
     assert text.endswith("\n")
     parsed = json.loads(text)
     # canonical form re-serializes to the identical bytes
-    assert text == json.dumps(parsed, indent=2, sort_keys=True,
-                              default=cli._jsonable) + "\n"
+    assert text == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
+
+
+def _jsonable(obj):
+    """The converter the report writer applied before ``json.dump``, kept as the reference."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool subclasses int
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+_LEAVES = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=3, max_side=3)),
+)
+_REPORTS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=12)
+
+
+def test_write_json_is_bytewise_the_converted_dump(tmp_path):
+    # json encodes Python and numpy float64 scalars itself, and ``tolist()`` turns the
+    # other numpy values into what the converter made of them
+    path = tmp_path / "report.json"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_REPORTS)
+    def check(obj):
+        cli._write_json(str(path), obj)
+        want = io.StringIO()
+        json.dump(_jsonable(obj), want, sort_keys=True, indent=2)
+        assert path.read_text() == want.getvalue() + "\n"
+
+    check()
 
 
 def test_rates_csv_grid(tmp_path):

@@ -361,7 +361,7 @@ def test_r_max_is_the_same_at_every_dimension():
 
 def test_scaled_field_translation_and_amplitude():
     spec = _bump_spec()
-    field = hypotheses._perturbed_field(spec, np.zeros(2), [(0.3, 0.4)], 0.2, 5.0, 0, 1.0, {})
+    field = hypotheses._perturbed_field(spec, np.zeros(2), [(0.3, 0.4)], 0.2, 5.0, 0, 1.0)
 
     def f(x):  # the perturbed output coordinate
         return field(x)[..., 0]
@@ -429,7 +429,7 @@ def test_culled_shape_is_bitwise_the_full_evaluation(kind, d, drift):
     center = tuple(np.linspace(0.2, 0.6, d))
     radius, amplitude = 0.07, 40.0
     perturbed = hypotheses._perturbed_field(spec, np.zeros(d), [center], radius, amplitude,
-                                            0, 1.0, {})
+                                            0, 1.0)
 
     def field(x):  # the perturbation alone, on the coordinate it perturbs
         return perturbed(x)[..., 0]

@@ -31,6 +31,16 @@ def test_noise_law_lambda_min_rules():
         statmodel.NoiseLaw(dim=2, covariance=np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("cov", [np.nan, np.inf, [1.0, np.nan], [np.inf, 1.0],
+                                 [[1.0, 0.0], [0.0, np.nan]], [[1.0, np.inf], [np.inf, 1.0]]],
+                         ids=["nan", "inf", "diag-nan", "diag-inf", "full-nan", "full-inf"])
+def test_noise_law_rejects_non_finite_covariance(cov):
+    # a NaN or inf covariance gave C_noise = nan, or, on a NaN diagonal entry,
+    # SingularCovariance with the message "smallest eigenvalue -0 <= 0"
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        statmodel.NoiseLaw(dim=2, covariance=np.array(cov))
+
+
 def test_gaussian_kl_closed_form():
     law = statmodel.NoiseLaw(dim=2, covariance=np.array([1.0, 4.0]))
     s = 0.37
@@ -230,6 +240,17 @@ def test_scheme_rejects_non_finite_times(row):
         _times_scheme([row, [0.2, 0.3, 0.4]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rows", ["one", "all"])
+def test_scheme_rejects_non_finite_initial_conditions(bad, rows):
+    # with every start NaN check_cover passed with C_hat 0.0, and an inf start
+    # warned and passed: a non-finite start counts itself in no ball
+    initials = np.full((4, 2), 0.5)
+    initials[:1 if rows == "one" else 4, 1] = bad
+    with pytest.raises(ValueError, match="initial conditions must be finite"):
+        statmodel.ObservationScheme("stubble", initials, np.full((4, 1), 0.1), _noise2())
+
+
 def test_scheme_kl_zero_for_identical_fields():
     fam = hypotheses.stubble_prob_family(2.0, 2, (2.0, 20.0), 100.0)
     sch = statmodel.build_stubble_scheme(6, 2, 0.1, _noise2())
@@ -276,11 +297,9 @@ def test_flow_states_closed_form_per_trajectory_times(make_field, tols):
     integrated = statmodel.flow_states(dataclasses.replace(f, closed_form_flow=None),
                                        initials, times, tol=tol)
     assert np.abs(got - integrated).max() <= tols * tol
-    # the closed form takes every time in one call; a NaN time gives a NaN state in
-    # every coordinate, also in those the field does not move
-    nan_times = np.array([[np.nan, 0.2], [np.nan, 0.2]])
-    states = statmodel.flow_states(f, initials[:2], nan_times)
-    assert np.isnan(states[:, 0]).all() and np.isfinite(states[:, 1]).all()
+    # the closed form takes every time in one call; a NaN time is refused before it
+    with pytest.raises(ValueError, match="times must be finite"):
+        statmodel.flow_states(f, initials[:2], np.array([[np.nan, 0.2], [np.nan, 0.2]]))
 
 
 def test_flow_states_reads_each_row_as_the_union_of_all_times_did():
@@ -296,14 +315,12 @@ def test_flow_states_reads_each_row_as_the_union_of_all_times_did():
     times[:, -1] = T
     times[1, 5:9] = times[1, 4]  # repeats within a row
     times[2, :3] = times[3, :3]  # times shared across rows
-    times[4, 7] = np.nan
     cap = (2.0 * r / np.linalg.norm(fam.f0.metadata["velocity"]) / 16.0, T)
     got = statmodel.flow_states(alt, initials, times, tol=1e-10, cap=cap)
 
     traj = flow.integrate(alt, initials, T, 1e-10, cap=cap)
     unique, inverse = np.unique(times, return_inverse=True)
     want = flow.flow_at(traj, unique)[inverse.reshape(times.shape), np.arange(6)[:, None]]
-    want[np.isnan(times)] = np.nan
     assert len(unique) > 200 and got.shape == want.shape == (6, 40, 2)
     assert got.tobytes() == want.tobytes()
 
@@ -314,12 +331,11 @@ def test_flow_states_paths_agree_on_bad_times(closed):
     initials = np.array([[1.0, 0.0], [0.5, -0.25]])
     with pytest.raises(ValueError):
         statmodel.flow_states(f, initials, np.tile([0.1, 0.2], (3, 1)))
-    # NaN times give NaN states, also when no time is finite
-    states = statmodel.flow_states(f, initials, np.array([[np.nan, 0.2], [0.1, np.nan]]))
-    assert states.shape == (2, 2, 2)
-    assert np.isnan(states[[0, 1], [0, 1]]).all()
-    assert np.isfinite(states[[0, 1], [1, 0]]).all()
-    assert np.isnan(statmodel.flow_states(f, initials, np.full((2, 2), np.nan))).all()
+    # both paths refuse a non-finite time, also when no time is finite
+    for bad in (np.array([[np.nan, 0.2], [0.1, np.nan]]), np.array([[0.1, 0.2], [0.1, np.inf]]),
+                np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="times must be finite"):
+            statmodel.flow_states(f, initials, bad)
 
 
 def test_psi_chi_measure_stubble_quick():
@@ -452,6 +468,8 @@ def test_master_instance_stubble_frozen(stubble_master):
     assert inst.a_n == pytest.approx(36540.526473885446, rel=1e-9)
     assert inst.rho_minus == pytest.approx(0.0125, rel=1e-12)  # (C_cvr m)^(-1/d)
     assert inst.rho_plus > inst.rho_minus
+    # read through to the family and the scheme, which hold them
+    assert (inst.kind, inst.rho_plus, inst.d_q) == ("stubble", inst.family.rho_plus, 2)
 
 
 @pytest.mark.parametrize("d,delta", [(2, 0.05), (3, 0.2), (2, 0.1)])
