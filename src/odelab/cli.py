@@ -279,6 +279,11 @@ def _suite_coincidence(cfg: dict, seed: int) -> list:
     tol = _positive(cfg, "tol", 1e-9)
     n_points = _count(cfg, "n_points", 50, geometry.MAX_LATTICE)  # every start is held at once
     pair = _stubble_det(cfg)
+    # a tol below 1/32 ulp of the compared positions, up to |x0| + 1 + 5 r, measures rounding
+    reach = float(np.abs(pair.x0).max()) + 1.0 + 5.0 * pair.metadata["radius"]
+    if tol < math.ulp(reach) / 32.0:
+        raise ConfigError(f"field 'tol' = {tol} is below 1/32 ulp of the positions up to "
+                          f"{reach:.3g} that the flows are compared at")
     rng = np.random.default_rng(seed)
     xs = np.tile(pair.x0, (n_points, 1))
     xs[:, 0] = pair.x0[0] + rng.uniform(-1.0, 1.0, size=n_points)

@@ -177,7 +177,7 @@ def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: fl
     pairwise >= 2r apart (``combine`` checks it, the snake-det lattice has
     pitch 2r): as h is an exact 0 where 1 - |w|^2 <= 1e-12, only the nearest
     center's term t can be non-zero, and drift + t is the sum bit for bit.
-    The field's metadata records its ``centers`` and ``radius``.
+    The field's metadata records its ``drift``, ``centers`` and ``radius``.
     """
     scale = amplitude * r**spec.beta
     zs = np.asarray(centers, dtype=float)
@@ -196,7 +196,8 @@ def _perturbed_field(spec: kernels.KernelSpec, drift: np.ndarray, centers, r: fl
         out[..., axis] += coef * (scale * kernels.kernel_shape_eval(spec, (x - z) / r))
         return out
 
-    return ModelFunction(dim=spec.dim, eval=evaluate, metadata={"centers": zs, "radius": r})
+    return ModelFunction(dim=spec.dim, eval=evaluate,
+                         metadata={"drift": drift, "centers": zs, "radius": r})
 
 
 def _prob_family(kind: str, cls: smoothness.SmoothnessClass, spec: kernels.KernelSpec,

@@ -344,9 +344,21 @@ def flow_states(f: flow_mod.ModelFunction, initials: np.ndarray, times: np.ndarr
 
 def scheme_kl(scheme: ObservationScheme, f0: flow_mod.ModelFunction,
               f1: flow_mod.ModelFunction) -> float:
-    """Total KL between the observation laws of f0 and f1 under the scheme (flows at tol 1e-10)."""
-    s0 = flow_states(f0, scheme.initials, scheme.times)
-    s1 = flow_states(f1, scheme.initials, scheme.times)
+    """Total KL between the observation laws of f0 and f1 under the scheme (flows at tol 1e-10).
+
+    Where f1 perturbs f0's constant drift at one center, as its metadata records, only the
+    rows that meet the ball are integrated, from the entry in 1/32ths of the crossing
+    (:func:`_entry_rows`): within 4e-6 relative of each row integrated alone at tol 1e-13 in
+    1/64ths, at r_n of both perfbench/master_pipeline.py snakes and at r 0.05, d 2.
+    """
+    md = f1.metadata  # _perturbed_field records its drift with its centers
+    if np.shape(md.get("centers")) == (1, scheme.dim) and \
+            np.array_equal(md["drift"], f0.metadata.get("velocity")):
+        _, s1, s0 = _entry_rows(f0, lambda z: f1, md["centers"], md["radius"],
+                                scheme.initials, scheme.times, 1e-10, 32)
+    else:
+        s0 = flow_states(f0, scheme.initials, scheme.times)
+        s1 = flow_states(f1, scheme.initials, scheme.times)
     return gaussian_kl(s1 - s0, scheme.noise)
 
 
@@ -387,6 +399,36 @@ def _entry_times(offsets: np.ndarray, v: np.ndarray, r: float) -> np.ndarray:
     return t_in
 
 
+def _entry_rows(f0: flow_mod.ModelFunction, make_alt, centers: np.ndarray, r: float,
+                x: np.ndarray, times: np.ndarray, tol: float, steps: int) -> tuple:
+    """(c_idx, s_alt, s_null): states (k, n, d) of the k (center, start) rows that meet B(z, r).
+
+    f0 is a constant drift v, which the alternative ``make_alt(z)`` at the row centers z (k, d)
+    equals outside each row's closed ball: a path follows x + v t until it meets its ball, at
+    t_in.  Each pair that meets it before the last observation is one row, started at x + v t_in,
+    its earlier observations given the null state; every other pair deviates by exactly 0.  All
+    rows are one ``integrate`` call at ``tol`` (none without rows), capped at 1/``steps`` of the
+    crossing 2r/|v| (v != 0): uncapped, or started far from a narrow ball, a row misses the pulse.
+    """
+    v = f0.metadata["velocity"]
+    t_in = _entry_times(x - centers[:, None, :], v, r)
+    # NaN (never meets) compares False; entering at or after the last observation deviates by 0
+    c_idx, j_idx = np.nonzero(t_in < times[:, -1])
+    if not c_idx.size:
+        return (c_idx,) + (np.empty((0,) + times.shape[1:] + x.shape[1:]),) * 2
+    t0 = t_in[c_idx, j_idx]
+    local = times[j_idx] - t0[:, None]
+    before = local < 0.0
+    local[before] = 0.0  # read in the span, then given the null state below
+    speed = float(np.linalg.norm(v))
+    cap = (2.0 * r / speed / steps, 2.0 * r / speed) if speed else None
+    s_alt = flow_states(make_alt(centers[c_idx]), f0.closed_form_flow(x[j_idx], t0), local,
+                        tol=tol, cap=cap)
+    s_null = flow_states(f0, x[j_idx], times[j_idx])
+    s_alt[before] = s_null[before]
+    return c_idx, s_alt, s_null
+
+
 def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: float,
                     *, tol: float = 1e-8) -> PsiChi:
     """Measured per-observation discrepancy and hit count at radius r.
@@ -399,51 +441,22 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
     The candidate centers are the cube's midpoint, the start nearest to
     it, a shift of each by r/2, and three Halton points in [1/4, 3/4]^d.
 
-    The alternative equals the constant-drift null outside B(z, r), so a
-    trajectory follows the null's closed-form flow x + v t until it first
-    meets the closed ball, at t_in.  Each (center, start) pair whose path
-    meets its ball before the last observation becomes one row, started
-    at x + v t_in and local time 0; its observations before t_in take the
-    null state.  Every other pair deviates by exactly zero and is never
-    integrated.  All rows, over all centers, are integrated as one batch
-    (one ``integrate`` call, none when no path meets a ball), each row
-    perturbed at its own center and under its own error test.  Starting
-    at the entry matters: a row started far from a narrow ball takes
-    steps longer than the ball and can step over the perturbation
-    unseen, so for a drift v != 0 the steps are capped at 1/16 of the
-    crossing time 2r/|v| until it ends.  Against each row integrated alone
-    at tol 1e-13 in 1/64ths of its crossing, psi_hat (tol 1e-8) is within
-    7.4e-4 relative at the 20 radii of each snake instance of
-    perfbench/master_pipeline.py (0.73 uncapped), 6.1e-5 at rho_minus.
+    Rows run from their entry in 1/16ths of the crossing (:func:`_entry_rows`).  Against each
+    row integrated alone at tol 1e-13 in 1/64ths, psi_hat (tol 1e-8) is within 7.4e-4 relative
+    at the 20 radii of each perfbench/master_pipeline.py snake (0.73 uncapped), 6.1e-5 at rho_minus.
     """
     centers = _default_centers(scheme, r)
-    x, times = scheme.initials, scheme.times
-    offsets = x - centers[:, None, :]
-    t_in = _entry_times(offsets, family.f0.metadata["velocity"], r)
-    # NaN (never meets) compares False; entering at or after the last observation deviates by 0
-    c_idx, j_idx = np.nonzero(t_in < times[:, -1])
+    c_idx, s_alt, s_null = _entry_rows(family.f0, lambda z: family.make_alternative(z, r),
+                                       centers, r, scheme.initials, scheme.times, tol, 16)
     psi = np.zeros(len(centers))
-    chi = np.zeros(len(centers), dtype=int)
+    np.maximum.at(psi, c_idx, np.sqrt(_row_sumsq(s_alt - s_null)).max(axis=1))
     if family.kind == "stubble":
-        hits = np.sqrt(_row_sumsq(offsets)) <= r * (1.0 + 1e-9)
+        hits = np.sqrt(_row_sumsq(scheme.initials - centers[:, None, :])) <= r * (1.0 + 1e-9)
         chi = hits.sum(axis=1) * scheme.n_max
-    if c_idx.size:
-        t0 = t_in[c_idx, j_idx]
-        local = times[j_idx] - t0[:, None]
-        before = local < 0.0
-        local[before] = 0.0  # read in the span, then given the null state below
-        alt = family.make_alternative(centers[c_idx], r)
-        speed = float(np.linalg.norm(family.f0.metadata["velocity"]))
-        cap = (2.0 * r / speed / 16.0, 2.0 * r / speed) if speed else None
-        s_alt = flow_states(alt, family.f0.closed_form_flow(x[j_idx], t0), local, tol=tol,
-                            cap=cap)
-        s_null = flow_states(family.f0, x[j_idx], times[j_idx])
-        s_alt[before] = s_null[before]
-        dev = np.sqrt(_row_sumsq(s_alt - s_null)).max(axis=1)
-        np.maximum.at(psi, c_idx, dev)
-        if family.kind != "stubble":
-            inside = np.sqrt(_row_sumsq(s_alt - centers[c_idx, None])) <= r * (1.0 + 1e-12)
-            np.add.at(chi, c_idx, inside.sum(axis=1))
+    else:
+        chi = np.zeros(len(centers), dtype=int)
+        inside = np.sqrt(_row_sumsq(s_alt - centers[c_idx, None])) <= r * (1.0 + 1e-12)
+        np.add.at(chi, c_idx, inside.sum(axis=1))
     # the first maximal center, as a strict > scan over the centers keeps
     detail = {}
     for key, values in (("psi_center", psi), ("chi_center", chi)):
@@ -639,17 +652,13 @@ def monte_carlo_two_point(kl: float, n_trials: int, seed: int = 0) -> MonteCarlo
     mu = math.sqrt(2.0 * kl)
     chunk = 4096
     errors = 0
-    done = 0
-    k = 0
-    while done < n_trials:
+    for k, done in enumerate(range(0, n_trials, chunk)):
         take = min(chunk, n_trials - done)
         rng = np.random.default_rng([seed, k])
         labels = rng.integers(0, 2, size=take)
         y = labels * mu + rng.standard_normal(take)
         decide = (y > mu / 2.0).astype(int)
         errors += int((decide != labels).sum())
-        done += take
-        k += 1
     p = errors / n_trials
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / n_trials)
     return MonteCarlo(error_hat=p, std_error=se, n_trials=n_trials)

@@ -14,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from odelab import cli, geometry, hypotheses, statmodel
 
-SCHEMA = json.load(open(os.path.join(os.path.dirname(cli.__file__),
-                                     "report_schema.json")))
+with open(os.path.join(os.path.dirname(cli.__file__), "report_schema.json")) as _fh:
+    SCHEMA = json.load(_fh)
 
 
 def _cfg(tmp_path, payload, name="cfg.json"):
@@ -118,6 +118,8 @@ def test_missing_required_beta_is_config_error(tmp_path):
     # a tolerance that is not positive made a check that cannot pass (exit 1, or 0 at 0 <= 0)
     ("verify", {"suite": "coincidence", "beta": 1.5, "tol": 0}),
     ("verify", {"suite": "coincidence", "beta": 1.5, "tol": -1}),
+    # positions of order 1e20 round in steps of 1.3e5: a correct pair read 9216 against 1e-9
+    ("verify", {"suite": "coincidence", "beta": 2, "delta_t": 1e20}),
     ("verify", {"suite": "tube-cover", "beta": 2.0, "tol_agree": 0}),
     ("verify", {"suite": "tube-cover", "beta": 2.0, "tol_agree": -1}),
     ("verify", {"suite": "symmetry", "beta": 2.0, "tol_net": 0}),

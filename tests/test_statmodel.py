@@ -357,38 +357,52 @@ def _snake_instance(d, delta):
         fam, statmodel.build_snake_scheme(initials, horizons, 40, noise))
 
 
-def _per_row_psi(family, scheme, r):
-    """psi from each (center, start) pair integrated alone at tol 1e-13.
+def _per_row_deviations(v, alt, z, r, x, times):
+    """Deviations (k, d) of ``alt`` from the drift-v null at the observations of one pair.
 
-    A pair starts where its null path x + v t first meets B(z, r).  It is
-    integrated in pieces that end at every observation and at 64 even steps
-    of its crossing of the ball, so no step is longer than 1/64 of the
-    crossing and no observation is interpolated.
+    The pair (center z, start x) is integrated alone at tol 1e-13 from
+    where its null path x + v t first meets B(z, r), in pieces that end at
+    every observation and at 64 even steps of its crossing of the ball, so
+    no step is longer than 1/64 of the crossing and no observation is
+    interpolated.  The k observations at or after the entry are returned;
+    the earlier ones deviate by exactly 0, and a path that misses the ball
+    returns none.
     """
-    v = family.f0.metadata["velocity"]
     a = float(v @ v)
+    p = x - z
+    b, c = float(p @ v), float(p @ p) - r * r
+    disc = b * b - a * c
+    seen = times[:0]
+    if disc >= 0.0 and not (c > 0.0 and b >= 0.0):
+        t_in = max(0.0, (-b - np.sqrt(disc)) / a)
+        t_out = (-b + np.sqrt(disc)) / a
+        seen = times[times >= t_in]
+    if seen.size == 0:
+        return np.empty((0, len(x)))
+    ends = np.union1d(seen - t_in, np.linspace(0.0, t_out - t_in, 65))
+    state, at = x + v * t_in, {0.0: x + v * t_in}
+    for t0, t1 in zip(ends[:-1], ends[1:]):
+        state = flow.final_state(flow.integrate(alt, state, t1 - t0, 1e-13))
+        at[t1] = state
+    return np.array([at[t - t_in] - (x + v * t) for t in seen])
+
+
+def _per_row_psi(family, scheme, r):
+    """psi from each (center, start) pair integrated alone (:func:`_per_row_deviations`)."""
     psi = 0.0
     for z in statmodel._default_centers(scheme, r):
         alt = family.make_alternative(z, r)
         for x, times in zip(scheme.initials, scheme.times):
-            p = x - z
-            b, c = float(p @ v), float(p @ p) - r * r
-            disc = b * b - a * c
-            if disc < 0.0 or (c > 0.0 and b >= 0.0):
-                continue
-            t_in = max(0.0, (-b - np.sqrt(disc)) / a)
-            t_out = (-b + np.sqrt(disc)) / a
-            seen = times[times >= t_in]
-            if seen.size == 0:
-                continue
-            ends = np.union1d(seen - t_in, np.linspace(0.0, t_out - t_in, 65))
-            state, at = x + v * t_in, {0.0: x + v * t_in}
-            for t0, t1 in zip(ends[:-1], ends[1:]):
-                state = flow.final_state(flow.integrate(alt, state, t1 - t0, 1e-13))
-                at[t1] = state
-            for t in seen:
-                psi = max(psi, float(np.linalg.norm(at[t - t_in] - (x + v * t))))
+            dev = _per_row_deviations(family.f0.metadata["velocity"], alt, z, r, x, times)
+            psi = max(psi, float(np.linalg.norm(dev, axis=1).max(initial=0.0)))
     return psi
+
+
+def _per_row_kl(family, scheme, alt, z, r):
+    """The scheme KL of ``alt``, perturbed at (z, r), from each row integrated alone."""
+    v = family.f0.metadata["velocity"]
+    return sum(statmodel.gaussian_kl(_per_row_deviations(v, alt, z, r, x, times), scheme.noise)
+               for x, times in zip(scheme.initials, scheme.times))
 
 
 def test_psi_at_rho_minus_sees_the_pulse_of_every_row():
@@ -399,6 +413,82 @@ def test_psi_at_rho_minus_sees_the_pulse_of_every_row():
     ref = _per_row_psi(inst.family, inst.scheme, r)
     got = statmodel.psi_chi_measure(inst.family, inst.scheme, r, tol=1e-12).psi_hat
     assert abs(got - ref) <= 1e-3 * ref
+
+
+@pytest.mark.parametrize("d,delta,r", [(2, 0.05, None), (3, 0.2, None), (2, 0.05, 0.05)],
+                         ids=["d2-r_n", "d3-r_n", "d2-r0.05"])
+def test_scheme_kl_sees_the_pulse_of_every_row(d, delta, r):
+    # integrated from every start over the whole horizon, uncapped, the KL read
+    # 4.3e-30 against 4.4e-13 at r 0.05 (stepped over the pulse) and up to 4.5e-4
+    # relative low at r_n; from the entry, in 1/32ths of the crossing, within 4e-6
+    inst = _snake_instance(d, delta)
+    if r is None:
+        r = statmodel.choose_master_radius(inst).r_n
+    # two of perfbench/master_pipeline.py's KL centers: on and off a sweep
+    for x, y in ((0.25, max(r, 0.3)), (0.6, 0.5)):
+        z = np.array((x, y) + (0.5,) * (d - 2))
+        alt = inst.family.make_alternative(z, r)
+        ref = _per_row_kl(inst.family, inst.scheme, alt, z, r)
+        got = statmodel.scheme_kl(inst.scheme, inst.family.f0, alt)
+        assert abs(got - ref) <= 1e-4 * ref, (z, got, ref)
+
+
+def _fallback_cases():
+    """(f0, f1, scheme) of every alternative that scheme_kl integrates in full."""
+    inst = _snake_instance(2, 0.1)
+    fam, sch = inst.family, inst.scheme
+    r = fam.rho_plus / 4.0
+    pair, initials, horizons = hypotheses.snake_det_pair(2.0, 2, (2.0, 20.0), 100.0, 0.1,
+                                                         np.full(2, 0.5))
+    assert len(pair.f1.metadata["centers"]) > 1
+    det_scheme = statmodel.build_snake_scheme(initials, horizons, 40, _noise2())
+    rows = np.column_stack([np.full(sch.m, 0.5), sch.initials[:, 1]])  # one center per row
+    return {
+        "f0-itself": (fam.f0, fam.f0, sch),
+        "combine": (fam.f0, fam.combine(np.array([[0.3, 0.5], [0.7, 0.5 + r / 2.0]]), r), sch),
+        "snake-det": (pair.f0, pair.f1, det_scheme),
+        "row-centers": (fam.f0, fam.make_alternative(rows, r), sch),
+    }
+
+
+@pytest.mark.parametrize("case", ["f0-itself", "combine", "snake-det", "row-centers"])
+def test_scheme_kl_integrates_other_alternatives_in_full(case):
+    f0, f1, sch = _fallback_cases()[case]
+    old = statmodel.gaussian_kl(statmodel.flow_states(f1, sch.initials, sch.times)
+                                - statmodel.flow_states(f0, sch.initials, sch.times), sch.noise)
+    got = statmodel.scheme_kl(sch, f0, f1)
+    assert np.float64(got).tobytes() == np.float64(old).tobytes()
+
+
+_COORD = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=1, max_size=6),
+    st.one_of(st.just([0.0] * d), st.lists(_COORD, min_size=d, max_size=d)))),
+    st.floats(1e-3, 2.0))
+def test_entry_times_is_the_first_time_in_the_closed_ball(drawn, r):
+    offsets, v = np.array(drawn[0]), np.array(drawn[1])
+    t_in = statmodel._entry_times(offsets, v, r)
+    a = float(v @ v)
+    for p, t in zip(offsets, t_in):
+        b, pp = float(p @ v), float(p @ p)
+        # the closest approach over t >= 0, and the rounding scale of the squares
+        # |p|^2, 2 p.v t and |v|^2 t^2 that the root is computed from
+        t_near = max(0.0, -b / a) if a > 0.0 else 0.0
+        near = float(np.sum((p + v * t_near) ** 2))
+        slack = 16.0 * np.finfo(float).eps * (pp + r * r + 2.0 * abs(b) * t_near + a * t_near**2)
+        if np.isnan(t):  # misses the ball, or starts outside it and moves away
+            assert near > r * r - slack
+            continue
+        assert near <= r * r + slack and t >= 0.0
+        if pp < r * r - slack:  # starts inside
+            assert t == 0.0
+        elif t > 0.0:  # enters through the sphere, moving inwards
+            slack = 16.0 * np.finfo(float).eps * (pp + r * r + 2.0 * abs(b) * t + a * t * t)
+            assert abs(float(np.sum((p + v * t) ** 2)) - r * r) <= slack
+            assert b + a * t <= 16.0 * np.finfo(float).eps * (abs(b) + a * t)
 
 
 def _counting_integrate(monkeypatch):
