@@ -20,9 +20,11 @@ reference, against 6.1e-5 from the nodes alone.  The
 formula has one home, :func:`_hermite`, which both readouts call:
 :func:`flow_at` reads every row at each time and :func:`flow_rows` each
 row at its own times.  Kinks of piecewise-smooth fields are handled by
-step rejection.  Fields that come with a closed-form flow keep it in
-:class:`ModelFunction` and the integrator is still available as an
-independent cross-check.
+step rejection; a caller that knows when its orbit meets them integrates
+between those times instead, as :func:`odelab.hypotheses.spiral_orbit`
+does at the spiral's planned switching times.  Fields that come with a
+closed-form flow keep it in :class:`ModelFunction` and the integrator is
+still available as an independent cross-check.
 """
 
 from __future__ import annotations
