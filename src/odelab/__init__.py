@@ -10,14 +10,16 @@ Submodules:
   semigroup check;
 * ``hypotheses`` -- the adversarial pair/family constructions;
 * ``geometry`` -- trajectory tubes, coverings, packings, codebooks;
-* ``statmodel`` -- observation schemes, KL budgets, testing reductions
-  and the pinned minimax rate formulas;
+* ``statmodel`` -- observation schemes, KL budgets and testing reductions;
+* ``rates`` -- the pinned minimax rate formulas, on the standard library
+  alone;
 * ``cli`` -- the ``odelab`` command line tool.
 
 ``import odelab`` loads none of them, nor numpy: each is imported on first
 use (``odelab.flow``, ``from odelab import flow``), so a process compiles
 and runs only the modules it calls.  Every guard that refuses to build a
-construction from its constants is a :class:`ConstructionError` (exit 2).
+construction from its constants is a :class:`ConstructionError` (exit 2), and
+``MAX_LATTICE`` caps the points of one lattice.
 """
 
 __version__ = "0.1.0"
@@ -27,6 +29,7 @@ __all__ = [
     "geometry",
     "hypotheses",
     "kernels",
+    "rates",
     "smoothness",
     "statmodel",
     "__version__",
@@ -35,6 +38,11 @@ __all__ = [
 
 class ConstructionError(Exception):
     """The constants leave no object of the requested construction to build."""
+
+
+# points of one lattice: snake-det starts or bump centers (1,331 is the largest tested),
+# or the CLI's assumptions K_grid, coincidence n_points or rates grid num
+MAX_LATTICE = 10**5
 
 
 def __getattr__(name: str):

@@ -23,10 +23,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-# each command imports the modules it runs, so a process loads no others
-from . import ConstructionError
+# each command imports the modules it runs, numpy included, so a process loads no others
+from . import MAX_LATTICE, ConstructionError
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -104,30 +102,48 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
     return cfg[key]
 
 
-def _is_number(value) -> bool:
-    """A JSON number (not a boolean) or a list of them, lists nested or not."""
+# numpy's array rank limit: a list nested deeper is no numeric array
+_MAX_RANK = 64
+
+
+def _shape(value):
+    """The shape numpy gives a JSON number (``()``) or a rectangular nested list of them,
+    all finite; None for anything else (a boolean, a string, a ragged list, a number that
+    is not finite or exceeds the float range)."""
     if isinstance(value, (list, tuple)):
-        return all(_is_number(v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _numbers(cfg: dict, key: str, default=None, required: bool = False) -> np.ndarray:
-    """A config number or list of numbers as a float array; all must be finite."""
-    value = _get(cfg, key, default, required)
+        shapes = {_shape(v) for v in value}
+        if None in shapes or len(shapes) > 1:
+            return None
+        shape = (len(value), *(shapes.pop() if shapes else ()))
+        return shape if len(shape) <= _MAX_RANK else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
     try:
-        numbers = np.asarray(value, dtype=float) if _is_number(value) else np.array(math.nan)
-    except (OverflowError, ValueError):  # an integer past the float range, a ragged list
-        numbers = np.array(math.nan)
-    if not np.isfinite(numbers).all():
+        return () if math.isfinite(value) else None
+    except OverflowError:  # an integer past the float range
+        return None
+
+
+def _read(cfg: dict, key: str, default=None, required: bool = False) -> tuple:
+    """(value, shape) of a config number or list of numbers, nested or not; all finite."""
+    value = _get(cfg, key, default, required)
+    shape = _shape(value)
+    if shape is None:
         raise ConfigError(f"field '{key}' must be numeric and finite, got {value!r}")
-    return numbers
+    return value, shape
+
+
+def _numbers(cfg: dict, key: str, default=None, required: bool = False):
+    """A config number or list of numbers as a float array; all must be finite."""
+    import numpy as np
+    return np.asarray(_read(cfg, key, default, required)[0], dtype=float)
 
 
 def _number(cfg: dict, key: str, default=None, required: bool = False) -> float:
-    number = _numbers(cfg, key, default, required)
-    if number.ndim:
+    value, shape = _read(cfg, key, default, required)
+    if shape:
         raise ConfigError(f"field '{key}' must be a number, got {_get(cfg, key)!r}")
-    return float(number)
+    return float(value)
 
 
 def _count(cfg: dict, key: str, default: int, cap: int) -> int:
@@ -160,7 +176,7 @@ def _positive(cfg: dict, key: str, default: float) -> float:
     return value
 
 
-def _start(cfg: dict, d: int) -> np.ndarray:
+def _start(cfg: dict, d: int):
     x0 = _numbers(cfg, "x0", [0.5] * d)
     if x0.shape != (d,):
         raise ConfigError(f"field 'x0' must list {d} numbers, got {_get(cfg, 'x0')!r}")
@@ -220,6 +236,7 @@ def _pair_fields(pair, keys: tuple) -> dict:
 
 # each dump returns (construction.json fields, field_grid.csv header, rows, comment)
 def _dump_stubble_det(pair) -> tuple:
+    import numpy as np
     desc = _pair_fields(pair, ("delta_t", "amplitude", "radius", "phase"))
     desc["coincidence"] = pair.coincidence_spec
     r = desc["radius"]
@@ -232,6 +249,8 @@ def _dump_stubble_det(pair) -> tuple:
 
 
 def _dump_snake_det(built: tuple) -> tuple:
+    import numpy as np
+
     from . import geometry
     pair, initials, horizons = built
     desc = _pair_fields(pair, ("delta", "radius", "m", "clearance"))
@@ -244,6 +263,8 @@ def _dump_snake_det(built: tuple) -> tuple:
 
 
 def _dump_spiral(spec) -> tuple:
+    import numpy as np
+
     from . import geometry
     desc = {"K": spec.K, "delta": spec.delta, "T": spec.T, "schedule": spec.schedule,
             "supnorm": spec.field.metadata["supnorm"]}
@@ -275,9 +296,11 @@ def _cmd_construct(cfg: dict, out: str, seed: int) -> int:
 
 
 def _suite_coincidence(cfg: dict, seed: int) -> list:
-    from . import geometry, hypotheses
+    import numpy as np
+
+    from . import hypotheses
     tol = _positive(cfg, "tol", 1e-9)
-    n_points = _count(cfg, "n_points", 50, geometry.MAX_LATTICE)  # every start is held at once
+    n_points = _count(cfg, "n_points", 50, MAX_LATTICE)  # every start is held at once
     pair = _stubble_det(cfg)
     # a tol below 1/32 ulp of the compared positions, up to |x0| + 1 + 5 r, measures rounding
     reach = float(np.abs(pair.x0).max()) + 1.0 + 5.0 * pair.metadata["radius"]
@@ -341,14 +364,14 @@ def _suite_gronwall(cfg: dict, seed: int) -> list:
 
 
 def _suite_assumptions(cfg: dict, seed: int) -> list:
-    from . import geometry, statmodel
+    from . import statmodel
     d = _count(cfg, "d", 2, MAX_DIM)
-    K_grid = _count(cfg, "K_grid", 6, geometry.MAX_LATTICE)
+    K_grid = _count(cfg, "K_grid", 6, MAX_LATTICE)
     m = K_grid**d  # sized in integers before the grid is built
     if m > statmodel.MAX_COVER_STARTS:
         raise ConfigError(f"K_grid^d = {K_grid}^{d} starts, above {statmodel.MAX_COVER_STARTS} "
                           f"(the cover constant's count is quadratic in the starts)")
-    n_per = _count(cfg, "n_per", 3, geometry.MAX_LATTICE)
+    n_per = _count(cfg, "n_per", 3, MAX_LATTICE)
     windows = m * (n_per * (n_per - 1) // 2)  # check_cover_time holds every window at once
     if windows > statmodel.MAX_WINDOWS:
         raise ConfigError(f"{m} starts observed n_per = {n_per} times give {windows} "
@@ -402,8 +425,36 @@ _RATE_COLUMNS = ("stubble-onlyn", "stubble-onlyn-sup", "stubble-balancing-step",
                  "snake-combined-nice", "snake-vs-onlyn-gap", "regression", "regression-sup")
 
 
+# a grid value this close to a half-integer could round either way between libm and numpy:
+# _GRID_GUARD units, where one unit is the relative move that one ulp of the exponent,
+# or of the power, makes (measured at most 1.9 units over 2e4 grids up to 1e15)
+_GRID_GUARD = 8.0
+
+
+def _geomspace(start: float, stop: float, num: int) -> list:
+    """``np.geomspace(start, stop, num)`` as floats that round to numpy's integers.
+
+    The values are numpy's: log10 of the ends, the linspace ``i * step + log10(start)``
+    and its powers of 10, with the ends put back.  libm's log10 and pow differ from
+    numpy's vectorised ones in the last bit, so where a value lies within ``_GRID_GUARD``
+    units of a half-integer, or an end reaches 2**53 (where every float is an integer),
+    the grid is numpy's own and no integer depends on the last bits.
+    """
+    if num == 1:
+        return [start]
+    if max(start, stop) < 2.0**53:
+        lo, hi = math.log10(start), math.log10(stop)
+        step = (hi - lo) / (num - 1)
+        inner = [math.pow(10.0, i * step + lo) for i in range(1, num - 1)]
+        unit = math.log(10.0) * math.ulp(max(abs(lo), abs(hi))) + sys.float_info.epsilon
+        if all(abs(v - math.floor(v) - 0.5) > _GRID_GUARD * unit * v for v in inner):
+            return [start, *inner, stop]
+    import numpy as np
+    return np.geomspace(start, stop, num).tolist()
+
+
 def _cmd_rates(cfg: dict, out: str, seed: int) -> int:
-    from . import geometry, statmodel
+    from . import rates
     beta = _require_beta(cfg, certified=False)
     d = _count(cfg, "d", 2, MAX_DIM)
     s = _number(cfg, "s", 0.0)
@@ -412,20 +463,21 @@ def _cmd_rates(cfg: dict, out: str, seed: int) -> int:
     grid_cfg = _get(cfg, "n", {"start": 1e3, "stop": 1e6, "num": 13})
     if isinstance(grid_cfg, dict):
         start, stop = _positive(grid_cfg, "start", 1e3), _positive(grid_cfg, "stop", 1e6)
-        ns = np.geomspace(start, stop, _count(grid_cfg, "num", 13, geometry.MAX_LATTICE))
+        ns = _geomspace(start, stop, _count(grid_cfg, "num", 13, MAX_LATTICE))
     else:
-        ns = _numbers(cfg, "n")
-        if ns.ndim > 1 or not ns.size:
+        value, shape = _read(cfg, "n")
+        if len(shape) > 1 or shape == (0,):
             raise ConfigError(f"field 'n' must be a number, a flat non-empty list or "
                               f"{{start, stop, num}}, got {grid_cfg!r}")
+        ns = [float(v) for v in value] if shape else [float(value)]
     rows = []
-    for n_float in ns.reshape(-1):
+    for n_float in ns:
         n = int(round(n_float))
         if n < 2:
             raise ConfigError(f"field 'n' values must be >= 2, got {n}")
-        spec = statmodel.RateSpec(beta=beta, d=d, n=n, s=s)
-        spec = dataclasses.replace(spec, step=statmodel.rate_eval(spec, "stubble-balancing-step"))
-        row = {c: statmodel.rate_eval(spec, c) for c in _RATE_COLUMNS if c in statmodel.RATE_IDS}
+        spec = rates.RateSpec(beta=beta, d=d, n=n, s=s)
+        spec = dataclasses.replace(spec, step=rates.rate_eval(spec, "stubble-balancing-step"))
+        row = {c: rates.rate_eval(spec, c) for c in _RATE_COLUMNS if c in rates.RATE_IDS}
         row["balance-gap"] = abs(row["stubble-nice-prob-term"] - row["stubble-nice-det-term"])
         row["snake-vs-onlyn-gap"] = abs(row["snake-combined-nice"] - row["stubble-onlyn"])
         rows.append([n] + [row[c] for c in _RATE_COLUMNS])

@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import MAX_LATTICE  # the lattice cap, also read as geometry.MAX_LATTICE
 from . import flow as flow_mod
 from .flow import Trajectory, _row_sumsq
 
@@ -27,11 +28,6 @@ __all__ = [
     "product_grid",
     "min_distance",
 ]
-
-
-# points of one lattice: snake-det starts or bump centers (1,331 is the largest tested),
-# or the CLI's assumptions K_grid, coincidence n_points or rates grid num
-MAX_LATTICE = 10**5
 
 
 class EmptyTube(Exception):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import odelab
-from odelab import hypotheses, kernels, smoothness, statmodel
+from odelab import hypotheses, kernels, rates, smoothness, statmodel
 
 PHI_MINUS_HALF = 0.3085375387259869  # Phi(-1/2), mpmath 22 digits
 BELL = [1, 2, 5, 15, 52, 203]
@@ -163,14 +163,14 @@ def test_criterion_08_rate_algebra():
     combos = list(itertools.product((10**3, 10**4, 31623, 10**6),
                                     (1.5, 2.0, 2.5)))[:12]
     for (n, beta), d in zip(combos, itertools.cycle((1, 2, 3))):
-        spec = statmodel.RateSpec(beta=beta, d=d, n=n)
-        star = statmodel.rate_eval(spec, "stubble-balancing-step")
+        spec = rates.RateSpec(beta=beta, d=d, n=n)
+        star = rates.rate_eval(spec, "stubble-balancing-step")
         bal = dataclasses.replace(spec, step=star)
-        p = statmodel.rate_eval(bal, "stubble-nice-prob-term")
-        q = statmodel.rate_eval(bal, "stubble-nice-det-term")
+        p = rates.rate_eval(bal, "stubble-nice-prob-term")
+        q = rates.rate_eval(bal, "stubble-nice-det-term")
         assert abs(p - q) <= 1e-12 * max(p, q), f"balance off at n={n} b={beta} d={d}"
-        a = statmodel.rate_eval(spec, "stubble-onlyn")
-        b = statmodel.rate_eval(spec, "snake-combined-nice")
+        a = rates.rate_eval(spec, "stubble-onlyn")
+        b = rates.rate_eval(spec, "snake-combined-nice")
         assert abs(a - b) <= 1e-12 * max(a, b), f"rates differ at n={n} b={beta} d={d}"
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from odelab import cli, geometry, hypotheses, statmodel
+from odelab import cli, geometry, hypotheses, rates, statmodel
 
 with open(os.path.join(os.path.dirname(cli.__file__), "report_schema.json")) as _fh:
     SCHEMA = json.load(_fh)
@@ -450,6 +450,23 @@ def test_rates_csv_grid(tmp_path):
     assert len(lines) == 2 + 8  # comment + header + grid rows
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(2.0, 1e15), st.floats(2.0, 1e15), st.integers(1, 500))
+def test_rates_grid_rounds_to_numpys_geomspace(start, stop, num):
+    # the {start, stop, num} grid is computed with libm, its n values numpy's integers
+    # (perfbench/checks.py asserts the same), for either order of the ends
+    want = np.round(np.geomspace(start, stop, num)).tolist()
+    assert [round(v) for v in cli._geomspace(start, stop, num)] == want
+
+
+def test_rates_grid_near_a_half_integer_is_numpys():
+    # libm's pow puts the middle value at ...522.6; numpy's AVX-512 power reads ...522.5,
+    # which rounds to even.  The value lies within the guard, so the grid is numpy's own
+    start, stop = 390529891136853.0, 1e15
+    want = np.round(np.geomspace(start, stop, 3)).tolist()
+    assert [round(v) for v in cli._geomspace(start, stop, 3)] == want
+
+
 _RATE_GAPS = {"balance-gap": ("stubble-nice-prob-term", "stubble-nice-det-term"),
               "snake-vs-onlyn-gap": ("snake-combined-nice", "stubble-onlyn")}
 
@@ -466,18 +483,18 @@ def test_rates_table_reads_the_catalogue(tmp_path, payload):
     assert _run(["rates", "--config", _cfg(tmp_path, payload), "--out", out]) == 0
     lines = (out / "rates.csv").read_text().splitlines()
     header = lines[1].split(",")
-    assert header[0] == "n" and set(header[1:]) - set(statmodel.RATE_IDS) == set(_RATE_GAPS)
+    assert header[0] == "n" and set(header[1:]) - set(rates.RATE_IDS) == set(_RATE_GAPS)
     for line in lines[2:]:
         row = dict(zip(header, line.split(",")))
-        spec = statmodel.RateSpec(beta=payload["beta"], d=payload.get("d", 2), n=int(row["n"]),
+        spec = rates.RateSpec(beta=payload["beta"], d=payload.get("d", 2), n=int(row["n"]),
                                   s=payload.get("s", 0.0))
-        spec = dataclasses.replace(spec, step=statmodel.rate_eval(spec, "stubble-balancing-step"))
+        spec = dataclasses.replace(spec, step=rates.rate_eval(spec, "stubble-balancing-step"))
         for column in header[1:]:
             if column in _RATE_GAPS:
                 a, b = _RATE_GAPS[column]
                 assert row[column] == repr(abs(float(row[a]) - float(row[b])))
             else:
-                assert row[column] == repr(statmodel.rate_eval(spec, column))
+                assert row[column] == repr(rates.rate_eval(spec, column))
 
 
 @pytest.mark.parametrize("beta,s", [(2.0, 2.0), (2.0, 3.0), (2.0, -0.1), (3.7, 3.7)],

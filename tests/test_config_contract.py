@@ -130,6 +130,46 @@ def test_cover_time_window_cap():
              f"cover-time windows, above {statmodel.MAX_WINDOWS}"])
 
 
+# the scalar reads of rates and experiment: each key's refusal of a boolean, an integer past
+# the float range, a string and a nested list, then of 0 and -1 (None: the value is accepted)
+_SCALAR_READS = [
+    ("rates", "beta", "must be > 1, got 0.0", "must be > 1, got -1.0"),
+    ("rates", "d", "must be a whole number >= 1, got 0.0",
+     "must be a whole number >= 1, got -1.0"),
+    ("rates", "s", None, "must satisfy 0 <= s < beta = 2.0, got -1.0"),
+    ("rates", "n", "values must be >= 2, got 0", "values must be >= 2, got -1"),
+    ("rates", "n.start", "must be > 0, got 0.0", "must be > 0, got -1.0"),
+    ("rates", "n.stop", "must be > 0, got 0.0", "must be > 0, got -1.0"),
+    ("rates", "n.num", "must be a whole number >= 1, got 0.0",
+     "must be a whole number >= 1, got -1.0"),
+    ("experiment", "kl", None, "must be >= 0, got -1.0"),
+    ("experiment", "trials", "must be a whole number >= 1, got 0.0",
+     "must be a whole number >= 1, got -1.0"),
+]
+_SCALAR_BASES = {"rates": {"beta": 2.0, "n": {"start": 1e3, "stop": 1e6, "num": 3}},
+                 "experiment": {"kl": 0.5, "trials": 100}}
+_SCALAR_CASES = [(command, key, value, error)
+                 for command, key, at_zero, at_minus_one in _SCALAR_READS
+                 for value, error in [
+                     (True, "must be numeric and finite, got True"),
+                     (10**400, f"must be numeric and finite, got {10**400!r}"),
+                     ("x", "must be numeric and finite, got 'x'"),
+                     ([[1]], "must be a number, a flat non-empty list or {start, stop, num}, "
+                      "got [[1]]" if key == "n" else "must be a number, got [[1]]"),
+                     (0, at_zero), (-1, at_minus_one)]]
+_SCALAR_CASES.append(("rates", "n.num", 1e300, "= 1e+300 is above 100000"))
+
+
+@pytest.mark.parametrize("command,key,value,error", _SCALAR_CASES,
+                         ids=[f"{c}-{k}-{v!r:.12}" for c, k, v, _ in _SCALAR_CASES])
+def test_scalar_reads_refuse_by_name(command, key, value, error):
+    payload = json.loads(json.dumps(_SCALAR_BASES[command]))
+    name = key.rsplit(".", 1)[-1]
+    (payload["n"] if key.startswith("n.") else payload)[name] = value
+    want = (0, []) if error is None else (2, [f"odelab: config error: field '{name}' {error}"])
+    assert _main(command, payload) == want
+
+
 @pytest.mark.parametrize("which", [["spiral"], None, 2])
 def test_construction_that_is_not_a_string_is_unknown(which):
     # it was read as stubble-det and refused for its "missing field 'beta'"

@@ -25,7 +25,9 @@ def _readme_citations() -> list:
     """Every `module.name` in README.md whose module is an odelab submodule."""
     text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     cited = re.findall(r"`(\w+)\.([\w.]+)`", text)
-    return sorted({(mod, name) for mod, name in cited if mod in odelab.__all__})
+    # `rates.csv` names the output file of `odelab rates`, not the module
+    return sorted({(mod, name) for mod, name in cited
+                   if mod in odelab.__all__ and (mod, name) != ("rates", "csv")})
 
 
 def test_readme_citations_resolve():
@@ -45,10 +47,14 @@ def test_readme_citations_resolve():
 
 SUBMODULES = [m for m in odelab.__all__ if m != "__version__"]
 # one small run of each command; the module sets below are what it must load
+_RATES_ONLY = ["cli", "rates"]
 _STATMODEL_ONLY = ["cli", "flow", "geometry", "statmodel"]
-_NO_STATMODEL = sorted(set(SUBMODULES) - {"statmodel"} | {"cli"})
+_NO_STATMODEL = sorted(set(SUBMODULES) - {"statmodel", "rates"} | {"cli"})
 COMMANDS = [
-    ("rates", {"beta": 2.0, "n": [100, 1000]}, _STATMODEL_ONLY),
+    # the rate catalogue is the standard library alone: a scalar, a list and a grid of n
+    ("rates", {"beta": 2.0, "n": 1000}, _RATES_ONLY),
+    ("rates", {"beta": 2.0, "n": [100, 1000]}, _RATES_ONLY),
+    ("rates", {"beta": 2.0, "n": {"start": 1e3, "stop": 1e8, "num": 400}}, _RATES_ONLY),
     ("experiment", {"kl": 0.5, "trials": 100}, _STATMODEL_ONLY),
     ("verify", {"suite": "assumptions", "K_grid": 3}, _STATMODEL_ONLY),
     ("construct", {"construction": "stubble-det", "beta": 1.5}, _NO_STATMODEL),
@@ -87,9 +93,15 @@ def test_kernels_loads_no_module_above_it():
     assert _submodules(loaded) == ["flow", "kernels"]
 
 
+def _command_id(command: str, payload: dict) -> str:
+    words = [payload[k] for k in ("suite", "construction") if k in payload]
+    if command == "rates":
+        words.append({int: "scalar", list: "list", dict: "grid"}[type(payload["n"])])
+    return " ".join([command, *words])
+
+
 @pytest.mark.parametrize("command,payload,expected", COMMANDS,
-                         ids=[" ".join([c, *[p[k] for k in ("suite", "construction") if k in p]])
-                              for c, p, _ in COMMANDS])
+                         ids=[_command_id(c, p) for c, p, _ in COMMANDS])
 def test_command_loads_only_the_modules_it_runs(tmp_path, command, payload, expected):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))
@@ -98,6 +110,8 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, command, payload, expe
     assert rc == "0"
     assert _submodules(loaded) == expected
     assert "numpy.ma" not in loaded.split()  # np.unique and np.union1d would import it
+    if expected == _RATES_ONLY:
+        assert "numpy" not in loaded.split()
 
 
 def test_submodules_load_on_first_access():
