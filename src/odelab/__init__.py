@@ -10,7 +10,8 @@ Submodules:
   semigroup check;
 * ``hypotheses`` -- the adversarial pair/family constructions;
 * ``geometry`` -- trajectory tubes, coverings, packings, codebooks;
-* ``statmodel`` -- observation schemes, KL budgets and testing reductions;
+* ``statmodel`` -- observation schemes, KL budgets, the master radius and
+  the Le Cam two-point reduction;
 * ``rates`` -- the pinned minimax rate formulas, on the standard library
   alone;
 * ``cli`` -- the ``odelab`` command line tool.

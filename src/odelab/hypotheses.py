@@ -37,7 +37,6 @@ __all__ = [
     "stubble_prob_checks",
     "stubble_det_pair",
     "stubble_det_checks",
-    "irrational_timestep_falsifier",
     "snake_prob_family",
     "snake_transverse_envelope",
     "snake_symmetry_checks",
@@ -407,22 +406,6 @@ def stubble_det_pair(beta: float, d: int, L: Sequence[float], L_beta: float,
         smoothness_class=cls,
         metadata={"delta_t": delta_t, "amplitude": amp, "radius": r, "phase": z},
     )
-
-
-def irrational_timestep_falsifier(pair: HypothesisPair, t2: float) -> float:
-    """Max flow mismatch of the pair at time t2 over 100 starts across two periods.
-
-    The starts are x0 with its first coordinate moved across [x0_1 - r, x0_1 + r],
-    r the period of the perturbation.
-
-    On the coincidence grid (t2 a multiple of the pair's delta_t) this is
-    zero to solver precision; generic t2 (an irrational multiple) exposes
-    the difference between the fields.
-    """
-    r = pair.metadata["radius"]
-    xs = np.tile(pair.x0, (100, 1))
-    xs[:, 0] = np.linspace(pair.x0[0] - r, pair.x0[0] + r, 100)
-    return _flow_gap(pair, xs, t2)
 
 
 def _flow_gap(pair: HypothesisPair, xs: np.ndarray, t: float) -> float:

@@ -49,11 +49,8 @@ __all__ = [
     "choose_master_radius",
     "lecam_two_point",
     "gaussian_lrt_error",
-    "FanoBound",
-    "fano_many_point",
     "MonteCarlo",
     "monte_carlo_two_point",
-    "expectation_reduction",
 ]
 
 
@@ -463,8 +460,8 @@ def psi_chi_measure(family: HypothesisFamily, scheme: ObservationScheme, r: floa
 class MasterInstance:
     """Everything the master lower bound needs about one design.
 
-    ``kind``, ``rho_plus``, ``C_noise`` and ``d_q`` read through to the
-    family and the scheme.
+    ``kind``, ``rho_plus`` and ``C_noise`` read through to the family and
+    the scheme.
     """
 
     family: HypothesisFamily
@@ -476,7 +473,6 @@ class MasterInstance:
     kind = property(lambda self: self.family.kind)
     rho_plus = property(lambda self: self.family.rho_plus)
     C_noise = property(lambda self: self.scheme.noise.C_noise)
-    d_q = property(lambda self: self.scheme.dim)
 
 
 def master_instance_stubble(family: HypothesisFamily,
@@ -532,59 +528,35 @@ def master_instance_snake(family: HypothesisFamily,
 # master radius and testing certificates
 
 
-def master_radius_formula(variant: str, gamma: float, a_n: float, C_noise: float,
-                          d_q: int = 1) -> float:
-    """Raw radius formulas, before any admissibility check.
+def master_radius_formula(gamma: float, a_n: float, C_noise: float) -> float:
+    """Raw pointwise radius (2 C a_n)^{-1/gamma}, before any admissibility check.
 
-    pointwise: (2 C a_n)^{-1/gamma} caps the two-point KL at 1/2;
-    sup: (d_q log(a_n) / (12 gamma C a_n))^{1/gamma} feeds a Fano bundle
-    whose codebook grows like a_n^{d_q/gamma} (needs a_n > 1);
-    lp: (36 C a_n)^{-1/gamma} leaves room for the many-point reduction.
+    It caps the two-point KL at 1/2.
     """
-    if variant == "pointwise":
-        return (2.0 * C_noise * a_n) ** (-1.0 / gamma)
-    if variant == "sup":
-        if a_n <= 1.0:
-            raise RadiusOutOfRange(f"sup variant needs a_n > 1, got {a_n:.3g}")
-        return (d_q * math.log(a_n) / (12.0 * gamma * C_noise * a_n)) ** (1.0 / gamma)
-    if variant == "lp":
-        return (36.0 * C_noise * a_n) ** (-1.0 / gamma)
-    raise ValueError(f"unknown variant {variant!r}; use pointwise|sup|lp")
+    return (2.0 * C_noise * a_n) ** (-1.0 / gamma)
 
 
 @dataclass
 class MasterRadius:
-    variant: str
     r_n: float
-    rho_minus: float
-    rho_plus: float
-    a_n: float
     side_conditions: dict = field(default_factory=dict)
 
 
-def choose_master_radius(instance: MasterInstance, variant: str = "pointwise") -> MasterRadius:
+def choose_master_radius(instance: MasterInstance) -> MasterRadius:
     """Radius formula plus admissibility against [rho_minus, rho_plus]."""
-    raw = master_radius_formula(variant, instance.gamma, instance.a_n,
-                                instance.C_noise, instance.d_q)
+    raw = master_radius_formula(instance.gamma, instance.a_n, instance.C_noise)
     side = {
         "raw": raw,
         "above_floor": raw >= instance.rho_minus,
         "below_cap": raw <= instance.rho_plus,
-        "kl_budget": 0.5 if variant == "pointwise" else None,
+        "kl_budget": 0.5,
     }
     if not (side["above_floor"] and side["below_cap"]):
         raise RadiusOutOfRange(
-            f"{variant} radius {raw:.6g} outside "
+            f"radius {raw:.6g} outside "
             f"[{instance.rho_minus:.6g}, {instance.rho_plus:.6g}]"
         )
-    return MasterRadius(
-        variant=variant,
-        r_n=raw,
-        rho_minus=instance.rho_minus,
-        rho_plus=instance.rho_plus,
-        a_n=instance.a_n,
-        side_conditions=side,
-    )
+    return MasterRadius(r_n=raw, side_conditions=side)
 
 
 def lecam_two_point(kl: float) -> float:
@@ -595,31 +567,6 @@ def lecam_two_point(kl: float) -> float:
 def gaussian_lrt_error(kl: float) -> float:
     """Exact balanced error of the LRT between shifted Gaussians at this KL."""
     return 0.5 * math.erfc(math.sqrt(kl / 2.0) / math.sqrt(2.0))
-
-
-@dataclass
-class FanoBound:
-    passed: bool
-    bound: float
-    mean_kl: float
-    threshold: float
-    M: int
-
-
-def fano_many_point(kl_values, M: int) -> FanoBound:
-    """Fano certificate over an M-point bundle (inclusive at the boundary)."""
-    if M < 2:
-        raise ValueError("need M >= 2 hypotheses")
-    mean_kl = float(np.mean(np.asarray(kl_values, dtype=float)))
-    threshold = math.log(M) / 3.0
-    bound = max(0.0, 1.0 - (mean_kl + math.log(2.0)) / math.log(M))
-    return FanoBound(
-        passed=bool(mean_kl <= threshold),
-        bound=bound,
-        mean_kl=mean_kl,
-        threshold=threshold,
-        M=M,
-    )
 
 
 @dataclass
@@ -654,9 +601,3 @@ def monte_carlo_two_point(kl: float, n_trials: int, seed: int = 0) -> MonteCarlo
     p = errors / n_trials
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / n_trials)
     return MonteCarlo(error_hat=p, std_error=se, n_trials=n_trials)
-
-
-def expectation_reduction(prob_bound: float, separation: float,
-                          exponent: float = 2.0) -> float:
-    """Testing-to-estimation: risk >= prob_bound * separation^exponent."""
-    return prob_bound * separation**exponent

@@ -211,9 +211,12 @@ def test_snake_det_rejects_lattice_above_limit():
 
 
 def test_irrational_timestep_breaks_coincidence(det_pair):
-    # off the arithmetic grid the two flows must visibly differ
-    gap = hypotheses.irrational_timestep_falsifier(det_pair, 0.05 * np.e)
-    assert gap > 1e-4
+    # off the arithmetic grid the two flows must visibly differ: 100 starts across
+    # two periods [x0_1 - r, x0_1 + r] at the irrational multiple t2 = 0.05 e
+    r = det_pair.metadata["radius"]
+    xs = np.tile(det_pair.x0, (100, 1))
+    xs[:, 0] = np.linspace(det_pair.x0[0] - r, det_pair.x0[0] + r, 100)
+    assert hypotheses._flow_gap(det_pair, xs, 0.05 * np.e) > 1e-4
 
 
 def _stubble_det(d):

@@ -1,4 +1,4 @@
-"""Package surface: every exported name exists."""
+"""Package surface: every exported name exists, and the test settings keep failures readable."""
 
 import importlib
 import json
@@ -136,3 +136,19 @@ def test_construction_guards_share_one_base(module, name):
     # cli.main catches this one class, so it needs no module loaded to name the guards
     guard = getattr(importlib.import_module(f"odelab.{module}"), name)
     assert issubclass(guard, odelab.ConstructionError)
+
+
+def test_failing_hypothesis_test_prints_its_example(tmp_path):
+    # under the repo's warnings-as-errors settings a failing @given test reports its
+    # falsifying example; the patch hypothesis proposes must not end the session in
+    # INTERNALERROR
+    test = tmp_path / "test_one.py"
+    test.write_text("from hypothesis import given, strategies as st\n\n\n"
+                    "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(pyproject),
+                          "-p", "no:cacheprovider", str(test)],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed" in run.stdout

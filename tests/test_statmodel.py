@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odelab import flow, geometry, hypotheses, statmodel
+from odelab import ConstructionError, flow, geometry, hypotheses, statmodel
 
 
 def _noise2(cov=1.0):
@@ -559,7 +559,7 @@ def test_master_instance_stubble_frozen(stubble_master):
     assert inst.rho_minus == pytest.approx(0.0125, rel=1e-12)  # (C_cvr m)^(-1/d)
     assert inst.rho_plus > inst.rho_minus
     # read through to the family and the scheme, which hold them
-    assert (inst.kind, inst.rho_plus, inst.d_q) == ("stubble", inst.family.rho_plus, 2)
+    assert (inst.kind, inst.rho_plus) == ("stubble", inst.family.rho_plus)
 
 
 @pytest.mark.parametrize("d,delta", [(2, 0.05), (3, 0.2), (2, 0.1)])
@@ -583,28 +583,25 @@ def test_snake_a_n_is_the_radius_grid_maximum(d, delta):
 
 def test_choose_master_radius_pointwise(stubble_master):
     mr = statmodel.choose_master_radius(stubble_master)
-    assert mr.variant == "pointwise"
     assert mr.r_n == pytest.approx(0.17359512834760923, rel=1e-12)
     assert stubble_master.rho_minus <= mr.r_n <= stubble_master.rho_plus
-    assert mr.side_conditions
+    assert mr.side_conditions["kl_budget"] == 0.5
+
+
+@pytest.mark.parametrize("a_n", [1e-3, 1e15], ids=["above-rho-plus", "below-rho-minus"])
+def test_choose_master_radius_refuses_a_radius_out_of_range(stubble_master, a_n):
+    # (2 C a_n)^(-1/6) is 3.16 for a_n 1e-3 and 3.16e-3 for 1e15, outside [0.0125, rho_plus]
+    inst = dataclasses.replace(stubble_master, a_n=a_n)
+    with pytest.raises(ConstructionError, match=r"^radius [0-9.e+-]+ outside \[") as info:
+        statmodel.choose_master_radius(inst)
+    assert isinstance(info.value, statmodel.RadiusOutOfRange)
 
 
 def test_master_radius_formula_frozen():
-    # mpmath references for C = 1/2, a = 8, gamma = 4
-    assert statmodel.master_radius_formula("pointwise", 4.0, 8.0, 0.5) == pytest.approx(
+    # mpmath reference for C = 1/2, a = 8, gamma = 4
+    assert statmodel.master_radius_formula(4.0, 8.0, 0.5) == pytest.approx(
         0.5946035575013605, rel=1e-13
     )
-    assert statmodel.master_radius_formula("lp", 4.0, 8.0, 0.5) == pytest.approx(
-        0.2886751345948129, rel=1e-13
-    )
-    assert statmodel.master_radius_formula("sup", 4.0, 8.0, 0.5) == pytest.approx(
-        0.3225977780374692, rel=1e-13
-    )
-
-
-def test_master_radius_sup_needs_log_headroom():
-    with pytest.raises(statmodel.RadiusOutOfRange):
-        statmodel.master_radius_formula("sup", 4.0, 0.5, 0.5)
 
 
 def test_master_envelope_holds_at_radius(stubble_master):
@@ -642,26 +639,3 @@ def test_monte_carlo_two_point_frozen_seed():
     assert abs(mc.error_hat - 0.3085375387259869) <= 3.0 * mc.std_error
     again = statmodel.monte_carlo_two_point(0.5, 100000, seed=0)
     assert again.error_hat == mc.error_hat
-
-
-def test_fano_many_point():
-    M = 8
-    thresh = np.log(M) / 3.0
-    rep = statmodel.fano_many_point([thresh * 0.9] * 5, M)
-    assert rep.passed
-    assert rep.M == M
-    assert rep.bound == pytest.approx(
-        1.0 - (0.9 * thresh + np.log(2.0)) / np.log(M), rel=1e-12
-    )
-    # inclusive at the threshold, refused above
-    assert statmodel.fano_many_point([thresh] * 3, M).passed
-    assert not statmodel.fano_many_point([thresh * 1.5] * 3, M).passed
-    with pytest.raises(ValueError):
-        statmodel.fano_many_point([0.1], 1)
-
-
-def test_expectation_reduction():
-    assert statmodel.expectation_reduction(0.25, 0.2) == pytest.approx(0.25 * 0.04)
-    assert statmodel.expectation_reduction(0.25, 0.2, exponent=1.0) == pytest.approx(0.05)
-
-
